@@ -82,7 +82,6 @@ from .experiment import (
     dump_config,
     load_config,
     run_verification,
-    thread_count,
 )
 from .figures import (
     render_lines_svg,

@@ -4,20 +4,34 @@ Edges follow the non-zero off-diagonal pattern of the matrix; the weight of
 edge {i, j} is ln(1 + sqrt(sqrt(v_i v_j) / |a_ij|)).  Distances are shortest
 path sums (a pseudo-metric: weights vanish wherever the potential does), with
 +inf for unreachable targets and for distances to an empty set.
+
+A metric is a weight vector over a ``CsrPattern``: ``build_metric`` reuses the
+matrix's cached pattern, so a metric per eigenpair costs one vector of
+weights.  Distances come from ``scipy.sparse.csgraph.dijkstra`` on that graph
+(directed, since the pattern stores both orientations of every edge, with
+``min_only`` over the source set); explicit zero weights stay edges.
+
+Witness paths follow canonical predecessors, derived from the final distances
+only when a path is asked for.  An edge u -> k is tight when
+dist[u] + w(u, k) == dist[k]; hop counts are taken from the source set in the
+subgraph of tight edges, and the predecessor of k is its smallest-index tight
+neighbour with one hop fewer.  Hops fall by one per step, so a witness path
+reaches a source in at most n - 1 steps and its weights, added from the
+source, give the distance exactly.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .landscape import ShiftedPotential
-from .matrices import SparseSymMatrix, _frozen
+from .matrices import CsrPattern, SparseSymMatrix, _encode_float, _frozen, _index_mask
 
 __all__ = [
     "AgmonMetric",
@@ -38,7 +52,11 @@ INF = float("inf")
 
 @dataclass(frozen=True, eq=False)
 class AgmonMetric:
-    """Weighted graph of the pseudo-metric; provenance records the potential."""
+    """Weighted graph of the pseudo-metric; provenance records the potential.
+
+    ``pattern`` is the CSR layout of the edge arrays; when omitted it is
+    built from them.
+    """
 
     n: int
     threshold: float
@@ -46,19 +64,16 @@ class AgmonMetric:
     edge_j: np.ndarray
     edge_w: np.ndarray
     provenance: ShiftedPotential
-    _adj: list = field(default=None, repr=False, compare=False)
+    pattern: CsrPattern | None = field(default=None, repr=False)
+    _graph: "scipy.sparse.csr_array" = field(init=False, repr=False)
 
     def __post_init__(self):
         _frozen(self.edge_i)
         _frozen(self.edge_j)
         _frozen(self.edge_w)
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for i, j, w in zip(self.edge_i, self.edge_j, self.edge_w):
-            adj[i - 1].append((int(j) - 1, float(w)))
-            adj[j - 1].append((int(i) - 1, float(w)))
-        for row in adj:
-            row.sort()
-        object.__setattr__(self, "_adj", adj)
+        if self.pattern is None:
+            object.__setattr__(self, "pattern", CsrPattern.build(self.n, self.edge_i, self.edge_j))
+        object.__setattr__(self, "_graph", self.pattern.values(self.edge_w))
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield (i, j, weight) with i < j, lexicographic."""
@@ -66,10 +81,10 @@ class AgmonMetric:
             yield int(i), int(j), float(w)
 
     def edge_weight(self, i: int, j: int) -> float:
-        for nb, w in self._adj[i - 1]:
-            if nb == j - 1:
-                return w
-        raise KeyError(f"no edge between {i} and {j}")
+        k = self.pattern.slot(i, j) if i != j else -1
+        if k < 0:
+            raise KeyError(f"no edge between {i} and {j}")
+        return float(self._graph.data[k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,16 +92,31 @@ class DistanceField:
     """Distances from a source set; dist[k] is the distance of index k+1.
 
     ``witness_path(i)`` reconstructs a realizing shortest path (source first)
-    from the stored Dijkstra predecessors.
+    from the canonical predecessors (module docstring).
     """
 
     source: frozenset[int]
     dist: np.ndarray
-    predecessor: np.ndarray
+    metric: AgmonMetric = field(repr=False)
 
     def __post_init__(self):
         _frozen(self.dist)
-        _frozen(self.predecessor)
+
+    @cached_property
+    def predecessor(self) -> np.ndarray:
+        """0-based canonical predecessor of each index; -1 at sources and unreachable ones."""
+        g, dist, n = self.metric._graph, self.dist, self.dist.size
+        tail = np.repeat(np.arange(n), np.diff(g.indptr))
+        head = g.indices
+        tight = (tail != head) & np.isfinite(dist[tail]) & (dist[tail] + g.data == dist[head])
+        hop_graph = g.copy()
+        hop_graph.data = np.where(tight, 1.0, INF)  # hop counts along tight edges only
+        hops = _dijkstra(hop_graph, sorted(self.source))
+        step = tight & (hops[tail] + 1 == hops[head])
+        pred = np.full(n, n, dtype=np.int64)
+        np.minimum.at(pred, head[step], tail[step])
+        pred[pred == n] = -1
+        return _frozen(pred)
 
     def witness_path(self, i: int) -> list[int]:
         k = i - 1
@@ -113,84 +143,63 @@ def build_metric(A: SparseSymMatrix, sp: ShiftedPotential) -> AgmonMetric:
     return AgmonMetric(
         n=A.n,
         threshold=sp.threshold,
-        edge_i=off_i.copy(),
-        edge_j=off_j.copy(),
+        edge_i=off_i,
+        edge_j=off_j,
         edge_w=w,
         provenance=sp,
+        pattern=A.pattern,
     )
 
 
-def _check_indices(n: int, indices: Iterable[int]) -> list[int]:
-    out = []
-    for i in indices:
-        i = int(i)
-        if not (1 <= i <= n):
-            raise ValueError(f"index {i} outside [1, {n}]")
-        out.append(i)
-    return out
+def _dijkstra(graph, sources: list[int]) -> np.ndarray:
+    """Distances to the nearest of the 1-based ``sources``; all +inf when there are none."""
+    from scipy.sparse.csgraph import dijkstra  # deferred, see the matrices module docstring
+
+    if not sources:
+        return np.full(graph.shape[0], INF)
+    return dijkstra(graph, directed=True, indices=np.asarray(sources) - 1, min_only=True)
 
 
 def distance_from_set(m: AgmonMetric, sources: Iterable[int]) -> DistanceField:
-    """Multi-source Dijkstra; an empty source set gives all-infinite distances.
-
-    Ties are broken toward the smallest predecessor index so witness paths are
-    reproducible run to run.
-    """
-    src = sorted(set(_check_indices(m.n, sources)))
-    dist = np.full(m.n, INF, dtype=float)
-    pred = np.full(m.n, -1, dtype=np.int64)
-    heap: list[tuple[float, int]] = []
-    for s in src:
-        dist[s - 1] = 0.0
-        heapq.heappush(heap, (0.0, s - 1))
-    adj = m._adj
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist[node]:
-            continue
-        for nb, w in adj[node]:
-            nd = d + w
-            if nd < dist[nb]:
-                dist[nb] = nd
-                pred[nb] = node
-                heapq.heappush(heap, (nd, nb))
-            elif nd == dist[nb] and pred[nb] >= 0 and node < pred[nb]:
-                pred[nb] = node
-    return DistanceField(source=frozenset(src), dist=dist, predecessor=pred)
+    """Multi-source shortest-path distances; an empty source set gives all +inf."""
+    src = (np.flatnonzero(_index_mask(m.n, sources)) + 1).tolist()
+    return DistanceField(source=frozenset(src), dist=_dijkstra(m._graph, src), metric=m)
 
 
 def pairwise_distance(m: AgmonMetric, i: int, j: int) -> float:
     """rho(i, j); 0 on the diagonal, +inf when j is unreachable from i."""
-    (i,) = _check_indices(m.n, [i])
-    (j,) = _check_indices(m.n, [j])
+    _index_mask(m.n, [i, j])
     return float(distance_from_set(m, [i]).dist[j - 1])
 
 
 def set_distance(m: AgmonMetric, K: Iterable[int], M: Iterable[int]) -> float:
     """rho(K, M) = inf over pairs; +inf when either set is empty."""
-    K = set(_check_indices(m.n, K))
-    M = set(_check_indices(m.n, M))
-    if not K or not M:
+    in_k = _index_mask(m.n, K)
+    in_m = _index_mask(m.n, M)
+    if not in_k.any() or not in_m.any():
         return INF
-    field_ = distance_from_set(m, M)
-    return float(min(field_.dist[k - 1] for k in K))
+    return float(distance_from_set(m, np.flatnonzero(in_m) + 1).dist[in_k].min())
+
+
+def _crossing(A: SparseSymMatrix, omega: Iterable[int]):
+    """Mask of omega, both ends of every edge, and which of them lie on an edge leaving omega."""
+    inside = _index_mask(A.n, omega)
+    off_i, off_j, _ = A.off_arrays()
+    ends = np.concatenate([off_i, off_j])
+    crossing = np.tile(inside[off_i - 1] != inside[off_j - 1], 2)
+    return inside, ends, crossing
 
 
 def inner_boundary(A: SparseSymMatrix, omega: Iterable[int]) -> frozenset[int]:
     """Members of omega with at least one neighbor outside omega."""
-    om = set(_check_indices(A.n, omega))
-    return frozenset(k for k in om if any(nb not in om for nb in A.neighbors(k)))
+    inside, ends, crossing = _crossing(A, omega)
+    return frozenset(ends[crossing & inside[ends - 1]].tolist())
 
 
 def outer_boundary(A: SparseSymMatrix, omega: Iterable[int]) -> frozenset[int]:
     """Non-members of omega with at least one neighbor inside omega."""
-    om = set(_check_indices(A.n, omega))
-    out = set()
-    for k in om:
-        for nb in A.neighbors(k):
-            if nb not in om:
-                out.add(nb)
-    return frozenset(out)
+    inside, ends, crossing = _crossing(A, omega)
+    return frozenset(ends[crossing & ~inside[ends - 1]].tolist())
 
 
 def band_lower_bound(w: int, i1: int, iq: int, v_min: float, a_max: float) -> float:
@@ -215,19 +224,13 @@ def band_lower_bound(w: int, i1: int, iq: int, v_min: float, a_max: float) -> fl
     return steps * math.log1p(math.sqrt(float(v_min) / float(a_max)))
 
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))
-
-
 def write_distance_csv(path, field_: DistanceField) -> None:
     """CSV with header index,dist; infinite distances serialize as 'inf'."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "dist"])
         for k in range(field_.dist.size):
-            writer.writerow([k + 1, _fmt(float(field_.dist[k]))])
+            writer.writerow([k + 1, _encode_float(field_.dist[k])])
 
 
 def write_edges_csv(path, m: AgmonMetric) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ from .checks import (
     write_scatter_csv,
 )
 from .landscape import solve_landscape, shift_potential, write_landscape_csv
-from .matrices import EnsembleConfig, SparseSymMatrix, connectivity
+from .matrices import EnsembleConfig, SparseSymMatrix, _encode_float, connectivity
 from .partition import build_partition, write_partition_json
 from .spectral import eig_sym, local_eig, write_eigenvalues_csv
 
@@ -39,7 +38,6 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "dump_config",
-    "thread_count",
     "run_verification",
 ]
 
@@ -151,34 +149,9 @@ def dump_config(path, cfg: ExperimentConfig) -> None:
         fh.write("\n")
 
 
-def thread_count() -> int:
-    """Worker count for verification fan-out, from MLANDSCAPE_THREADS (min 1)."""
-    raw = os.environ.get("MLANDSCAPE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items, fanned out over threads, results in input order."""
-    workers = thread_count()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _json_value(x):
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return x
-    if isinstance(x, (np.floating,)):
-        return _json_value(float(x))
+    if isinstance(x, (float, np.floating)):
+        return _encode_float(x)
     if isinstance(x, (np.integer,)):
         return int(x)
     if isinstance(x, np.ndarray):
@@ -244,7 +217,7 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     write_landscape_csv(os.path.join(out, "landscape.csv"), L, shift_potential(L, csv_ebar))
 
     # landscape-based localization, one check per eigenpair
-    reports = _map_ordered(lambda j: check_landscape_localization(A, L, ed, j), range(1, A.n + 1))
+    reports = [check_landscape_localization(A, L, ed, j) for j in range(1, A.n + 1)]
     failures = [r.eigen_id for r in reports if not r.holds]
     checks["landscape_localization"] = {
         "pass": not failures,
@@ -255,7 +228,9 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
 
     # threshold-shifted localization for the global eigenvectors
     alpha = _alpha_for_localization(cfg, wc)
-    cases = []
+    gen_reports = []
+    gen_failures = []
+    skipped = 0
     for j in range(1, A.n + 1):
         E = float(ed.values[j - 1])
         if isinstance(cfg.thresholds, str):
@@ -263,25 +238,20 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
         else:
             ebars = tuple(t for t in cfg.thresholds if t >= E)
         for ebar in ebars:
-            cases.append((j, E, ebar))
-
-    def _general_case(case):
-        j, E, ebar = case
-        try:
-            rep = check_general_localization(
-                A, L.u, ed.vectors[:, j - 1], E, ebar, frozenset(), alpha, eigen_id=j
-            )
-        except EmptyWellSetError:
-            return (case, None)
-        return (case, rep)
-
-    general = _map_ordered(_general_case, cases)
-    gen_reports = [rep for _, rep in general if rep is not None]
-    gen_failures = [(c[0], c[2]) for c, rep in general if rep is not None and not rep.holds]
+            try:
+                rep = check_general_localization(
+                    A, L.u, ed.vectors[:, j - 1], E, ebar, frozenset(), alpha, eigen_id=j
+                )
+            except EmptyWellSetError:
+                skipped += 1
+                continue
+            gen_reports.append(rep)
+            if not rep.holds:
+                gen_failures.append((j, ebar))
     checks["general_localization"] = {
         "pass": not gen_failures,
         "count": len(gen_reports),
-        "skipped_empty_wells": sum(1 for _, rep in general if rep is None),
+        "skipped_empty_wells": skipped,
         "failures": gen_failures,
         "alpha": alpha,
     }

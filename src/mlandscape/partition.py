@@ -11,11 +11,12 @@ the result, never raised.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
-from .agmon import AgmonMetric, INF, distance_from_set, inner_boundary, set_distance
-from .matrices import SparseSymMatrix
+import numpy as np
+
+from .agmon import AgmonMetric, INF, distance_from_set, inner_boundary
+from .matrices import SparseSymMatrix, _encode_float, _index_mask
 
 __all__ = [
     "WellPartition",
@@ -27,25 +28,6 @@ __all__ = [
     "write_partition_json",
     "partition_report_dict",
 ]
-
-
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # smaller root wins, keeping group ids stable
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,27 +62,25 @@ def well_components(A: SparseSymMatrix, wells) -> list[frozenset[int]]:
 
     Components are ordered by their smallest member.
     """
-    well_set = set(int(i) for i in wells)
-    for i in well_set:
-        if not (1 <= i <= A.n):
-            raise ValueError(f"index {i} outside [1, {A.n}]")
-    seen: set[int] = set()
-    comps: list[frozenset[int]] = []
-    for start in sorted(well_set):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = {start}
-        seen.add(start)
-        while stack:
-            k = stack.pop()
-            for nb in A.neighbors(k):
-                if nb in well_set and nb not in seen:
-                    seen.add(nb)
-                    comp.add(nb)
-                    stack.append(nb)
-        comps.append(frozenset(comp))
-    return comps
+    import scipy.sparse  # deferred, see the matrices module docstring
+    from scipy.sparse.csgraph import connected_components
+
+    inside = _index_mask(A.n, wells)
+    off_i, off_j, _ = A.off_arrays()
+    both = inside[off_i - 1] & inside[off_j - 1]
+    graph = scipy.sparse.csr_array(
+        (np.ones(int(both.sum())), (off_i[both] - 1, off_j[both] - 1)), shape=(A.n, A.n)
+    )
+    _, label = connected_components(graph, directed=False)
+    groups: dict[int, list[int]] = {}
+    for k in np.flatnonzero(inside).tolist():
+        groups.setdefault(int(label[k]), []).append(k + 1)
+    return [frozenset(g) for g in groups.values()]
+
+
+def _min_over(dist, members) -> float:
+    """Smallest of dist at the 1-based members; +inf for an empty set."""
+    return float(np.min(dist[_index_mask(dist.size, members)], initial=INF))
 
 
 def merge_close_wells(
@@ -115,23 +95,22 @@ def merge_close_wells(
     min_sep" relation is exactly what is needed.  Results keep the order of
     their smallest member.
     """
+    from scipy.sparse.csgraph import connected_components  # deferred, as above
+
     count = len(components)
     if count == 0:
         return []
     # one distance field per component serves all pairwise queries
     fields = [distance_from_set(m, comp) for comp in components]
-    uf = _UnionFind(count)
+    close = np.zeros((count, count), dtype=bool)
     for a in range(count):
         for b in range(a + 1, count):
-            d = min(fields[a].dist[k - 1] for k in components[b])
-            if d < min_sep:
-                uf.union(a, b)
+            close[a, b] = _min_over(fields[a].dist, components[b]) < min_sep
+    _, group = connected_components(close, directed=False)
     grouped: dict[int, set[int]] = {}
-    for idx, comp in enumerate(components):
-        grouped.setdefault(uf.find(idx), set()).update(comp)
-    merged = [frozenset(v) for v in grouped.values()]
-    merged.sort(key=min)
-    return merged
+    for g, comp in zip(group.tolist(), components):
+        grouped.setdefault(g, set()).update(comp)
+    return sorted((frozenset(v) for v in grouped.values()), key=min)
 
 
 def voronoi_regions(
@@ -150,21 +129,11 @@ def voronoi_regions(
 def _assign_regions(A, wells, m):
     if not wells:
         return [], frozenset()
-    fields = [distance_from_set(m, w) for w in wells]
-    members: list[set[int]] = [set() for _ in wells]
-    unassigned = set()
-    for k in range(1, A.n + 1):
-        best = 0
-        best_d = fields[0].dist[k - 1]
-        for ell in range(1, len(wells)):
-            d = fields[ell].dist[k - 1]
-            if d < best_d:
-                best, best_d = ell, d
-        if math.isinf(best_d):
-            unassigned.add(k)
-            best = 0
-        members[best].add(k)
-    return [frozenset(s) for s in members], frozenset(unassigned)
+    dist = np.vstack([distance_from_set(m, w).dist for w in wells])
+    best = np.argmin(dist, axis=0)  # first minimum: ties go to the lowest well id
+    regions = [frozenset((np.flatnonzero(best == ell) + 1).tolist()) for ell in range(len(wells))]
+    unassigned = np.flatnonzero(np.isinf(dist.min(axis=0))) + 1
+    return regions, frozenset(unassigned.tolist())
 
 
 def verify_separation(
@@ -185,7 +154,6 @@ def verify_separation(
     """
     if len(wells) != len(regions):
         raise ValueError(f"{len(wells)} wells but {len(regions)} regions")
-    all_indices = set(range(1, A.n + 1))
     disjoint = True
     seen: set[int] = set()
     for reg in regions:
@@ -200,14 +168,11 @@ def verify_separation(
     fields = [distance_from_set(m, w) for w in wells]
     for ell, (well, reg) in enumerate(zip(wells, regions)):
         dist = fields[ell].dist
-        bnd = inner_boundary(A, reg)
-        boundary_d.append(min((float(dist[k - 1]) for k in bnd), default=INF))
-        comp = all_indices - set(reg)
-        complement_d.append(min((float(dist[k - 1]) for k in comp), default=INF))
+        boundary_d.append(_min_over(dist, inner_boundary(A, reg)))
+        complement_d.append(float(np.min(dist[~_index_mask(A.n, reg)], initial=INF)))
         for other in range(len(wells)):
             if other != ell:
-                d = min((float(dist[k - 1]) for k in wells[other]), default=INF)
-                well_sep = min(well_sep, d)
+                well_sep = min(well_sep, _min_over(dist, wells[other]))
 
     s_achieved = min(boundary_d, default=INF)
     ax_boundary = all(d >= s_requested for d in boundary_d)
@@ -247,26 +212,20 @@ def build_partition(
     return verify_separation(A, wells, regions, m, s_requested, unassigned)
 
 
-def _json_num(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
-
-
 def partition_report_dict(p: WellPartition) -> dict:
     return {
         "wells": [sorted(w) for w in p.wells],
         "regions": [sorted(r) for r in p.regions],
-        "s_requested": _json_num(p.s_requested),
-        "s_achieved": _json_num(p.s_achieved),
-        "well_separation": _json_num(p.well_separation),
+        "s_requested": _encode_float(p.s_requested),
+        "s_achieved": _encode_float(p.s_achieved),
+        "well_separation": _encode_float(p.well_separation),
         "axioms": {
             "disjoint": p.axiom_disjoint,
             "complement": p.axiom_complement,
             "boundary": p.axiom_boundary,
         },
-        "boundary_well_distances": [_json_num(d) for d in p.boundary_well_distances],
-        "complement_well_distances": [_json_num(d) for d in p.complement_well_distances],
+        "boundary_well_distances": [_encode_float(d) for d in p.boundary_well_distances],
+        "complement_well_distances": [_encode_float(d) for d in p.complement_well_distances],
         "unassigned": sorted(p.unassigned),
     }
 

@@ -42,12 +42,12 @@ def make_metric(n, edges):
     )
 
 
-def random_metric(rng, n, p=0.5):
+def random_metric(rng, n, p=0.5, p_zero=0.15):
     edges = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if rng.random() < p:
-                w = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 2.0))
+                w = 0.0 if rng.random() < p_zero else float(rng.uniform(0.0, 2.0))
                 edges.append((i, j, w))
     return make_metric(n, edges)
 
@@ -188,6 +188,35 @@ def test_witness_paths_realize_the_distance():
             assert path[0] == 1 and path[-1] == t
             total = sum(m.edge_weight(a, b) for a, b in zip(path, path[1:]))
             assert abs(total - f.dist[t - 1]) <= 1e-12
+
+
+def test_witness_paths_terminate_across_zero_weight_ties():
+    # v = 0 on the chain 1-2-3 zeroes every weight, so all neighbours tie
+    A = SparseSymMatrix(3, [0.0] * 3, [(1, 2, -1.0), (2, 3, -1.0)])
+    chain = build_metric(A, ShiftedPotential(0.0, np.zeros(3), frozenset({1, 2, 3})))
+    cases = [(chain, [3])]
+    rng = np.random.default_rng(4096)
+    for _ in range(30):
+        m = random_metric(rng, int(rng.integers(3, 9)), p_zero=0.6)
+        k = int(rng.integers(1, 3))
+        cases.append((m, list(rng.choice(np.arange(1, m.n + 1), size=k, replace=False))))
+    for m, sources in cases:
+        f = distance_from_set(m, sources)
+        for t in range(1, m.n + 1):
+            if math.isinf(f.dist[t - 1]):
+                continue
+            # walk the predecessors with a step budget, so a cycle fails instead of hanging
+            k, steps = t - 1, 0
+            while f.predecessor[k] >= 0:
+                k, steps = int(f.predecessor[k]), steps + 1
+                assert steps < m.n, f"predecessor cycle through {t}"
+            path = f.witness_path(t)
+            assert len(path) <= m.n
+            assert path[0] in sources and path[-1] == t
+            total = 0.0
+            for a, b in zip(path, path[1:]):
+                total += m.edge_weight(a, b)
+            assert total == f.dist[t - 1]
 
 
 def test_pseudo_metric_axioms():

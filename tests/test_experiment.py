@@ -17,7 +17,6 @@ from mlandscape import (
     run_verification,
     shift_potential,
     solve_landscape,
-    thread_count,
 )
 import mlandscape.experiment as experiment
 from mlandscape.spectral import EigenDecomposition
@@ -86,17 +85,6 @@ def test_config_validation():
 def test_partition_threshold_picks_largest():
     cfg = ExperimentConfig(thresholds=(0.5, 1.25, 0.75))
     assert cfg.partition_threshold() == 1.25
-
-
-def test_thread_count(monkeypatch):
-    monkeypatch.delenv("MLANDSCAPE_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("MLANDSCAPE_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("MLANDSCAPE_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("MLANDSCAPE_THREADS", "lots")
-    assert thread_count() == 1
 
 
 # ---------------------------------------------------------------- sweep

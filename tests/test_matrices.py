@@ -85,6 +85,25 @@ def test_matvec_matches_dense_product(A, seed):
     assert np.allclose(A.matvec(x), A.to_dense() @ x, rtol=0, atol=1e-9 * max(1.0, A.max_abs_entry()) * A.n)
 
 
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_matvec_bits_follow_the_documented_row_order(w):
+    # row r: a_rr x_r, then upper neighbours ascending, then lower ones ascending
+    A, _ = generate_band_ensemble(EnsembleConfig(n=50, half_bandwidth=w, seed=21))
+    x = np.random.default_rng(w).standard_normal(A.n)
+    upper = [[] for _ in range(A.n)]
+    lower = [[] for _ in range(A.n)]
+    for i, j, v in A.off_entries():  # lexicographic, so each list comes out ascending
+        upper[i - 1].append((j, v))
+        lower[j - 1].append((i, v))
+    ref = np.empty(A.n)
+    for r in range(A.n):
+        acc = float(A.diag[r]) * float(x[r])
+        for j, v in upper[r] + lower[r]:
+            acc += v * float(x[j - 1])
+        ref[r] = acc
+    assert A.matvec(x).tobytes() == ref.tobytes()
+
+
 # ---------------------------------------------------------------- classification
 
 
