@@ -106,7 +106,7 @@ class DistanceField:
     def predecessor(self) -> np.ndarray:
         """0-based canonical predecessor of each index; -1 at sources and unreachable ones."""
         g, dist, n = self.metric._graph, self.dist, self.dist.size
-        tail = np.repeat(np.arange(n), np.diff(g.indptr))
+        tail = self.metric.pattern.rows
         head = g.indices
         tight = (tail != head) & np.isfinite(dist[tail]) & (dist[tail] + g.data == dist[head])
         hop_graph = g.copy()

@@ -25,6 +25,7 @@ from .landscape import LandscapeData, shift_potential
 from .matrices import (
     NonPositiveLandscapeError,
     SparseSymMatrix,
+    _index_mask,
     classify,
     connectivity,
     restrict,
@@ -219,8 +220,9 @@ def check_general_localization(
 
     Works for any symmetric Z-matrix with a strictly positive u; the potential
     is vbar = (A u)/u, wells are taken at the threshold ebar, distances are
-    measured to wells minus the excluded set D, and phi must vanish on D and
-    satisfy the local eigen relation on its complement (the caller's duty).
+    measured to wells minus the excluded set D (1-based indices in [1, n]),
+    and phi must vanish on D and satisfy the local eigen relation on its
+    complement (the caller's duty).
     Requires E <= ebar and 0 < alpha <= sqrt(2 / W_c).
     """
     u = np.asarray(u, dtype=float)
@@ -239,25 +241,21 @@ def check_general_localization(
 
     vbar = A.matvec(u) / u
     sp = shift_potential(vbar, ebar)
-    excluded = {int(i) for i in D}
-    rel_wells = set(sp.wells) - excluded
-    if not rel_wells:
+    in_wells = _index_mask(A.n, sp.wells)
+    in_rel = in_wells & ~_index_mask(A.n, D)
+    if not np.any(in_rel):
         raise EmptyWellSetError("empty relative well set")
     metric = build_metric(A, sp)
-    rho = distance_from_set(metric, rel_wells).dist
+    rho = distance_from_set(metric, np.flatnonzero(in_rel) + 1).dist
 
-    outside = np.ones(A.n, dtype=bool)
-    outside[[w - 1 for w in sp.wells]] = False
-    phi_out = np.where(outside, phi, 0.0)
+    phi_out = np.where(in_wells, 0.0, phi)
     sum_plain = _log_weighted_sum(phi_out, rho, alpha)
     sum_weighted = _log_weighted_sum(phi_out, rho, alpha, factor=sp.v)
     lhs_first = (float(ebar) - float(E)) * sum_plain
     lhs_second = (1.0 - alpha * alpha * wc / 2.0) * sum_weighted
 
     off_i, off_j, off_v = A.off_arrays()
-    in_rel_i = np.isin(off_i, list(rel_wells))
-    in_rel_j = np.isin(off_j, list(rel_wells))
-    crossing = in_rel_i ^ in_rel_j
+    crossing = in_rel[off_i - 1] ^ in_rel[off_j - 1]
     a_cross = float(np.abs(off_v[crossing]).max()) if np.any(crossing) else 0.0
     norm_sq = float(phi @ phi)
     rhs = (wc / 2.0) * norm_sq * a_cross
@@ -277,26 +275,51 @@ def check_general_localization(
     )
 
 
-def _quad_double_commutator(ad: np.ndarray, dvec: np.ndarray, x: np.ndarray) -> float:
-    """<[[A, D], D] x, x> by straight matrix algebra (D = diag(dvec))."""
-    dm = np.diag(dvec)
-    c1 = ad @ dm - dm @ ad
-    c2 = c1 @ dm - dm @ c1
-    return float(x @ (c2 @ x))
+def _finite_vector(x, n: int, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"{name} must have length {n}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
+def _commutator_slots(rows, cols, c: np.ndarray, dvec: np.ndarray) -> np.ndarray:
+    """Slot values of [C, D] = C D - D C (D = diag(dvec)) from those of C.
+
+    A product with a diagonal matrix has one non-zero term per entry, so each
+    slot is exactly the entry a dense product would give.
+    """
+    return c * dvec[cols] - dvec[rows] * c
+
+
+def _slot_apply(rows, cols, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """C x for the operator with slot values c, summed row by row in slot order."""
+    return np.bincount(rows, weights=c * x[cols], minlength=x.size)
+
+
+def _quad_double_commutator(A: SparseSymMatrix, dvec: np.ndarray, x: np.ndarray) -> float:
+    """<[[A, D], D] x, x> by operator algebra on the CSR slots of A (D = diag(dvec))."""
+    rows, cols = A.pattern.rows, A.pattern.indices
+    c1 = _commutator_slots(rows, cols, A.slot_values(), dvec)
+    c2 = _commutator_slots(rows, cols, c1, dvec)
+    return float(x @ _slot_apply(rows, cols, c2, x))
 
 
 def check_commutator_identity(A: SparseSymMatrix, d, u) -> tuple[float, float, float]:
     """Double-commutator quadratic form versus its entrywise expansion.
 
-    Evaluates <[[A, D], D] u, u> by matrix algebra and independently as
-    sum over i != j of a_ij u_i u_j (d_i - d_j)^2; the two routes must agree
-    to 1e-10 relative.  For a Z-matrix and a constant-sign u the common value
-    must additionally be <= 0 (within 1e-12).  Returns (lhs, rhs, |lhs-rhs|).
+    Evaluates <[[A, D], D] u, u> by operator algebra, forming both commutators
+    entry by entry on the CSR slots of A (``A.pattern``), and independently as
+    sum over i != j of a_ij u_i u_j (d_i - d_j)^2 over the stored pairs; the
+    two routes must agree to 1e-10 relative.  For a Z-matrix and a
+    constant-sign u the common value must additionally be <= 0 (within 1e-12).
+    Returns (lhs, rhs, |lhs-rhs|).  ``d`` and ``u`` must be finite and of
+    length n (ValueError otherwise).
     """
-    d = np.asarray(d, dtype=float)
-    u = np.asarray(u, dtype=float)
-    ad = A.to_dense()
-    lhs = _quad_double_commutator(ad, d, u)
+    d = _finite_vector(d, A.n, "d")
+    u = _finite_vector(u, A.n, "u")
+    lhs = _quad_double_commutator(A, d, u)
     off_i, off_j, off_v = A.off_arrays()
     ii = off_i - 1
     jj = off_j - 1
@@ -321,17 +344,19 @@ def check_double_commutator_lemma(A: SparseSymMatrix, psi_diag, g, u) -> float:
 
     <G [Psi, A] u, G Psi u> must equal
     1/2 <[[A, G Psi], G Psi] u, u> - 1/2 <[[A, G], G] Psi u, Psi u>
-    to 1e-10 relative; returns |left - right|.
+    to 1e-10 relative; returns |left - right|.  Every commutator is formed
+    entry by entry on the CSR slots of A, as in ``check_commutator_identity``.
+    ``psi_diag``, ``g`` and ``u`` must be finite and of length n (ValueError
+    otherwise).
     """
-    psi_diag = np.asarray(psi_diag, dtype=float)
-    g = np.asarray(g, dtype=float)
-    u = np.asarray(u, dtype=float)
-    ad = A.to_dense()
-    pm = np.diag(psi_diag)
-    commutator = pm @ ad - ad @ pm
-    left = float((g * (commutator @ u)) @ (g * (psi_diag * u)))
-    right = 0.5 * _quad_double_commutator(ad, g * psi_diag, u) - 0.5 * _quad_double_commutator(
-        ad, g, psi_diag * u
+    psi_diag = _finite_vector(psi_diag, A.n, "psi_diag")
+    g = _finite_vector(g, A.n, "g")
+    u = _finite_vector(u, A.n, "u")
+    rows, cols, a = A.pattern.rows, A.pattern.indices, A.slot_values()
+    commutator = psi_diag[rows] * a - a * psi_diag[cols]
+    left = float((g * _slot_apply(rows, cols, commutator, u)) @ (g * (psi_diag * u)))
+    right = 0.5 * _quad_double_commutator(A, g * psi_diag, u) - 0.5 * _quad_double_commutator(
+        A, g, psi_diag * u
     )
     diff = abs(left - right)
     if diff > 1e-10 * (1.0 + abs(left)):

@@ -71,15 +71,16 @@ class ExperimentConfig:
                 )
         else:
             object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
-        if self.s_requested < 0.0:
+        # each guard is written so that NaN fails it
+        if not (self.s_requested >= 0.0):
             raise ValueError(f"S_requested must be >= 0, got {self.s_requested}")
-        if self.delta <= 0.0:
+        if not (self.delta > 0.0):
             raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.alpha is not None and self.alpha <= 0.0:
+        if self.alpha is not None and not (self.alpha > 0.0):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.n_plot < 0:
             raise ValueError(f"n_plot must be >= 0, got {self.n_plot}")
-        if self.scatter_floor <= 0.0:
+        if not (self.scatter_floor > 0.0):
             raise ValueError(f"scatter floor must be positive, got {self.scatter_floor}")
 
     def partition_threshold(self) -> float | None:

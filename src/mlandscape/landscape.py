@@ -132,7 +132,7 @@ def shift_potential(L, threshold: float) -> ShiftedPotential:
     vbar = L.vbar if isinstance(L, LandscapeData) else np.asarray(L, dtype=float)
     threshold = float(threshold)
     v = np.maximum(vbar - threshold, 0.0)
-    wells = frozenset(int(i) + 1 for i in np.flatnonzero(vbar <= threshold))
+    wells = frozenset((np.flatnonzero(vbar <= threshold) + 1).tolist())
     return ShiftedPotential(threshold=threshold, v=v, wells=wells)
 
 

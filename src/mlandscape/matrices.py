@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -125,6 +126,11 @@ class CsrPattern:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
         return cls(_frozen(indptr), _frozen(col[order]), _frozen(pair[order]))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The 0-based row of each slot (the companion of ``indices``)."""
+        return _frozen(np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr)))
 
     def slot(self, i: int, j: int) -> int:
         """Slot of the 1-based entry (i, j), or -1 when the pattern lacks it."""
@@ -282,14 +288,24 @@ class SparseSymMatrix:
         out[jj, ii] = self._off_v
         return out
 
+    def _csr_matrix(self) -> "scipy.sparse.csr_array":
+        if self._csr is None:
+            self._csr = self.pattern.values(self._off_v, self._diag)
+        return self._csr
+
+    def slot_values(self) -> np.ndarray:
+        """The entry of every slot of ``pattern``, in slot order.
+
+        These are the values ``matvec`` sums, not a copy: do not write to them.
+        """
+        return self._csr_matrix().data
+
     def matvec(self, x) -> np.ndarray:
         """A @ x without forming the dense matrix, summed in the row order of the pattern."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self._n,):
             raise ValueError(f"vector must have length {self._n}, got shape {x.shape}")
-        if self._csr is None:
-            self._csr = self.pattern.values(self._off_v, self._diag)
-        return self._csr @ x
+        return self._csr_matrix() @ x
 
     def max_abs_entry(self) -> float:
         m = float(np.abs(self._diag).max())

@@ -282,6 +282,68 @@ def test_splitting_lemma_random_instances():
         assert diff <= 1e-9
 
 
+def _dense_double_commutator_form(A, d, x):
+    """Reference <[[A, D], D] x, x> from n x n dense products."""
+    ad = A.to_dense()
+    dm = np.diag(d)
+    c1 = ad @ dm - dm @ ad
+    c2 = c1 @ dm - dm @ c1
+    return float(x @ (c2 @ x))
+
+
+@pytest.mark.parametrize("W", [1, 2, 3, 10])
+def test_identity_lhs_matches_dense_products(W):
+    # one non-zero term per entry of a diagonal product: the slot route gives
+    # the dense entries exactly; only the row sums of C x may be reordered,
+    # which matters only when rows hold more than two off-diagonal terms
+    rng = np.random.default_rng(100 + W)
+    for seed in range(3):
+        A, _ = generate_band_ensemble(EnsembleConfig(n=200, half_bandwidth=W, seed=seed))
+        for _ in range(3):
+            d = rng.standard_normal(A.n)
+            x = rng.standard_normal(A.n)
+            lhs, _, _ = check_commutator_identity(A, d, x)
+            ref = _dense_double_commutator_form(A, d, x)
+            if W == 1:
+                assert lhs == ref
+            else:
+                assert abs(lhs - ref) <= 1e-12 * abs(ref)
+
+
+def test_identity_checks_never_densify(monkeypatch):
+    A, _ = generate_band_ensemble(EnsembleConfig(n=60, half_bandwidth=2, seed=4))
+
+    def refuse(self):
+        raise AssertionError("to_dense called")
+
+    monkeypatch.setattr(SparseSymMatrix, "to_dense", refuse)
+    rng = np.random.default_rng(8)
+    d, g, x = rng.standard_normal((3, A.n))
+    check_commutator_identity(A, d, x)
+    check_double_commutator_lemma(A, d, g, x)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.ones(3), "length 4"),
+        (np.ones(5), "length 4"),
+        (np.array([1.0, np.nan, 1.0, 1.0]), "finite"),
+        (np.array([1.0, 1.0, np.inf, 1.0]), "finite"),
+    ],
+    ids=["too_short", "too_long", "nan", "inf"],
+)
+def test_identity_checks_reject_bad_vectors(bad, message):
+    A = chain(4)
+    ok = np.array([1.0, -2.0, 0.5, 1.0])
+    for args in [(bad, ok), (ok, bad)]:
+        with pytest.raises(ValueError, match=message):
+            check_commutator_identity(A, *args)
+    for args in [(bad, ok, ok), (ok, bad, ok), (ok, ok, bad)]:
+        with pytest.raises(ValueError, match=message):
+            check_double_commutator_lemma(A, *args)
+
+
 def test_corollary_single_support_is_tight():
     A = SparseSymMatrix(3, [3.0, 1.0, 2.0])
     u = solve_landscape(A).u

@@ -128,6 +128,14 @@ def test_verify_passes_on_healthy_matrix(mat, tmp_path, capsys):
     assert summary["exit_code"] == 0
 
 
+def test_verify_rejects_nan_delta(mat, tmp_path, capsys):
+    path, _ = mat
+    rc = main(["verify", path, "--delta", "nan", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "delta must be positive, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_verify_summary_bytes_do_not_depend_on_out_dir(mat, tmp_path):
     path, _ = mat
     d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -82,6 +82,25 @@ def test_config_validation():
         ExperimentConfig(scatter_floor=0.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("s_requested", "S_requested"),
+        ("delta", "delta"),
+        ("alpha", "alpha"),
+        ("scatter_floor", "floor"),
+    ],
+)
+def test_config_rejects_nan(field, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{field: NAN})
+    with pytest.raises(ValueError, match=message):
+        experiment._config_from_dict({field: NAN})
+
+
 def test_partition_threshold_picks_largest():
     cfg = ExperimentConfig(thresholds=(0.5, 1.25, 0.75))
     assert cfg.partition_threshold() == 1.25
