@@ -71,6 +71,9 @@ class ExperimentConfig:
                 )
         else:
             object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
+            for t in self.thresholds:
+                if not math.isfinite(t):
+                    raise ValueError(f"thresholds must be finite, got {t}")
         # each guard is written so that NaN fails it
         if not (self.s_requested >= 0.0):
             raise ValueError(f"S_requested must be >= 0, got {self.s_requested}")
@@ -209,6 +212,8 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     }
 
     ed = eig_sym(A)
+    summary["tails_repaired"] = ed.tails_repaired
+    summary["tails_failed"] = ed.tails_failed
     if _SPECTRUM_HOOK is not None:
         ed = _SPECTRUM_HOOK(ed)
     write_eigenvalues_csv(os.path.join(out, "eigenvalues.csv"), ed)

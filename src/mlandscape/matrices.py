@@ -160,7 +160,9 @@ class SparseSymMatrix:
     structural zeros.
     """
 
-    __slots__ = ("_n", "_diag", "_off_i", "_off_j", "_off_v", "_pattern", "_csr")
+    __slots__ = (
+        "_n", "_diag", "_off_i", "_off_j", "_off_v", "_pattern", "_csr", "_is_z", "_connectivity"
+    )
 
     def __init__(self, n: int, diag, off_entries: Iterable[tuple] = ()):
         if not isinstance(n, (int, np.integer)) or n < 1:
@@ -200,6 +202,8 @@ class SparseSymMatrix:
         self._off_v = _frozen(v)
         self._pattern = None
         self._csr = None
+        self._is_z = None
+        self._connectivity = None
 
     @classmethod
     def from_entries(cls, n: int, entries: Iterable[tuple]) -> "SparseSymMatrix":
@@ -263,6 +267,21 @@ class SparseSymMatrix:
         if self._pattern is None:
             self._pattern = CsrPattern.build(self._n, self._off_i, self._off_j)
         return self._pattern
+
+    @property
+    def is_z(self) -> bool:
+        """Whether every off-diagonal entry is <= 0 (computed once)."""
+        if self._is_z is None:
+            self._is_z = bool(np.all(self._off_v <= 0.0))
+        return self._is_z
+
+    @property
+    def connectivity(self) -> int:
+        """Maximum over rows of the number of stored off-diagonal entries (computed once)."""
+        if self._connectivity is None:
+            # each row of the pattern also holds its diagonal
+            self._connectivity = int(np.diff(self.pattern.indptr).max()) - 1
+        return self._connectivity
 
     def value_at(self, i: int, j: int) -> float:
         """Entry a_ij; unstored off-diagonal pairs read as 0."""
@@ -382,7 +401,7 @@ class EnsembleConfig:
 
 def connectivity(A: SparseSymMatrix) -> int:
     """Maximum over rows of the number of non-zero off-diagonal entries."""
-    return int(np.diff(A.pattern.indptr).max()) - 1  # each row also holds its diagonal
+    return A.connectivity
 
 
 def classify(A: SparseSymMatrix, compute_spectrum: bool = True) -> MatrixClass:
@@ -390,10 +409,11 @@ def classify(A: SparseSymMatrix, compute_spectrum: bool = True) -> MatrixClass:
 
     Z: all off-diagonal entries <= 0.  M: Z with lambda_min > 0; a matrix
     with |lambda_min| <= 1e-12 is reported as not-M and near-singular.
+    The structural part is cached on ``A``, so a call without the spectrum
+    costs O(1) after the first.
     """
-    _, _, off_v = A.off_arrays()
-    is_z = bool(np.all(off_v <= 0.0)) if off_v.size else True
-    conn = connectivity(A)
+    is_z = A.is_z
+    conn = A.connectivity
     if not compute_spectrum:
         return MatrixClass(is_z=is_z, is_m=None, connectivity=conn, min_eigenvalue=None)
     lam_min = smallest_eigenvalue(A)

@@ -1,27 +1,48 @@
 """Dense symmetric eigendecompositions, local spectra, and spectral projectors.
 
 Eigenvectors get a deterministic sign: the largest-magnitude component is made
-positive, ties resolved toward the lowest index.  For banded matrices each
-eigenvector is additionally passed once through inverse iteration with a
-banded LU of (A - lambda I): the banded solve has banded backward error, so
-the exponentially small tail entries keep their true decay instead of the
-~1e-16 floor left by the dense back-transformation.  Tridiagonal matrices
-get one more pass: the tails are rebuilt by marching the three-term
-recursion inward from each boundary, which keeps relative accuracy however
-deep the decay runs.  Verifiers that weight tail entries by
-exp(2 alpha rho) rely on this.
+positive, ties resolved toward the lowest index.
+
+The dense solver leaves every entry with an absolute error of ~1e-16, so the
+exponentially small tails of localized eigenvectors drown in that floor.
+``eig_sym`` rebuilds them from the landscape of the matrix being decomposed:
+with u solving A u = 1 and vbar = (A u) / u, the barrier set
+T = {k : vbar_k > lambda} of an eigenpair (lambda, psi) satisfies
+A_TT u_T >= vbar_T u_T > lambda u_T for a Z-matrix, so A_TT - lambda is a
+nonsingular M-matrix and the eigen equation restricted to T gives
+
+    psi_T = -(A_TT - lambda)^{-1} A_{T,T^c} psi_{T^c},
+
+one banded Cholesky solve per eigenpair.  The inverse of an M-matrix is
+entrywise non-negative, so constant-sign data meets no cancellation and the
+rebuilt entries keep relative accuracy however deep the decay runs.  The repair
+applies to Z-matrices whose bandwidth is at most max(1, n // 3) and whose
+landscape is strictly positive; otherwise, or for an eigenpair whose solve
+fails, the dense vector stands, and ``EigenDecomposition`` counts the
+repaired and the failed eigenpairs.
+
+Its one limit: entries of T^c keep the dense solver's absolute accuracy
+(or its exact zeros), so where psi is tiny on T^c, far from its own well,
+the T entries beyond them follow that data.  Verifiers that weight tail
+entries by exp(2 alpha rho) rely on the repair.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .matrices import DENSE_EIGEN_LIMIT, SparseSymMatrix, _frozen
+from .landscape import _solve_spd
+from .matrices import (
+    DENSE_EIGEN_LIMIT,
+    NotPositiveDefiniteError,
+    SparseSymMatrix,
+    _frozen,
+    _index_mask,
+)
 
 __all__ = [
     "EigenDecomposition",
@@ -37,25 +58,20 @@ __all__ = [
     "write_eigenvalues_csv",
 ]
 
-# Eigenvalues closer than this (relative to the spectral scale) are refined
-# as one cluster and re-orthonormalized jointly: a shifted solve can rotate
-# freely inside a near-degenerate subspace, and per-column solves with
-# independent rounding would leave the pair non-orthogonal at ~eps/gap.
-_REFINE_CLUSTER_REL = 1e-4
-
-# Tridiagonal tail marching only replaces entries below this fraction of the
-# peak, matched at the outermost entry still above it.  Entries that carry
-# real weight are never overwritten, so orthonormality of hybridized
-# near-degenerate pairs is preserved to well under 1e-10.
-_MARCH_TRUST_REL = 1e-13
-
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Full spectrum: values ascending, vectors[:, k] belongs to values[k]."""
+    """Full spectrum: values ascending, vectors[:, k] belongs to values[k].
+
+    ``tails_repaired`` counts the eigenvectors whose tails were rebuilt by the
+    Dirichlet solve on their barrier set; ``tails_failed`` counts those whose
+    solve failed or gave non-finite values and that kept the dense vector.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
+    tails_repaired: int = 0
+    tails_failed: int = 0
 
     def __post_init__(self):
         _frozen(self.values)
@@ -96,198 +112,80 @@ class SpectralProjector:
         _frozen(self.basis)
 
 
-def _dense_bandwidth(a: np.ndarray) -> int:
-    n = a.shape[0]
-    bw = 0
-    for k in range(n - 1, 0, -1):
-        if np.any(np.diagonal(a, k) != 0.0):
-            bw = k
-            break
-    return bw
+def _repair_tails(A: SparseSymMatrix, values: np.ndarray, vectors: np.ndarray) -> tuple[int, int]:
+    """Rebuild each column of ``vectors`` on its barrier set T, in place.
 
-
-def _band_general(a: np.ndarray, bw: int) -> np.ndarray:
-    """General band storage (scipy solve_banded layout) of a dense matrix."""
-    n = a.shape[0]
-    ab = np.zeros((2 * bw + 1, n), dtype=float)
-    for k in range(-bw, bw + 1):
-        d = np.diagonal(a, k)
-        ab[bw - k, max(k, 0) : max(k, 0) + d.size] = d
-    return ab
-
-
-def _refine_banded_tails(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """One inverse-iteration pass per eigenvector through a banded LU.
-
-    Starting from the already-converged dense eigenvectors, a single solve
-    with (A - lambda I) in band storage rebuilds the tail entries with
-    relative accuracy: the banded factorization has banded backward error, so
-    it cannot smear a 1e-16 floor across the support the way the dense
-    back-transformation does.  Eigenvalues are grouped into clusters separated
-    by at least _REFINE_CLUSTER_REL times the spectral scale; each cluster is
-    solved column by column at its own shift and then orthonormalized via its
-    polar factor, which is the orthonormal basis closest to the refined
-    columns.  A failed or non-finite solve leaves the whole cluster at the
-    dense result.
+    For eigenpair k with T = {vbar > values[k]} neither empty nor everything,
+    psi_T is overwritten by the solution of (A_TT - lambda) psi_T =
+    -(A psi 1_{T^c})_T in compressed band storage (the bandwidth of A_TT never
+    exceeds A's) and the column is renormalized.  Returns (repaired, failed);
+    a failed column keeps its dense values.
     """
-    n = values.size
-    bw = _dense_bandwidth(a)
-    if bw == 0 or bw > max(1, n // 3):
-        return vectors
-    scale = max(1.0, float(np.abs(values).max()))
-    base = _band_general(a, bw)
-    out = np.array(vectors)
-    splits = np.flatnonzero(np.diff(values) > _REFINE_CLUSTER_REL * scale) + 1
-    for cluster in np.split(np.arange(n), splits):
-        block = np.empty((n, cluster.size), dtype=float)
-        ok = True
-        for col, k in enumerate(cluster):
-            shifted = base.copy()
-            shifted[bw, :] -= values[k]
-            try:
-                block[:, col] = scipy.linalg.solve_banded((bw, bw), shifted, vectors[:, k])
-            except scipy.linalg.LinAlgError:
-                ok = False
-                break
-        if not ok or not np.all(np.isfinite(block)):
-            continue
-        if cluster.size == 1:
-            norm = float(np.linalg.norm(block[:, 0]))
-            if norm == 0.0:
-                continue
-            out[:, cluster[0]] = block[:, 0] / norm
-            continue
-        try:
-            left, sing, right = np.linalg.svd(block, full_matrices=False)
-        except np.linalg.LinAlgError:
-            continue
-        if sing[-1] <= 0.0:
-            continue
-        out[:, cluster] = left @ right
-    if bw == 1:
-        out = _march_tridiagonal_tails(a, values, out)
-    return out
-
-
-def _march_segment(diag: np.ndarray, off: np.ndarray, lam: float, peak: int):
-    """March the three-term recursion from the block boundary up to ``peak``.
-
-    Returns (lo, ln_mag, sign) covering sites lo..peak of the recursion
-    solution that satisfies the boundary condition below lo, in log-magnitude
-    form with on-the-fly rescaling, or None when the segment is empty or the
-    march breaks down.  lo is the first site of peak's unreduced block.
-    """
-    lo = peak
-    while lo > 0 and off[lo - 1] != 0.0:
-        lo -= 1
-    if peak - lo < 1:
-        return None
-    ln_mag = np.full(peak - lo + 1, -np.inf)
-    sign = np.zeros(peak - lo + 1)
-    ln_mag[0] = 0.0
-    sign[0] = 1.0
-    q_prev = 0.0
-    q = 1.0
-    shift = 0.0
-    for i in range(lo, peak):
-        cpl = off[i - 1] if i > lo else 0.0
-        q_prev, q = q, ((lam - diag[i]) * q - cpl * q_prev) / off[i]
-        big = max(abs(q), abs(q_prev))
-        if big > 1e250:
-            q /= big
-            q_prev /= big
-            shift += math.log(big)
-        elif big == 0.0:
-            return None
-        if q != 0.0:
-            ln_mag[i + 1 - lo] = math.log(abs(q)) + shift
-            sign[i + 1 - lo] = math.copysign(1.0, q)
-    return lo, ln_mag, sign
-
-
-def _patch_segment(diag, off, lam: float, colv, peak: int, tau: float) -> None:
-    """Overwrite one boundary tail of ``colv`` (in place) with marched values.
-
-    The match point is the outermost entry with magnitude at least ``tau``;
-    only entries outside it are replaced, scaled so the marched solution
-    passes through the match entry exactly.
-    """
-    seg = _march_segment(diag, off, lam, peak)
-    if seg is None:
-        return
-    lo, ln_mag, sign = seg
-    m = None
-    for j in range(peak - lo + 1):
-        if abs(colv[lo + j]) >= tau and math.isfinite(ln_mag[j]) and sign[j] != 0.0:
-            m = j
-            break
-    if m is None or m == 0:
-        return
-    ln_match = math.log(abs(colv[lo + m]))
-    sgn_match = math.copysign(1.0, colv[lo + m]) * sign[m]
-    for j in range(m):
-        colv[lo + j] = (
-            sign[j] * sgn_match * math.exp(min(ln_mag[j] - ln_mag[m] + ln_match, 700.0))
-        )
-
-
-def _march_tridiagonal_tails(a: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Rebuild decaying tails of tridiagonal eigenvectors by shooting inward.
-
-    Marching from a boundary toward the peak runs in the direction where the
-    wanted solution grows, so rounding stays relative to the local magnitude
-    and the rebuilt entries follow the true exponential decay far below the
-    inverse-iteration floor.  Entries whose true size falls under the
-    smallest positive float underflow to exact zero, which downstream
-    weighted sums treat as a zero term.  A zero coupling ends the segment:
-    beyond it the vector lives on a different diagonal block and is left
-    alone.  Delocalized modes are left alone too, because their boundary
-    entries already sit above the trust floor.
-    """
-    n = values.size
-    diag = np.diagonal(a).copy()
-    off = np.diagonal(a, 1).copy()
-    diag_r = diag[::-1].copy()
-    off_r = off[::-1].copy()
-    out = np.array(vectors)
+    n = A.n
+    bw = A.bandwidth()
+    if not A.is_z or bw == 0 or bw > max(1, n // 3):
+        return 0, 0
+    try:
+        u = _solve_spd(A, np.ones(n))
+    except NotPositiveDefiniteError:
+        return 0, 0
+    if not np.all(u > 0.0):
+        return 0, 0
+    vbar = A.matvec(u) / u
+    off_i, off_j, off_v = A.off_arrays()
+    lo, hi = off_i - 1, off_j - 1
+    repaired = failed = 0
     for k in range(n):
         lam = float(values[k])
-        col = out[:, k]
-        peak = int(np.argmax(np.abs(col)))
-        anchor = abs(col[peak])
-        if anchor == 0.0:
+        barrier = vbar > lam
+        size = int(np.count_nonzero(barrier))
+        if size == 0 or size == n:
             continue
-        tau = _MARCH_TRUST_REL * anchor
-        _patch_segment(diag, off, lam, col, peak, tau)
-        _patch_segment(diag_r, off_r, lam, col[::-1], n - 1 - peak, tau)
-    return out
+        psi = np.where(barrier, 0.0, vectors[:, k])  # psi 1_{T^c}
+        rhs = -A.matvec(psi)[barrier]
+        rank = np.cumsum(barrier) - 1
+        inner = barrier[lo] & barrier[hi]
+        ri, rj = rank[lo[inner]], rank[hi[inner]]
+        band = np.zeros((bw + 1, size), dtype=float)
+        band[bw] = A.diag[barrier] - lam
+        band[bw + ri - rj, rj] = off_v[inner]
+        # banded Cholesky at every bandwidth (solveh_banded hands W = 1 to
+        # ptsv, whose wrapper rejects a one-site T)
+        _, psi[barrier], info = scipy.linalg.lapack.dpbsv(band, rhs)
+        norm = np.linalg.norm(psi)
+        if info != 0 or not (np.isfinite(norm) and norm > 0.0):
+            failed += 1
+            continue
+        vectors[:, k] = psi / norm
+        repaired += 1
+    return repaired, failed
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Largest-magnitude component positive; exact ties pick the lowest index."""
-    out = np.array(vectors)
-    for k in range(out.shape[1]):
-        lead = int(np.argmax(np.abs(out[:, k])))
-        if out[lead, k] < 0.0:
-            out[:, k] = -out[:, k]
-    return out
-
-
-def _eig_dense(a: np.ndarray, refine_tails: bool) -> tuple[np.ndarray, np.ndarray]:
-    if a.shape[0] > DENSE_EIGEN_LIMIT:
-        raise ValueError(
-            f"dense eigensolve limited to n <= {DENSE_EIGEN_LIMIT}, got n = {a.shape[0]}"
-        )
-    values, vectors = np.linalg.eigh(a)
-    if refine_tails:
-        vectors = _refine_banded_tails(a, values, vectors)
-    return values, _fix_signs(vectors)
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Largest-magnitude component positive, in place; exact ties pick the lowest index."""
+    for k in range(vectors.shape[1]):
+        col = vectors[:, k]
+        if col[int(np.argmax(np.abs(col)))] < 0.0:
+            col *= -1.0
 
 
 def eig_sym(A: SparseSymMatrix, *, refine_tails: bool = True) -> EigenDecomposition:
-    """Full eigendecomposition with deterministic signs (and banded tail repair)."""
-    values, vectors = _eig_dense(A.to_dense(), refine_tails)
-    return EigenDecomposition(values=values, vectors=vectors)
+    """Full eigendecomposition with deterministic signs (and Dirichlet tail repair)."""
+    if A.n > DENSE_EIGEN_LIMIT:
+        raise ValueError(f"dense eigensolve limited to n <= {DENSE_EIGEN_LIMIT}, got n = {A.n}")
+    values, vectors = np.linalg.eigh(A.to_dense())
+    repaired, failed = _repair_tails(A, values, vectors) if refine_tails else (0, 0)
+    _fix_signs(vectors)
+    return EigenDecomposition(values, vectors, tails_repaired=repaired, tails_failed=failed)
+
+
+def _principal_submatrix(A: SparseSymMatrix, keep: np.ndarray) -> SparseSymMatrix:
+    """A restricted to the positions where the boolean ``keep`` holds, relabelled 1..m."""
+    local = np.cumsum(keep)  # 1-based local index at every kept position
+    off_i, off_j, off_v = A.off_arrays()
+    both = keep[off_i - 1] & keep[off_j - 1]
+    off = np.column_stack((local[off_i[both] - 1], local[off_j[both] - 1], off_v[both]))
+    return SparseSymMatrix(int(local[-1]), A.diag[keep], off)
 
 
 def local_eig(
@@ -297,22 +195,22 @@ def local_eig(
     *,
     refine_tails: bool = True,
 ) -> LocalEigenData:
-    """Spectrum of the principal submatrix on ``domain`` (1-based indices)."""
+    """Spectrum of the principal submatrix on ``domain`` (1-based indices).
+
+    The submatrix goes through ``eig_sym``, tail repair included, with the
+    landscape of the submatrix itself.
+    """
     dom = sorted({int(i) for i in domain})
     if not dom:
         raise ValueError("empty domain")
-    for i in dom:
-        if not (1 <= i <= A.n):
-            raise ValueError(f"index {i} outside [1, {A.n}]")
-    pos = np.array(dom, dtype=np.int64) - 1
-    sub = A.to_dense()[np.ix_(pos, pos)]
-    values, sub_vectors = _eig_dense(sub, refine_tails)
-    vectors = np.zeros((A.n, values.size), dtype=float)
-    vectors[pos, :] = sub_vectors
+    keep = _index_mask(A.n, dom)
+    sub = eig_sym(_principal_submatrix(A, keep), refine_tails=refine_tails)
+    vectors = np.zeros((A.n, sub.n), dtype=float)
+    vectors[keep, :] = sub.vectors
     return LocalEigenData(
         region_id=int(region_id),
         domain=frozenset(dom),
-        values=values,
+        values=sub.values,
         vectors=vectors,
     )
 

@@ -22,6 +22,7 @@ from mlandscape import (
     check_double_commutator_lemma,
     check_general_localization,
     check_landscape_localization,
+    connectivity,
     counting_global,
     counting_local,
     distance_from_set,
@@ -513,3 +514,36 @@ def test_scatter_csv(tmp_path, blocks):
     assert len(rows) == 5
     got = np.array([[float(a), float(b)] for a, b in rows[1:]])
     assert np.allclose(got, sd.points, atol=0)
+
+
+# ---------------------------------------------------------------- W >= 2 regression
+
+
+@pytest.mark.parametrize("n, seed", [(600, 3), (600, 4), (600, 7), (1000, 1)])
+def test_localization_holds_for_every_eigenpair_at_bandwidth_two(n, seed):
+    """Ensemble draws whose j = 1 (and for seed 3 and n = 1000 also j = 2)
+    bounds failed when tails stalled far above their true size.
+
+    The general bound is checked at ebar = E with alpha = sqrt(1/W_c), the
+    verify default, and alpha = sqrt(2/W_c), the largest allowed rate.
+    """
+    A, _ = generate_band_ensemble(EnsembleConfig(n=n, half_bandwidth=2, seed=seed))
+    L = solve_landscape(A)
+    ed = eig_sym(A)
+    wc = max(connectivity(A), 2)
+    alphas = (math.sqrt(1.0 / wc), math.sqrt(2.0 / wc))
+    bad = []
+    for j in range(1, n + 1):
+        if not check_landscape_localization(A, L, ed, j).holds:
+            bad.append(("landscape", j))
+        E = float(ed.values[j - 1])
+        for alpha in alphas:
+            try:
+                rep = check_general_localization(
+                    A, L.u, ed.vectors[:, j - 1], E, E, frozenset(), alpha, eigen_id=j
+                )
+            except EmptyWellSetError:
+                continue
+            if not rep.holds:
+                bad.append(("general", j, alpha))
+    assert bad == []

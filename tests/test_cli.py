@@ -136,6 +136,14 @@ def test_verify_rejects_nan_delta(mat, tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_verify_rejects_nan_ebar(mat, tmp_path, capsys):
+    path, _ = mat
+    rc = main(["verify", path, "--ebar", "nan", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "thresholds must be finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_verify_summary_bytes_do_not_depend_on_out_dir(mat, tmp_path):
     path, _ = mat
     d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -101,6 +101,14 @@ def test_config_rejects_nan(field, message):
         experiment._config_from_dict({field: NAN})
 
 
+@pytest.mark.parametrize("value", [NAN, float("inf"), float("-inf")])
+def test_config_rejects_non_finite_thresholds(value):
+    with pytest.raises(ValueError, match="thresholds must be finite"):
+        ExperimentConfig(thresholds=(0.5, value))
+    with pytest.raises(ValueError, match="thresholds must be finite"):
+        experiment._config_from_dict({"thresholds": [value]})
+
+
 def test_partition_threshold_picks_largest():
     cfg = ExperimentConfig(thresholds=(0.5, 1.25, 0.75))
     assert cfg.partition_threshold() == 1.25
@@ -128,6 +136,13 @@ def test_sweep_artifacts_and_summary(tmp_path):
         assert name in checks
     assert checks["landscape_localization"]["pass"]
     assert checks["landscape_localization"]["count"] == 60
+    assert summary["tails_repaired"] > 0
+    assert summary["tails_failed"] == 0
+    on_disk = json.loads((tmp_path / "summary.json").read_text())
+    assert (on_disk["tails_repaired"], on_disk["tails_failed"]) == (
+        summary["tails_repaired"],
+        0,
+    )
     assert checks["general_localization"]["pass"]
     for fname in (
         "summary.json",

@@ -140,6 +140,18 @@ def test_classify_without_spectrum():
     assert c.is_m is None and c.min_eigenvalue is None
 
 
+def test_classify_without_spectrum_is_cached(monkeypatch):
+    import mlandscape.matrices as matrices
+
+    A = SparseSymMatrix(4, np.ones(4), [(1, 2, -1.0), (1, 3, -0.5), (2, 4, 0.25)])
+    first = classify(A, compute_spectrum=False)
+    assert (first.is_z, first.connectivity) == (False, 2)
+    monkeypatch.setattr(matrices, "np", None)  # any array work would now raise
+    again = classify(A, compute_spectrum=False)
+    assert again == first
+    assert connectivity(A) == 2
+
+
 # ---------------------------------------------------------------- ensemble
 
 

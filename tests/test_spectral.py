@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mlandscape import (
     EnsembleConfig,
@@ -106,6 +107,94 @@ def test_refinement_survives_exactly_degenerate_clusters():
     assert res <= 1e-12
 
 
+def test_tail_repair_matches_high_precision_reference():
+    """Ground-state tails against 400-digit inverse iteration on the same matrix.
+
+    The reference runs Rayleigh-quotient iteration with a tridiagonal solve in
+    mpmath, started from the unrepaired dense vector, until its residual sits
+    far below every entry compared.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    A, _ = generate_band_ensemble(EnsembleConfig(n=200, half_bandwidth=1, seed=15))
+    psi = eig_sym(A).vectors[:, 0]
+    start = eig_sym(A, refine_tails=False).vectors[:, 0]
+
+    ctx = mpmath.MPContext()
+    ctx.dps = 400
+    n = A.n
+    d = [ctx.mpf(float(x)) for x in A.diag]
+    e = [ctx.mpf(float(x)) for x in A.off_arrays()[2]]
+
+    def apply(x):
+        return [
+            d[i] * x[i] + (e[i - 1] * x[i - 1] if i else 0) + (e[i] * x[i + 1] if i < n - 1 else 0)
+            for i in range(n)
+        ]
+
+    def normalized(x):
+        norm = ctx.sqrt(ctx.fsum(t * t for t in x))
+        return [t / norm for t in x]
+
+    x = normalized([ctx.mpf(float(t)) for t in start])
+    for _ in range(6):
+        sigma = ctx.fsum(p * q for p, q in zip(x, apply(x)))
+        # Thomas elimination of (T - sigma) y = x
+        c, r = [ctx.mpf(0)] * n, [ctx.mpf(0)] * n
+        for i in range(n):
+            pivot = d[i] - sigma - (e[i - 1] * c[i - 1] if i else 0)
+            c[i] = e[i] / pivot if i < n - 1 else 0
+            r[i] = (x[i] - (e[i - 1] * r[i - 1] if i else 0)) / pivot
+        for i in range(n - 2, -1, -1):
+            r[i] -= c[i] * r[i + 1]
+        x = normalized(r)
+    residual = max(abs(p - sigma * q) for p, q in zip(apply(x), x))
+    assert residual < ctx.mpf("1e-350")
+
+    ref = np.array([float(t) for t in x])
+    ref *= np.sign(ref[np.argmax(np.abs(ref))])
+    keep = np.abs(ref) > 1e-300
+    assert np.abs(ref[keep]).min() < 1e-80  # the comparison reaches deep into the tails
+    rel = np.abs(psi[keep] - ref[keep]) / np.abs(ref[keep])
+    assert rel.max() <= 1e-12
+
+
+def test_chain_reports_tail_repairs():
+    A, _ = generate_band_ensemble(EnsembleConfig(n=120, half_bandwidth=1, seed=4))
+    ed = eig_sym(A)
+    assert ed.tails_repaired > 0
+    assert ed.tails_failed == 0
+    raw = eig_sym(A, refine_tails=False)
+    assert raw.tails_repaired == 0 and raw.tails_failed == 0
+
+
+def test_no_positive_landscape_keeps_the_dense_vectors():
+    # positive definite and tridiagonal, but u = A^{-1} 1 has u_1 < 0
+    A = SparseSymMatrix(
+        6,
+        [1.0, 0.85, 2.0, 2.0, 2.0, 2.0],
+        [(1, 2, 0.9), (2, 3, -0.05), (3, 4, -0.5), (4, 5, -0.5), (5, 6, -0.5)],
+    )
+    ed = eig_sym(A)
+    assert ed.tails_repaired == 0 and ed.tails_failed == 0
+    assert np.array_equal(ed.vectors, eig_sym(A, refine_tails=False).vectors)
+
+
+@pytest.mark.parametrize("info, fill", [(1, 0.0), (0, float("nan"))])
+def test_failed_tail_solves_are_counted_and_keep_the_dense_vectors(monkeypatch, info, fill):
+    A, _ = generate_band_ensemble(EnsembleConfig(n=60, half_bandwidth=2, seed=3))
+    attempted = eig_sym(A).tails_repaired
+    assert attempted > 0
+
+    def broken(band, rhs):
+        return band, np.full_like(rhs, fill), info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbsv", broken)
+    ed = eig_sym(A)
+    assert ed.tails_repaired == 0
+    assert ed.tails_failed == attempted
+    assert np.array_equal(ed.vectors, eig_sym(A, refine_tails=False).vectors)
+
+
 # ---------------------------------------------------------------- local spectra
 
 
@@ -145,6 +234,23 @@ def test_local_eig_block_diagonal_reassembles_spectrum():
     lb = local_eig(A, [4, 5, 6], region_id=1)
     merged = np.sort(np.concatenate([la.values, lb.values]))
     assert np.allclose(merged, ed.values, atol=1e-12)
+
+
+def test_local_eig_never_densifies_the_full_matrix(monkeypatch):
+    A, _ = generate_band_ensemble(EnsembleConfig(n=40, half_bandwidth=2, seed=6))
+    shapes = []
+    to_dense = SparseSymMatrix.to_dense
+
+    def spy(self):
+        shapes.append(self.n)
+        return to_dense(self)
+
+    monkeypatch.setattr(SparseSymMatrix, "to_dense", spy)
+    loc = local_eig(A, range(11, 31))
+    assert shapes == [20]
+    sub = A.to_dense()[10:30, 10:30]
+    assert np.array_equal(loc.values, np.linalg.eigh(sub)[0])
+    assert np.abs(sub @ loc.vectors[10:30] - loc.vectors[10:30] * loc.values).max() <= 1e-13
 
 
 def test_local_eig_rejects_bad_domains():
