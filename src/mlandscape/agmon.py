@@ -22,7 +22,6 @@ source, give the distance exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,7 +30,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .landscape import ShiftedPotential
-from .matrices import CsrPattern, SparseSymMatrix, _encode_float, _frozen, _index_mask
+from .matrices import CsrPattern, SparseSymMatrix, _frozen, _index_mask, _write_csv
 
 __all__ = [
     "AgmonMetric",
@@ -226,17 +225,9 @@ def band_lower_bound(w: int, i1: int, iq: int, v_min: float, a_max: float) -> fl
 
 def write_distance_csv(path, field_: DistanceField) -> None:
     """CSV with header index,dist; infinite distances serialize as 'inf'."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "dist"])
-        for k in range(field_.dist.size):
-            writer.writerow([k + 1, _encode_float(field_.dist[k])])
+    _write_csv(path, ["index", "dist"], np.arange(1, field_.dist.size + 1), field_.dist)
 
 
 def write_edges_csv(path, m: AgmonMetric) -> None:
     """CSV with header i,j,weight listing each edge once (i < j)."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "weight"])
-        for i, j, w in m.edges():
-            writer.writerow([i, j, repr(w)])
+    _write_csv(path, ["i", "j", "weight"], m.edge_i, m.edge_j, m.edge_w)

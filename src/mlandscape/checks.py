@@ -26,6 +26,7 @@ from .matrices import (
     NonPositiveLandscapeError,
     SparseSymMatrix,
     _index_mask,
+    _write_csv,
     classify,
     connectivity,
     restrict,
@@ -603,10 +604,4 @@ def agmon_scatter(
 
 def write_scatter_csv(path, sd: ScatterData) -> None:
     """CSV with header rho,neglog (one row per retained index)."""
-    import csv
-
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rho", "neglog"])
-        for x, y in sd.points:
-            writer.writerow([repr(float(x)), repr(float(y))])
+    _write_csv(path, ["rho", "neglog"], sd.points[:, 0], sd.points[:, 1])

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 import numpy as np
 
-from .agmon import build_metric
 from .experiment import (
     ExperimentConfig,
     dump_config,
     load_config,
+    partition_stage,
     run_verification,
 )
 from .checks import agmon_scatter, write_scatter_csv
@@ -36,12 +35,13 @@ from .matrices import (
     MatrixFormatError,
     NonPositiveLandscapeError,
     NotPositiveDefiniteError,
+    _write_json,
     generate_band_ensemble,
     read_matrix,
     smallest_eigenvalue,
     write_matrix,
 )
-from .partition import build_partition, partition_report_dict, write_partition_json
+from .partition import partition_report_dict, write_partition_json
 from .spectral import eig_sym, write_eigenvalues_csv
 
 __all__ = ["main", "build_parser"]
@@ -140,9 +140,7 @@ def _write_generate_artifacts(cfg: ExperimentConfig, out: str) -> str:
         "lambda0_unshifted": cfg.ensemble.epsilon - shift,
         "min_eigenvalue": smallest_eigenvalue(A),
     }
-    with open(os.path.join(out, "matrix_meta.json"), "w", encoding="ascii") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "matrix_meta.json"), meta)
     dump_config(os.path.join(out, "config.json"), cfg)
     return matrix_path
 
@@ -187,20 +185,15 @@ def _cmd_verify(args) -> int:
     return int(summary["exit_code"])
 
 
-def _partition_for(A, cfg: ExperimentConfig):
+def _cmd_partition(args) -> int:
+    cfg = _build_config(args)
     ebar = cfg.partition_threshold()
     if ebar is None:
         raise _UsageError("partition needs --ebar (or explicit thresholds in --config)")
-    L = solve_landscape(A)
-    sp = shift_potential(L, ebar)
-    metric = build_metric(A, sp)
-    return build_partition(A, metric, cfg.s_requested)
-
-
-def _cmd_partition(args) -> int:
-    cfg = _build_config(args)
     A = read_matrix(args.matrix)
-    part = _partition_for(A, cfg)
+    part = partition_stage(A, solve_landscape(A), ebar, cfg.s_requested)
+    if part is None:
+        raise ValueError(f"no wells at ebar {ebar}: vbar > ebar at every site")
     out = _outdir(cfg)
     path = os.path.join(out, "partition.json")
     write_partition_json(path, part)
@@ -248,11 +241,14 @@ def _cmd_figures(args) -> int:
     write_scatter_csv(scatter_csv, sd)
     render_scatter_svg(scatter_csv, os.path.join(out, "scatter_1.svg"))
 
-    if cfg.partition_threshold() is not None:
-        part = _partition_for(A, cfg)
+    ebar = cfg.partition_threshold()
+    part = None if ebar is None else partition_stage(A, L, ebar, cfg.s_requested)
+    if part is not None:
         part_json = os.path.join(out, "partition.json")
         write_partition_json(part_json, part)
         render_partition_svg(part_json, os.path.join(out, "partition.svg"))
+    elif ebar is not None:
+        print(f"no wells at ebar {ebar}: partition.* skipped")
     print(f"figures written to {out}")
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,14 +30,23 @@ from .checks import (
     write_scatter_csv,
 )
 from .landscape import solve_landscape, shift_potential, write_landscape_csv
-from .matrices import EnsembleConfig, SparseSymMatrix, _encode_float, connectivity
-from .partition import build_partition, write_partition_json
+from .matrices import (
+    EnsembleConfig,
+    SparseSymMatrix,
+    _is_integer,
+    _is_real,
+    _json_value,
+    _write_json,
+    connectivity,
+)
+from .partition import WellPartition, build_partition, write_partition_json
 from .spectral import eig_sym, local_eig, write_eigenvalues_csv
 
 __all__ = [
     "ExperimentConfig",
     "load_config",
     "dump_config",
+    "partition_stage",
     "run_verification",
 ]
 
@@ -64,27 +73,40 @@ class ExperimentConfig:
     scatter_floor: float = 1e-17
 
     def __post_init__(self):
-        if isinstance(self.thresholds, str):
-            if self.thresholds != PER_EIGENVALUE:
-                raise ValueError(
-                    f"thresholds must be a list or {PER_EIGENVALUE!r}, got {self.thresholds!r}"
-                )
-        else:
-            object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
+        if isinstance(self.thresholds, (list, tuple, np.ndarray)):
             for t in self.thresholds:
+                if not _is_real(t):
+                    raise ValueError(f"thresholds must be numbers, got {t!r}")
                 if not math.isfinite(t):
                     raise ValueError(f"thresholds must be finite, got {t}")
-        # each guard is written so that NaN fails it
+            object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
+        elif self.thresholds != PER_EIGENVALUE:
+            raise ValueError(
+                f"thresholds must be a list or {PER_EIGENVALUE!r}, got {self.thresholds!r}"
+            )
+        for name in ("s_requested", "delta", "alpha", "scatter_floor"):
+            value = getattr(self, name)
+            if not (_is_real(value) or (name == "alpha" and value is None)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not _is_integer(self.n_plot):
+            raise ValueError(f"n_plot must be an integer, got {self.n_plot!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        # each guard is written so that NaN fails it; S = inf merges every well
         if not (self.s_requested >= 0.0):
             raise ValueError(f"S_requested must be >= 0, got {self.s_requested}")
         if not (self.delta > 0.0):
             raise ValueError(f"delta must be positive, got {self.delta}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
         if self.alpha is not None and not (self.alpha > 0.0):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.n_plot < 0:
             raise ValueError(f"n_plot must be >= 0, got {self.n_plot}")
         if not (self.scatter_floor > 0.0):
             raise ValueError(f"scatter floor must be positive, got {self.scatter_floor}")
+        if not math.isfinite(self.scatter_floor):
+            raise ValueError(f"scatter floor must be finite, got {self.scatter_floor}")
 
     def partition_threshold(self) -> float | None:
         if isinstance(self.thresholds, str):
@@ -128,13 +150,19 @@ def _config_from_dict(data: dict) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(data)
+    if kwargs.get("s_requested") == "inf":  # how config.json spells an infinite S
+        kwargs["s_requested"] = math.inf
     if "ensemble" in kwargs:
         ens = kwargs["ensemble"]
         if not isinstance(ens, dict):
             raise ValueError("ensemble must be a JSON object")
+        unknown = set(ens) - {f.name for f in fields(EnsembleConfig)}
+        if unknown:
+            raise ValueError(f"unknown ensemble keys: {sorted(unknown)}")
+        missing = {"n", "half_bandwidth"} - set(ens)
+        if missing:
+            raise ValueError(f"ensemble lacks keys: {sorted(missing)}")
         kwargs["ensemble"] = EnsembleConfig(**ens)
-    if "thresholds" in kwargs and not isinstance(kwargs["thresholds"], str):
-        kwargs["thresholds"] = tuple(kwargs["thresholds"])
     return ExperimentConfig(**kwargs)
 
 
@@ -148,25 +176,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def dump_config(path, cfg: ExperimentConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_config_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _json_value(x):
-    if isinstance(x, (float, np.floating)):
-        return _encode_float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return [_json_value(v) for v in x.tolist()]
-    if isinstance(x, (frozenset, set)):
-        return sorted(x)
-    if isinstance(x, (list, tuple)):
-        return [_json_value(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _json_value(v) for k, v in x.items()}
-    return x
+    _write_json(path, _config_dict(cfg))
 
 
 def report_dict(report) -> dict:
@@ -177,16 +187,24 @@ def report_dict(report) -> dict:
     return out
 
 
-def _write_json(path, data) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_json_value(data), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _alpha_for_localization(cfg: ExperimentConfig, wc: int) -> float:
     if cfg.alpha is not None:
         return cfg.alpha
     return math.sqrt(1.0 / wc)
+
+
+def partition_stage(
+    A: SparseSymMatrix, L, ebar: float, s_requested: float
+) -> WellPartition | None:
+    """Wells of the landscape ``L`` shifted at ``ebar``, their metric and partition.
+
+    None when no site is a well (vbar > ebar everywhere): there is nothing to
+    partition, and every caller reports that instead of an empty partition.
+    """
+    sp = shift_potential(L, ebar)
+    if not sp.wells:
+        return None
+    return build_partition(A, build_metric(A, sp), s_requested)
 
 
 def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -295,10 +313,10 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     # partition-based checks need one explicit threshold
     part = None
     if part_ebar is not None:
-        sp = shift_potential(L, part_ebar)
-        if sp.wells:
-            metric = build_metric(A, sp)
-            part = build_partition(A, metric, cfg.s_requested)
+        part = partition_stage(A, L, part_ebar, cfg.s_requested)
+        if part is None:
+            checks["partition"] = {"built": False, "threshold": part_ebar, "reason": "no wells"}
+        else:
             write_partition_json(os.path.join(out, "partition.json"), part)
             checks["partition"] = {
                 "built": True,
@@ -308,8 +326,6 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
                 "s_achieved": _json_value(part.s_achieved),
                 "axioms_hold": part.axioms_hold,
             }
-        else:
-            checks["partition"] = {"built": False, "threshold": part_ebar, "reason": "no wells"}
 
     if part is not None and part.axioms_hold:
         locals_ = [local_eig(A, reg, region_id=i) for i, reg in enumerate(part.regions)]

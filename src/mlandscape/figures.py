@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .landscape import LandscapeData
+from .matrices import _write_csv
 from .spectral import EigenDecomposition
 
 __all__ = [
@@ -32,15 +33,10 @@ def write_overlay_csv(path, L: LandscapeData, ed: EigenDecomposition, n_plot: in
     Header: index,u,log10_psi_1,...  Zero amplitudes serialize as "-inf".
     """
     k = min(n_plot, ed.n)
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "u"] + [f"log10_psi_{j}" for j in range(1, k + 1)])
-        with np.errstate(divide="ignore"):
-            logs = np.log10(np.abs(ed.vectors[:, :k]))
-        for i in range(L.u.size):
-            writer.writerow(
-                [i + 1, repr(float(L.u[i]))] + [repr(float(v)) for v in logs[i]]
-            )
+    with np.errstate(divide="ignore"):
+        logs = np.log10(np.abs(ed.vectors[:, :k]))
+    header = ["index", "u"] + [f"log10_psi_{j}" for j in range(1, k + 1)]
+    _write_csv(path, header, np.arange(1, L.u.size + 1), L.u, *logs.T)
 
 
 def write_potential_csv(path, L: LandscapeData, ed: EigenDecomposition, n_plot: int) -> None:
@@ -50,15 +46,9 @@ def write_potential_csv(path, L: LandscapeData, ed: EigenDecomposition, n_plot: 
     eigenvector rides at the height of its own eigenvalue.
     """
     k = min(n_plot, ed.n)
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "vbar"] + [f"psi_base_{j}" for j in range(1, k + 1)])
-        for i in range(L.vbar.size):
-            row = [i + 1, repr(float(L.vbar[i]))]
-            row += [
-                repr(float(ed.values[j] + ed.vectors[i, j])) for j in range(k)
-            ]
-            writer.writerow(row)
+    based = ed.values[:k] + ed.vectors[:, :k]
+    header = ["index", "vbar"] + [f"psi_base_{j}" for j in range(1, k + 1)]
+    _write_csv(path, header, np.arange(1, L.vbar.size + 1), L.vbar, *based.T)
 
 
 def _read_csv_columns(path) -> tuple[list[str], list[list[float]]]:

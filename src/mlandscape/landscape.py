@@ -8,7 +8,6 @@ their inequality is stated in; both live here.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,8 @@ from .matrices import (
     NotPositiveDefiniteError,
     SparseSymMatrix,
     _frozen,
+    _index_mask,
+    _write_csv,
 )
 
 __all__ = [
@@ -77,13 +78,9 @@ def _band_upper(A: SparseSymMatrix, bw: int) -> np.ndarray:
 
 
 def _solve_spd(A: SparseSymMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky-type solve: band storage when the bandwidth is small, dense else."""
-    bw = A.bandwidth()
+    """Banded Cholesky solve at the matrix's own bandwidth."""
     try:
-        if bw <= max(1, A.n // 4):
-            return scipy.linalg.solveh_banded(_band_upper(A, bw), rhs, lower=False)
-        factor = scipy.linalg.cho_factor(A.to_dense(), lower=False)
-        return scipy.linalg.cho_solve(factor, rhs)
+        return scipy.linalg.solveh_banded(_band_upper(A, A.bandwidth()), rhs, lower=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("not positive definite") from exc
 
@@ -138,16 +135,7 @@ def shift_potential(L, threshold: float) -> ShiftedPotential:
 
 def write_landscape_csv(path, L: LandscapeData, sp: ShiftedPotential) -> None:
     """Per-index CSV with fixed header index,u,vbar,v,in_well (1-based indices)."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "u", "vbar", "v", "in_well"])
-        for k in range(L.u.size):
-            writer.writerow(
-                [
-                    k + 1,
-                    repr(float(L.u[k])),
-                    repr(float(L.vbar[k])),
-                    repr(float(sp.v[k])),
-                    1 if (k + 1) in sp.wells else 0,
-                ]
-            )
+    n = L.u.size
+    in_well = _index_mask(n, sp.wells).astype(np.int64)
+    header = ["index", "u", "vbar", "v", "in_well"]
+    _write_csv(path, header, np.arange(1, n + 1), L.u, L.vbar, sp.v, in_well)

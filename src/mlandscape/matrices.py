@@ -13,6 +13,9 @@ lower neighbours (j < r) ascending.  ``matvec`` sums each row left to right in
 exactly that order; the bits of every artifact derived from A x rest on it.
 Instances are immutable after construction.
 
+Every CSV and JSON artifact of the package is written by ``_write_csv`` and
+``_write_json`` below, so the artifact format is decided in this module alone.
+
 scipy.sparse is imported where a CSR matrix or a graph routine is first
 needed, not at package import: it costs ~40 ms and ~3.5 MB that callers who
 only build, read or write matrices never use.
@@ -20,6 +23,8 @@ only build, read or write matrices never use.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -72,14 +77,61 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _encode_float(x):
-    """A float for JSON and CSV artifacts: finite values as Python floats, the
-    rest spelled "inf", "-inf" or "nan" (JSON has no literal for them)."""
+    """A float for JSON artifacts: finite values as Python floats, the rest
+    spelled "inf", "-inf" or "nan" (JSON has no literal for them)."""
     x = float(x)
     if math.isfinite(x):
         return x
     if math.isnan(x):
         return "nan"
     return "inf" if x > 0 else "-inf"
+
+
+def _is_integer(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer (a bool is not)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """Whether ``x`` is a Python or numpy integer or float (a bool is not)."""
+    return _is_integer(x) or isinstance(x, (float, np.floating))
+
+
+def _json_value(x):
+    """``x`` made JSON-ready: floats through ``_encode_float``, numpy scalars and
+    arrays as Python values, sets as sorted lists, tuples as lists."""
+    if isinstance(x, (float, np.floating)):
+        return _encode_float(x)
+    if isinstance(x, (np.integer,)):
+        return int(x)
+    if isinstance(x, np.ndarray):
+        return [_json_value(v) for v in x.tolist()]
+    if isinstance(x, (frozenset, set)):
+        return sorted(x)
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _json_value(v) for k, v in x.items()}
+    return x
+
+
+def _write_json(path, data) -> None:
+    """The one JSON artifact writer: strict JSON, sorted keys, two-space indent."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(_json_value(data), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def _write_csv(path, header, *columns) -> None:
+    """The one CSV artifact writer: ``header``, then row k from entry k of each column.
+
+    The csv module spells every float as its shortest round-trip repr,
+    non-finite ones as inf, -inf and nan.
+    """
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns), strict=True))
 
 
 def _index_mask(n: int, indices: Iterable[int]) -> np.ndarray:
@@ -204,26 +256,6 @@ class SparseSymMatrix:
         self._csr = None
         self._is_z = None
         self._connectivity = None
-
-    @classmethod
-    def from_entries(cls, n: int, entries: Iterable[tuple]) -> "SparseSymMatrix":
-        """Build from mixed triples; missing diagonal entries default to 0."""
-        diag = np.zeros(n, dtype=float)
-        seen_diag = set()
-        off = []
-        for i, j, v in entries:
-            i = int(i)
-            j = int(j)
-            if i == j:
-                if not (1 <= i <= n):
-                    raise ValueError(f"entry ({i}, {i}) outside [1, {n}]")
-                if i in seen_diag:
-                    raise ValueError(f"duplicate diagonal entry for index {i}")
-                seen_diag.add(i)
-                diag[i - 1] = float(v)
-            else:
-                off.append((i, j, v))
-        return cls(n, diag, off)
 
     @classmethod
     def from_dense(cls, arr, *, tol: float = 0.0) -> "SparseSymMatrix":
@@ -387,15 +419,15 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not _is_integer(self.n) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.half_bandwidth, (int, np.integer)) or self.half_bandwidth < 1:
+        if not _is_integer(self.half_bandwidth) or self.half_bandwidth < 1:
             raise ValueError(f"half_bandwidth must be a positive integer, got {self.half_bandwidth!r}")
         if self.half_bandwidth >= self.n:
             raise ValueError(f"half_bandwidth must be < n, got W={self.half_bandwidth}, n={self.n}")
-        if not (float(self.epsilon) > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not (0 <= int(self.seed) < 2**64):
+        if not (_is_real(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be a positive number, got {self.epsilon!r}")
+        if not _is_integer(self.seed) or not (0 <= int(self.seed) < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
@@ -601,7 +633,7 @@ def read_matrix(path) -> SparseSymMatrix:
         for (i, j), v in by_pos.items():
             if i == j:
                 continue
-            if by_pos.get((j, i)) != v:
+            if by_pos.get((j, i), 0.0) != v:
                 raise MatrixFormatError(
                     f"{path}: general file is not symmetric at ({i}, {j})"
                 )

@@ -10,13 +10,12 @@ the result, never raised.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .agmon import AgmonMetric, INF, distance_from_set, inner_boundary
-from .matrices import SparseSymMatrix, _encode_float, _index_mask
+from .matrices import SparseSymMatrix, _index_mask, _json_value, _write_json
 
 __all__ = [
     "WellPartition",
@@ -196,41 +195,36 @@ def build_partition(
     A: SparseSymMatrix,
     m: AgmonMetric,
     s_requested: float,
-    *,
-    min_sep: float | None = None,
 ) -> WellPartition:
     """Full recipe: components, merge, Voronoi assignment, separation audit.
 
-    The default merge threshold 2 * s_requested + 1e-9 guarantees no two
-    surviving wells could both claim an index within s_requested of each.
+    The merge threshold 2 * s_requested + 1e-9 guarantees no two surviving
+    wells could both claim an index within s_requested of each.
     """
-    if min_sep is None:
-        min_sep = 2.0 * float(s_requested) + 1e-9
     comps = well_components(A, m.provenance.wells)
-    wells = merge_close_wells(comps, m, min_sep)
+    wells = merge_close_wells(comps, m, 2.0 * float(s_requested) + 1e-9)
     regions, unassigned = _assign_regions(A, wells, m)
     return verify_separation(A, wells, regions, m, s_requested, unassigned)
 
 
 def partition_report_dict(p: WellPartition) -> dict:
-    return {
-        "wells": [sorted(w) for w in p.wells],
-        "regions": [sorted(r) for r in p.regions],
-        "s_requested": _encode_float(p.s_requested),
-        "s_achieved": _encode_float(p.s_achieved),
-        "well_separation": _encode_float(p.well_separation),
+    """The partition as a JSON-ready dict (inf serialized as "inf")."""
+    return _json_value({
+        "wells": p.wells,
+        "regions": p.regions,
+        "s_requested": p.s_requested,
+        "s_achieved": p.s_achieved,
+        "well_separation": p.well_separation,
         "axioms": {
             "disjoint": p.axiom_disjoint,
             "complement": p.axiom_complement,
             "boundary": p.axiom_boundary,
         },
-        "boundary_well_distances": [_encode_float(d) for d in p.boundary_well_distances],
-        "complement_well_distances": [_encode_float(d) for d in p.complement_well_distances],
-        "unassigned": sorted(p.unassigned),
-    }
+        "boundary_well_distances": p.boundary_well_distances,
+        "complement_well_distances": p.complement_well_distances,
+        "unassigned": p.unassigned,
+    })
 
 
 def write_partition_json(path, p: WellPartition) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(partition_report_dict(p), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, partition_report_dict(p))

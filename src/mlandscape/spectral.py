@@ -29,7 +29,6 @@ entries by exp(2 alpha rho) rely on the repair.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,7 @@ from .matrices import (
     SparseSymMatrix,
     _frozen,
     _index_mask,
+    _write_csv,
 )
 
 __all__ = [
@@ -265,8 +265,4 @@ def counting_local(locals_: list[LocalEigenData], mu: float) -> int:
 
 def write_eigenvalues_csv(path, ed: EigenDecomposition) -> None:
     """CSV with header index,value (1-based eigenvalue index, ascending)."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "value"])
-        for k in range(ed.values.size):
-            writer.writerow([k + 1, repr(float(ed.values[k]))])
+    _write_csv(path, ["index", "value"], np.arange(1, ed.values.size + 1), ed.values)

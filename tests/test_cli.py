@@ -261,3 +261,101 @@ def test_unknown_config_keys_exit_1(tmp_path, capsys):
     rc = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"delta": "0.1"}',
+        '{"n_plot": 2.5}',
+        '{"ensemble": {"n": 10, "half_bandwidth": 1, "foo": 1}}',
+        '{"ensemble": {"n": 10, "half_bandwidth": true}}',
+        '{"thresholds": 0.5}',
+        '{"s_requested": null}',
+        '{"delta": Infinity}',
+        '{"scatter_floor": Infinity}',
+    ],
+)
+def test_malformed_config_values_exit_1_before_any_work(tmp_path, capsys, config):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(config + "\n")
+    out = tmp_path / "out"
+    rc = main(["report", "--config", str(cfg_path), "--n", "20", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_report_rejects_infinite_delta(tmp_path, capsys):
+    rc = main(
+        ["report", "--n", "30", "--seed", "2", "--ebar", "0.5", "--delta", "inf",
+         "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    assert "delta must be finite, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# ---- no wells at the threshold (vbar > 0 everywhere, so ebar < 0 leaves none)
+
+
+def test_partition_without_wells_exits_1_like_verify_reports(mat, tmp_path, capsys):
+    path, _ = mat
+    rc = main(["partition", path, "--ebar=-1.0", "--out", str(tmp_path / "part")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: no wells at ebar -1.0")
+    assert not (tmp_path / "part").exists()
+
+    assert main(["verify", path, "--ebar=-1.0", "--out", str(tmp_path / "verify")]) == 0
+    summary = json.loads((tmp_path / "verify" / "summary.json").read_text())
+    assert summary["checks"]["partition"]["reason"] == "no wells"
+    assert not (tmp_path / "verify" / "partition.json").exists()
+
+
+def test_figures_without_wells_skip_the_partition(mat, tmp_path, capsys):
+    path, _ = mat
+    assert main(["figures", path, "--ebar=-1.0", "--out", str(tmp_path)]) == 0
+    assert "no wells at ebar -1.0" in capsys.readouterr().out
+    assert (tmp_path / "overlay.svg").exists()
+    assert not (tmp_path / "partition.json").exists()
+    assert not (tmp_path / "partition.svg").exists()
+
+
+# ---- artifact format
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_every_artifact_is_strict_json_or_a_rectangular_numeric_csv(tmp_path):
+    out = tmp_path / "run"
+    args = ["--ebar", "0.5", "--s", "inf", "--out", str(out)]
+    assert main(["report", "--n", "30", "--seed", "4", *args]) == 0
+    assert main(["figures", str(out / "matrix.mtx"), *args]) == 0
+
+    jsons = sorted(out.glob("*.json"))
+    csvs = sorted(out.glob("*.csv"))
+    assert {"config.json", "matrix_meta.json", "partition.json", "summary.json"} <= {
+        p.name for p in jsons
+    }
+    assert {"eigenvalues.csv", "landscape.csv", "overlay.csv", "potential.csv"} <= {
+        p.name for p in csvs
+    }
+    for p in jsons:
+        json.loads(p.read_text(encoding="ascii"), parse_constant=_reject_constant)
+    for p in csvs:
+        with open(p, newline="", encoding="ascii") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header and all(header), p.name
+        for row in rows:
+            assert len(row) == len(header), p.name
+            for cell in row:
+                float(cell)
+
+    # the written config (S spelled "inf") reproduces the run
+    again = tmp_path / "again"
+    assert main(["report", "--config", str(out / "config.json"), "--out", str(again)]) == 0
+    assert (again / "summary.json").read_bytes() == (out / "summary.json").read_bytes()

@@ -109,6 +109,15 @@ def test_config_rejects_non_finite_thresholds(value):
         experiment._config_from_dict({"thresholds": [value]})
 
 
+def test_config_with_infinite_s_round_trips_as_strict_json(tmp_path):
+    # S = inf merges every well; config.json spells it "inf", not Infinity
+    cfg = ExperimentConfig(s_requested=float("inf"))
+    p = tmp_path / "config.json"
+    dump_config(p, cfg)
+    assert json.loads(p.read_text())["s_requested"] == "inf"
+    assert load_config(p) == cfg
+
+
 def test_partition_threshold_picks_largest():
     cfg = ExperimentConfig(thresholds=(0.5, 1.25, 0.75))
     assert cfg.partition_threshold() == 1.25

@@ -35,11 +35,13 @@ def test_diagonal_matrix():
 
 
 def test_solve_matches_dense_elimination_oracle():
-    # independent route: numpy's dense LU with partial pivoting
-    for seed in (1, 2, 3):
-        A, _ = generate_band_ensemble(EnsembleConfig(n=8, half_bandwidth=2, seed=seed))
+    # independent route: numpy's dense LU with partial pivoting; the last two
+    # draws have bandwidth above n // 4, up to a full band
+    for n, w, seed in [(8, 2, 1), (8, 2, 2), (8, 2, 3), (8, 3, 4), (12, 11, 5)]:
+        A, _ = generate_band_ensemble(EnsembleConfig(n=n, half_bandwidth=w, seed=seed))
+        assert A.bandwidth() == w
         L = solve_landscape(A)
-        u_ref = np.linalg.solve(A.to_dense(), np.ones(8))
+        u_ref = np.linalg.solve(A.to_dense(), np.ones(n))
         assert np.abs(L.u - u_ref).max() <= 1e-10
         assert L.residual_inf <= 1e-12
 

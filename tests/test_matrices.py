@@ -276,6 +276,22 @@ def test_general_symmetry_accepted_and_rejected(tmp_path):
     with pytest.raises(MatrixFormatError, match="general file is not symmetric at"):
         read_matrix(bad)
 
+    # an explicit zero mirrors the missing entry, which is zero too
+    zero = tmp_path / "zero.mtx"
+    zero.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 3\n1 1 2.0\n1 2 0.0\n2 2 2.0\n"
+    )
+    assert np.array_equal(read_matrix(zero).to_dense(), [[2.0, 0.0], [0.0, 2.0]])
+
+    lone = tmp_path / "lone.mtx"
+    lone.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "2 2 3\n1 1 2.0\n1 2 -1.0\n2 2 2.0\n"
+    )
+    with pytest.raises(MatrixFormatError, match="general file is not symmetric at"):
+        read_matrix(lone)
+
 
 @pytest.mark.parametrize(
     "body, match",
