@@ -110,7 +110,7 @@ class DistanceField:
         tight = (tail != head) & np.isfinite(dist[tail]) & (dist[tail] + g.data == dist[head])
         hop_graph = g.copy()
         hop_graph.data = np.where(tight, 1.0, INF)  # hop counts along tight edges only
-        hops = _dijkstra(hop_graph, sorted(self.source))
+        hops = _dijkstra(hop_graph, _index_mask(n, self.source))
         step = tight & (hops[tail] + 1 == hops[head])
         pred = np.full(n, n, dtype=np.int64)
         np.minimum.at(pred, head[step], tail[step])
@@ -131,38 +131,43 @@ class DistanceField:
         return path
 
 
+def edge_weights(A: SparseSymMatrix, v: np.ndarray) -> np.ndarray:
+    """Weight ln(1 + sqrt(sqrt(v_i v_j)/|a_ij|)) of each pair of ``A.off_arrays()``."""
+    off_i, off_j, off_v = A.off_arrays()
+    return np.log1p(np.sqrt(np.sqrt(v[off_i - 1] * v[off_j - 1]) / np.abs(off_v)))
+
+
 def build_metric(A: SparseSymMatrix, sp: ShiftedPotential) -> AgmonMetric:
     """Agmon metric of (A, v): weight(i,j) = ln(1 + sqrt(sqrt(v_i v_j)/|a_ij|))."""
     if sp.v.shape != (A.n,):
         raise ValueError(f"potential has length {sp.v.shape[0]}, matrix has n = {A.n}")
-    off_i, off_j, off_v = A.off_arrays()
-    vi = sp.v[off_i - 1]
-    vj = sp.v[off_j - 1]
-    w = np.log1p(np.sqrt(np.sqrt(vi * vj) / np.abs(off_v)))
+    off_i, off_j, _ = A.off_arrays()
     return AgmonMetric(
         n=A.n,
         threshold=sp.threshold,
         edge_i=off_i,
         edge_j=off_j,
-        edge_w=w,
+        edge_w=edge_weights(A, sp.v),
         provenance=sp,
         pattern=A.pattern,
     )
 
 
-def _dijkstra(graph, sources: list[int]) -> np.ndarray:
-    """Distances to the nearest of the 1-based ``sources``; all +inf when there are none."""
+def _dijkstra(graph, in_source: np.ndarray) -> np.ndarray:
+    """Distances to the nearest source of the boolean mask; all +inf when it is empty."""
     from scipy.sparse.csgraph import dijkstra  # deferred, see the matrices module docstring
 
-    if not sources:
+    sources = np.flatnonzero(in_source)
+    if not sources.size:
         return np.full(graph.shape[0], INF)
-    return dijkstra(graph, directed=True, indices=np.asarray(sources) - 1, min_only=True)
+    return dijkstra(graph, directed=True, indices=sources, min_only=True)
 
 
 def distance_from_set(m: AgmonMetric, sources: Iterable[int]) -> DistanceField:
     """Multi-source shortest-path distances; an empty source set gives all +inf."""
-    src = (np.flatnonzero(_index_mask(m.n, sources)) + 1).tolist()
-    return DistanceField(source=frozenset(src), dist=_dijkstra(m._graph, src), metric=m)
+    in_source = _index_mask(m.n, sources)
+    src = frozenset((np.flatnonzero(in_source) + 1).tolist())
+    return DistanceField(source=src, dist=_dijkstra(m._graph, in_source), metric=m)
 
 
 def pairwise_distance(m: AgmonMetric, i: int, j: int) -> float:

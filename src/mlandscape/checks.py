@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agmon import build_metric, distance_from_set
-from .landscape import LandscapeData, shift_potential
+from .agmon import _dijkstra, build_metric, distance_from_set, edge_weights
+from .landscape import LandscapeData, _shift, shift_potential
 from .matrices import (
     NonPositiveLandscapeError,
     SparseSymMatrix,
@@ -166,44 +166,63 @@ def _log_weighted_sum(phi: np.ndarray, rho: np.ndarray, alpha: float, factor=Non
     return float(np.sum(terms))
 
 
+def _field(A: SparseSymMatrix, vbar, threshold: float, fields=None, in_excluded=None) -> tuple:
+    """(v, well mask, distances to the wells outside in_excluded) of vbar shifted at threshold.
+
+    The distances are those of ``build_metric``'s metric, from one Dijkstra.
+    ``fields`` memoizes the triple by threshold for checks of one matrix and
+    one vbar that exclude nothing.
+    """
+    if fields is not None and threshold in fields:
+        return fields[threshold]
+    v, in_wells = _shift(vbar, threshold)
+    in_source = in_wells if in_excluded is None else in_wells & ~in_excluded
+    field = (v, in_wells, _dijkstra(A.pattern.values(edge_weights(A, v)), in_source))
+    if fields is not None:
+        fields[threshold] = field
+    return field
+
+
+def _checked_alpha(alpha, wc: int) -> float:
+    alpha = float(alpha)
+    if not (0.0 < alpha <= math.sqrt(2.0 / wc) * (1.0 + 1e-12)):
+        raise ValueError(f"alpha must lie in (0, sqrt(2/W_c)], got {alpha}")
+    return alpha
+
+
+def _report(eigen_id, E, ebar, alpha, lhs_first, lhs_second, rhs) -> LocalizationReport:
+    lhs = lhs_first + lhs_second
+    holds = lhs <= rhs * (1.0 + REL_SLACK)
+    return LocalizationReport(
+        eigen_id, E, ebar, alpha, lhs_first, lhs_second, rhs, holds, max_margin=rhs - lhs
+    )
+
+
 def check_landscape_localization(
     A: SparseSymMatrix,
     L: LandscapeData,
     ed: EigenDecomposition,
     j: int,
+    *,
+    fields: dict | None = None,
 ) -> LocalizationReport:
     """Landscape localization bound for the j-th eigenpair (1-based).
 
-    Uses the reciprocal potential 1/u, its wells at threshold E = lambda_j,
-    and the weight exp(2 rho(k, wells) / sqrt(W_c)); the bound is
-    W_c * max |a_ij| over all entries.
+    Uses the effective potential vbar = (A u)/u, its wells at threshold
+    E = lambda_j, and the weight exp(2 rho(k, wells) / sqrt(W_c)); the bound
+    is W_c * max |a_ij| over all entries.  A ``fields`` dict shared by checks
+    of A and this landscape computes each threshold's distances once.
     """
-    cls = classify(A, compute_spectrum=False)
-    if not cls.is_z or np.any(L.u <= 0.0):
+    if not classify(A, compute_spectrum=False).is_z or np.any(L.u <= 0.0):
         raise ValueError("matrix is not an M-matrix with positive landscape")
     if not (1 <= j <= ed.n):
         raise ValueError(f"eigen index {j} outside [1, {ed.n}]")
     wc = _wc(A)
     alpha = 1.0 / math.sqrt(wc)
     E = float(ed.values[j - 1])
-    psi = ed.vectors[:, j - 1]
-    sp = shift_potential(L.inv_u, E)
-    metric = build_metric(A, sp)
-    rho = distance_from_set(metric, sp.wells).dist
-    lhs = _log_weighted_sum(psi, rho, alpha, factor=sp.v)
-    rhs = wc * A.max_abs_entry()
-    holds = lhs <= rhs * (1.0 + REL_SLACK)
-    return LocalizationReport(
-        eigen_id=j,
-        E=E,
-        threshold=E,
-        alpha=alpha,
-        lhs_first=0.0,
-        lhs_second=lhs,
-        rhs=rhs,
-        holds=holds,
-        max_margin=rhs - lhs,
-    )
+    v, _, rho = _field(A, L.vbar, E, fields)
+    lhs = _log_weighted_sum(ed.vectors[:, j - 1], rho, alpha, factor=v)
+    return _report(j, E, E, alpha, 0.0, lhs, wc * A.max_abs_entry())
 
 
 def check_general_localization(
@@ -216,6 +235,7 @@ def check_general_localization(
     alpha: float,
     *,
     eigen_id: int | None = None,
+    fields: dict | None = None,
 ) -> LocalizationReport:
     """Two-line localization bound for a (local) eigenvector phi of eigenvalue E.
 
@@ -224,56 +244,35 @@ def check_general_localization(
     measured to wells minus the excluded set D (1-based indices in [1, n]),
     and phi must vanish on D and satisfy the local eigen relation on its
     complement (the caller's duty).
-    Requires E <= ebar and 0 < alpha <= sqrt(2 / W_c).
+    Requires E <= ebar and 0 < alpha <= sqrt(2 / W_c).  ``fields`` is shared
+    as in ``check_landscape_localization`` and is only read when D is empty.
     """
     u = np.asarray(u, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    cls = classify(A, compute_spectrum=False)
-    if not cls.is_z:
+    if not classify(A, compute_spectrum=False).is_z:
         raise ValueError("matrix is not a Z-matrix")
     if np.any(u <= 0.0):
         raise NonPositiveLandscapeError("landscape not positive")
     if E > ebar:
         raise ValueError(f"eigenvalue E = {E} exceeds threshold ebar = {ebar}")
     wc = _wc(A)
-    alpha = float(alpha)
-    if not (0.0 < alpha <= math.sqrt(2.0 / wc) * (1.0 + 1e-12)):
-        raise ValueError(f"alpha must lie in (0, sqrt(2/W_c)], got {alpha}")
-
-    vbar = A.matvec(u) / u
-    sp = shift_potential(vbar, ebar)
-    in_wells = _index_mask(A.n, sp.wells)
-    in_rel = in_wells & ~_index_mask(A.n, D)
+    alpha = _checked_alpha(alpha, wc)
+    E, ebar = float(E), float(ebar)
+    in_excluded = _index_mask(A.n, D)
+    memo = None if in_excluded.any() else fields  # it holds distances to whole well sets
+    v, in_wells, rho = _field(A, A.matvec(u) / u, ebar, memo, in_excluded)
+    in_rel = in_wells & ~in_excluded
     if not np.any(in_rel):
         raise EmptyWellSetError("empty relative well set")
-    metric = build_metric(A, sp)
-    rho = distance_from_set(metric, np.flatnonzero(in_rel) + 1).dist
 
     phi_out = np.where(in_wells, 0.0, phi)
-    sum_plain = _log_weighted_sum(phi_out, rho, alpha)
-    sum_weighted = _log_weighted_sum(phi_out, rho, alpha, factor=sp.v)
-    lhs_first = (float(ebar) - float(E)) * sum_plain
-    lhs_second = (1.0 - alpha * alpha * wc / 2.0) * sum_weighted
-
+    lhs_first = (ebar - E) * _log_weighted_sum(phi_out, rho, alpha)
+    lhs_second = (1.0 - alpha * alpha * wc / 2.0) * _log_weighted_sum(phi_out, rho, alpha, v)
     off_i, off_j, off_v = A.off_arrays()
     crossing = in_rel[off_i - 1] ^ in_rel[off_j - 1]
     a_cross = float(np.abs(off_v[crossing]).max()) if np.any(crossing) else 0.0
-    norm_sq = float(phi @ phi)
-    rhs = (wc / 2.0) * norm_sq * a_cross
-
-    lhs = lhs_first + lhs_second
-    holds = lhs <= rhs * (1.0 + REL_SLACK)
-    return LocalizationReport(
-        eigen_id=eigen_id,
-        E=float(E),
-        threshold=float(ebar),
-        alpha=alpha,
-        lhs_first=lhs_first,
-        lhs_second=lhs_second,
-        rhs=rhs,
-        holds=holds,
-        max_margin=rhs - lhs,
-    )
+    rhs = (wc / 2.0) * float(phi @ phi) * a_cross
+    return _report(eigen_id, E, ebar, alpha, lhs_first, lhs_second, rhs)
 
 
 def _finite_vector(x, n: int, name: str) -> np.ndarray:

@@ -179,7 +179,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _build_config(args)
     A = read_matrix(args.matrix)
-    summary = run_verification(A, cfg, _outdir(cfg))
+    summary = run_verification(A, cfg)
     status = "pass" if summary["all_proved_hold"] else "FAIL"
     print(f"verification {status} (summary.json in {cfg.out_dir})")
     return int(summary["exit_code"])

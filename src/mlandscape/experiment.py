@@ -18,6 +18,7 @@ import numpy as np
 from .agmon import build_metric
 from .checks import (
     EmptyWellSetError,
+    _checked_alpha,
     agmon_scatter,
     check_commutator_identity,
     check_counting,
@@ -187,12 +188,6 @@ def report_dict(report) -> dict:
     return out
 
 
-def _alpha_for_localization(cfg: ExperimentConfig, wc: int) -> float:
-    if cfg.alpha is not None:
-        return cfg.alpha
-    return math.sqrt(1.0 / wc)
-
-
 def partition_stage(
     A: SparseSymMatrix, L, ebar: float, s_requested: float
 ) -> WellPartition | None:
@@ -215,8 +210,10 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     inequality holds and 2 otherwise; numerical failures raise instead.
     """
     out = str(out_dir if out_dir is not None else cfg.out_dir)
-    os.makedirs(out, exist_ok=True)
     wc = max(connectivity(A), 2)
+    alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(1.0 / wc)
+    _checked_alpha(alpha, wc)  # an invalid alpha fails before any work
+    os.makedirs(out, exist_ok=True)
     summary: dict = {"n": A.n, "connectivity_floor": wc}
     checks: dict = {}
     summary["checks"] = checks
@@ -240,8 +237,26 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     csv_ebar = part_ebar if part_ebar is not None else float(ed.values[0])
     write_landscape_csv(os.path.join(out, "landscape.csv"), L, shift_potential(L, csv_ebar))
 
-    # landscape-based localization, one check per eigenpair
-    reports = [check_landscape_localization(A, L, ed, j) for j in range(1, A.n + 1)]
+    # both localization families; a general check at ebar = E_j reads the landscape
+    # check's distance field, and each explicit threshold gets one field
+    reports, gen_reports, skipped, fixed = [], [], 0, {}
+    for j in range(1, A.n + 1):
+        E = float(ed.values[j - 1])
+        own = {}
+        reports.append(check_landscape_localization(A, L, ed, j, fields=own))
+        if isinstance(cfg.thresholds, str):
+            ebars, memo = (E,), own
+        else:
+            ebars, memo = tuple(t for t in cfg.thresholds if t >= E), fixed
+        for ebar in ebars:
+            try:
+                rep = check_general_localization(
+                    A, L.u, ed.vectors[:, j - 1], E, ebar, (), alpha, eigen_id=j, fields=memo
+                )
+            except EmptyWellSetError:
+                skipped += 1
+                continue
+            gen_reports.append(rep)
     failures = [r.eigen_id for r in reports if not r.holds]
     checks["landscape_localization"] = {
         "pass": not failures,
@@ -250,28 +265,7 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     }
     _write_json(os.path.join(out, "landscape_localization.json"), [report_dict(r) for r in reports])
 
-    # threshold-shifted localization for the global eigenvectors
-    alpha = _alpha_for_localization(cfg, wc)
-    gen_reports = []
-    gen_failures = []
-    skipped = 0
-    for j in range(1, A.n + 1):
-        E = float(ed.values[j - 1])
-        if isinstance(cfg.thresholds, str):
-            ebars = (E,)
-        else:
-            ebars = tuple(t for t in cfg.thresholds if t >= E)
-        for ebar in ebars:
-            try:
-                rep = check_general_localization(
-                    A, L.u, ed.vectors[:, j - 1], E, ebar, frozenset(), alpha, eigen_id=j
-                )
-            except EmptyWellSetError:
-                skipped += 1
-                continue
-            gen_reports.append(rep)
-            if not rep.holds:
-                gen_failures.append((j, ebar))
+    gen_failures = [(r.eigen_id, r.threshold) for r in gen_reports if not r.holds]
     checks["general_localization"] = {
         "pass": not gen_failures,
         "count": len(gen_reports),

@@ -1,9 +1,9 @@
 """Landscape solves and effective potentials.
 
-The landscape vector u solves A u = 1 (componentwise ones).  Two potential
-forms are exposed: ``vbar = (A u) / u`` computed from the recovered u, and
-``1 / u``, which equals vbar when the solve is exact.  Verifiers pick the form
-their inequality is stated in; both live here.
+The landscape vector u solves A u = 1 (componentwise ones).  Every verifier
+uses the effective potential ``vbar = (A u) / u`` of the recovered u: the
+paper's Z-matrix theorem holds exactly for the ratio potential of whatever
+positive u is used, while ``1 / u`` equals vbar only when the solve is exact.
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ class LandscapeData:
     def __post_init__(self):
         _frozen(self.u)
         _frozen(self.vbar)
-
-    @property
-    def inv_u(self) -> np.ndarray:
-        """The reciprocal potential 1/u (equals vbar for an exact solve)."""
-        return 1.0 / self.u
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,16 +115,21 @@ def landscape_from_vector(A: SparseSymMatrix, u) -> LandscapeData:
     return LandscapeData(u=u, vbar=au / u, residual_inf=residual)
 
 
+def _shift(vbar: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """v = (vbar - threshold)_+ and the well mask vbar <= threshold."""
+    return np.maximum(vbar - threshold, 0.0), vbar <= threshold
+
+
 def shift_potential(L, threshold: float) -> ShiftedPotential:
     """Shifted potential v = (vbar - threshold)_+ and wells {i : vbar_i <= threshold}.
 
-    ``L`` may be a LandscapeData (its vbar is used) or a bare potential vector,
-    which lets callers shift the reciprocal form 1/u through the same path.
+    ``L`` may be a LandscapeData (its vbar is used) or a bare potential vector
+    of length n.
     """
     vbar = L.vbar if isinstance(L, LandscapeData) else np.asarray(L, dtype=float)
     threshold = float(threshold)
-    v = np.maximum(vbar - threshold, 0.0)
-    wells = frozenset((np.flatnonzero(vbar <= threshold) + 1).tolist())
+    v, in_wells = _shift(vbar, threshold)
+    wells = frozenset((np.flatnonzero(in_wells) + 1).tolist())
     return ShiftedPotential(threshold=threshold, v=v, wells=wells)
 
 

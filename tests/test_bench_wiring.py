@@ -23,3 +23,23 @@ def test_every_traced_attribute_resolves():
         if not callable(getattr(importlib.import_module(mod), attr, None))
     ]
     assert missing == []
+
+
+def test_verify_calls_the_traced_localization_checks(tmp_path, monkeypatch):
+    """The tracer times localization through these two names; verify must call them."""
+    from mlandscape import experiment
+    from mlandscape.matrices import EnsembleConfig, generate_band_ensemble
+
+    calls = {}
+    for name in ("check_landscape_localization", "check_general_localization"):
+        real = getattr(experiment, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, counted)
+    ens = EnsembleConfig(n=30, half_bandwidth=1, seed=2)
+    A, _ = generate_band_ensemble(ens)
+    experiment.run_verification(A, experiment.ExperimentConfig(ensemble=ens, n_plot=0), tmp_path)
+    assert calls == {"check_landscape_localization": 30, "check_general_localization": 30}

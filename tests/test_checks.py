@@ -1,12 +1,14 @@
 """Inequality and identity verifiers: exact fixtures first, then small sweeps."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mlandscape import (
+    EigenDecomposition,
     EmptyWellSetError,
     EnsembleConfig,
     NonPositiveLandscapeError,
@@ -208,6 +210,23 @@ def test_shifted_bound_handles_unreachable_zero_amplitude(blocks):
     assert rep.holds
 
 
+def test_shared_fields_serve_only_checks_without_exclusions(blocks):
+    """A fields dict holds distances to whole well sets; a non-empty D bypasses it."""
+    A, L, ed, part, locals_ = blocks
+    phi = locals_[0].vectors[:, 0]
+    mu = float(locals_[0].values[0])
+    args = (A, L.u, phi, mu, 3.5)
+    fields = {}
+    excluded = check_general_localization(*args, frozenset({6, 7}), 0.5, fields=fields)
+    assert fields == {}
+    assert _bits(excluded) == _bits(check_general_localization(*args, frozenset({6, 7}), 0.5))
+    whole = check_general_localization(*args, frozenset(), 0.5, fields=fields)
+    assert list(fields) == [3.5]
+    again = check_general_localization(*args, frozenset(), 0.5, fields=fields)
+    assert _bits(whole) == _bits(again) == _bits(check_general_localization(*args, (), 0.5))
+    assert _bits(excluded) != _bits(whole)
+
+
 def test_distance_decreases_as_threshold_rises():
     A, _ = generate_band_ensemble(EnsembleConfig(n=100, half_bandwidth=1, seed=12))
     L = solve_landscape(A)
@@ -218,6 +237,12 @@ def test_distance_decreases_as_threshold_rises():
         d_lo = distance_from_set(build_metric(A, lo), lo.wells).dist
         d_hi = distance_from_set(build_metric(A, hi), hi.wells).dist
         assert np.all(d_hi <= d_lo + 1e-12)
+
+
+def _bits(report) -> list:
+    """Every field of a report, floats by their exact bits."""
+    values = (getattr(report, f.name) for f in dataclasses.fields(report))
+    return [float(v).hex() if isinstance(v, float) else v for v in values]
 
 
 # ---------------------------------------------------------------- identities

@@ -144,6 +144,19 @@ def test_verify_rejects_nan_ebar(mat, tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_verify_rejects_out_of_range_alpha_before_any_work(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    assert main(["generate", "--n", "40", "--seed", "3", "--out", str(gen)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main(["verify", str(gen / "matrix.mtx"), "--alpha", "5", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha must lie in (0, sqrt(2/W_c)], got 5.0")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_summary_bytes_do_not_depend_on_out_dir(mat, tmp_path):
     path, _ = mat
     d1, d2 = tmp_path / "a", tmp_path / "b"

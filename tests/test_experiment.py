@@ -1,17 +1,25 @@
 """Run configuration, the verification sweep, and its artifact contract."""
 
+import itertools
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from mlandscape import (
+    EmptyWellSetError,
     EnsembleConfig,
     ExperimentConfig,
     build_metric,
     build_partition,
+    check_general_localization,
+    check_landscape_localization,
+    connectivity,
+    distance_from_set,
     dump_config,
+    eig_sym,
     generate_band_ensemble,
     load_config,
     run_verification,
@@ -19,6 +27,8 @@ from mlandscape import (
     solve_landscape,
 )
 import mlandscape.experiment as experiment
+from mlandscape.experiment import PER_EIGENVALUE, report_dict
+from mlandscape.matrices import _write_json
 from mlandscape.spectral import EigenDecomposition
 
 
@@ -219,6 +229,67 @@ def test_sweep_flags_a_faulty_spectrum(tmp_path, monkeypatch):
     assert summary["exit_code"] == 2
 
 
+def _one_check_at_a_time(A, L, ed, thresholds, alpha):
+    """Every localization check on its own, with no distance field shared."""
+    landscape = [check_landscape_localization(A, L, ed, j) for j in range(1, ed.n + 1)]
+    general, skipped = [], 0
+    for j in range(1, ed.n + 1):
+        E = float(ed.values[j - 1])
+        for ebar in (E,) if thresholds == PER_EIGENVALUE else [t for t in thresholds if t >= E]:
+            try:
+                general.append(
+                    check_general_localization(
+                        A, L.u, ed.vectors[:, j - 1], E, ebar, frozenset(), alpha, eigen_id=j
+                    )
+                )
+            except EmptyWellSetError:
+                skipped += 1
+    return landscape, general, skipped
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_verify_localization_equals_the_public_checks_bit_for_bit(w, tmp_path, monkeypatch):
+    """Shared distance fields change no byte of either localization file."""
+    ens = EnsembleConfig(n=120, half_bandwidth=w, seed=20 + w)
+    A, _ = generate_band_ensemble(ens)
+    L = solve_landscape(A)
+    ed = eig_sym(A)
+    alpha = math.sqrt(1.0 / max(connectivity(A), 2))
+    low = float(L.vbar.min()) - 0.01  # below every vbar: no wells
+    mid = float(np.median(L.vbar))
+    explicit = (mid, low, mid, float(L.vbar.max()))  # mid twice
+    # every E >= min vbar, so an empty well set needs a spectrum moved below it
+    lowered = EigenDecomposition(ed.values - (ed.values[2] - low), ed.vectors)
+    skips = 0
+    for k, (spectrum, thresholds) in enumerate(
+        itertools.product((ed, lowered), (PER_EIGENVALUE, explicit))
+    ):
+        monkeypatch.setattr(experiment, "_SPECTRUM_HOOK", lambda _, s=spectrum: s)
+        out = tmp_path / f"run{k}"
+        cfg = ExperimentConfig(ensemble=ens, thresholds=thresholds, n_plot=0)
+        summary = run_verification(A, cfg, out)
+        landscape, general, skipped = _one_check_at_a_time(A, L, spectrum, thresholds, alpha)
+        for name, reports in (("landscape", landscape), ("general", general)):
+            _write_json(tmp_path / "one_at_a_time.json", [report_dict(r) for r in reports])
+            want = (tmp_path / "one_at_a_time.json").read_bytes()
+            assert (out / f"{name}_localization.json").read_bytes() == want
+        assert summary["checks"]["general_localization"]["skipped_empty_wells"] == skipped
+        skips += skipped
+    assert skips >= 3  # the lowered spectrum puts E_1..E_3 at or below `low`
+
+    # against the reciprocal potential 1/u, which equals vbar for an exact solve
+    rate = 1.0 / math.sqrt(max(connectivity(A), 2))
+    for rep in _one_check_at_a_time(A, L, ed, PER_EIGENVALUE, alpha)[0]:
+        psi = ed.vectors[:, rep.eigen_id - 1]
+        sp = shift_potential(1.0 / L.u, rep.E)
+        rho = distance_from_set(build_metric(A, sp), sp.wells).dist
+        keep = (psi != 0.0) & (sp.v != 0.0)
+        terms = np.exp(2.0 * rate * rho[keep] + 2.0 * np.log(np.abs(psi[keep])))
+        ref = float(np.sum(terms * sp.v[keep]))
+        if rep.lhs_second > 1e-30:
+            assert abs(rep.lhs_second - ref) <= 1e-11 * rep.lhs_second
+
+
 def test_calibrated_large_partition():
     """Wide-band run pinned at calibration: 8 separated wells, audit passes."""
     A, _ = generate_band_ensemble(EnsembleConfig(n=1000, half_bandwidth=3, seed=1))
@@ -230,3 +301,23 @@ def test_calibrated_large_partition():
     assert part.axioms_hold
     assert part.s_achieved >= 2.0
     assert part.unassigned == frozenset()
+
+
+def test_verify_runs_one_dijkstra_per_eigenpair(tmp_path, monkeypatch):
+    """Both localization families of an eigenpair share one distance field."""
+    import scipy.sparse.csgraph as csgraph
+
+    real = csgraph.dijkstra
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", counted)
+    ens = EnsembleConfig(n=60, half_bandwidth=1, seed=5)
+    A, _ = generate_band_ensemble(ens)
+    summary = run_verification(A, ExperimentConfig(ensemble=ens, n_plot=0), tmp_path)
+    assert summary["exit_code"] == 0
+    assert summary["checks"]["general_localization"]["count"] == 60
+    assert len(calls) == 60

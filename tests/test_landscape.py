@@ -57,7 +57,7 @@ def test_solve_residual_contract_on_larger_draws():
 def test_reciprocal_potential_consistency():
     A, _ = generate_band_ensemble(EnsembleConfig(n=120, half_bandwidth=2, seed=6))
     L = solve_landscape(A)
-    assert np.abs(L.vbar - L.inv_u).max() <= 1e-8 * np.abs(L.vbar).max()
+    assert np.abs(L.vbar - 1.0 / L.u).max() <= 1e-8 * np.abs(L.vbar).max()
 
 
 def test_indefinite_matrix_rejected():
