@@ -23,7 +23,6 @@ import numpy as np
 from .agmon import _dijkstra, build_metric, distance_from_set, edge_weights
 from .landscape import LandscapeData, _shift, shift_potential
 from .matrices import (
-    NonPositiveLandscapeError,
     SparseSymMatrix,
     _index_mask,
     _write_csv,
@@ -166,16 +165,16 @@ def _log_weighted_sum(phi: np.ndarray, rho: np.ndarray, alpha: float, factor=Non
     return float(np.sum(terms))
 
 
-def _field(A: SparseSymMatrix, vbar, threshold: float, fields=None, in_excluded=None) -> tuple:
-    """(v, well mask, distances to the wells outside in_excluded) of vbar shifted at threshold.
+def _field(A: SparseSymMatrix, L, threshold: float, fields=None, in_excluded=None) -> tuple:
+    """(v, well mask, distances to the wells outside in_excluded) of L.vbar shifted at threshold.
 
     The distances are those of ``build_metric``'s metric, from one Dijkstra.
     ``fields`` memoizes the triple by threshold for checks of one matrix and
-    one vbar that exclude nothing.
+    one ``L`` (both passed with it) that exclude nothing.
     """
     if fields is not None and threshold in fields:
         return fields[threshold]
-    v, in_wells = _shift(vbar, threshold)
+    v, in_wells = _shift(L.vbar, threshold)
     in_source = in_wells if in_excluded is None else in_wells & ~in_excluded
     field = (v, in_wells, _dijkstra(A.pattern.values(edge_weights(A, v)), in_source))
     if fields is not None:
@@ -213,21 +212,21 @@ def check_landscape_localization(
     is W_c * max |a_ij| over all entries.  A ``fields`` dict shared by checks
     of A and this landscape computes each threshold's distances once.
     """
-    if not classify(A, compute_spectrum=False).is_z or np.any(L.u <= 0.0):
+    if not classify(A, compute_spectrum=False).is_z:
         raise ValueError("matrix is not an M-matrix with positive landscape")
     if not (1 <= j <= ed.n):
         raise ValueError(f"eigen index {j} outside [1, {ed.n}]")
     wc = _wc(A)
     alpha = 1.0 / math.sqrt(wc)
     E = float(ed.values[j - 1])
-    v, _, rho = _field(A, L.vbar, E, fields)
+    v, _, rho = _field(A, L, E, fields)
     lhs = _log_weighted_sum(ed.vectors[:, j - 1], rho, alpha, factor=v)
     return _report(j, E, E, alpha, 0.0, lhs, wc * A.max_abs_entry())
 
 
 def check_general_localization(
     A: SparseSymMatrix,
-    u,
+    L: LandscapeData,
     phi,
     E: float,
     ebar: float,
@@ -239,20 +238,17 @@ def check_general_localization(
 ) -> LocalizationReport:
     """Two-line localization bound for a (local) eigenvector phi of eigenvalue E.
 
-    Works for any symmetric Z-matrix with a strictly positive u; the potential
-    is vbar = (A u)/u, wells are taken at the threshold ebar, distances are
-    measured to wells minus the excluded set D (1-based indices in [1, n]),
-    and phi must vanish on D and satisfy the local eigen relation on its
-    complement (the caller's duty).
+    Works for any symmetric Z-matrix and landscape ``L`` of it (any positive u
+    via ``landscape_from_vector``); wells of L.vbar are taken at ebar,
+    distances are measured to wells minus the excluded set D (1-based indices
+    in [1, n]), and phi must vanish on D and satisfy the local eigen relation
+    on its complement (the caller's duty).
     Requires E <= ebar and 0 < alpha <= sqrt(2 / W_c).  ``fields`` is shared
     as in ``check_landscape_localization`` and is only read when D is empty.
     """
-    u = np.asarray(u, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if not classify(A, compute_spectrum=False).is_z:
         raise ValueError("matrix is not a Z-matrix")
-    if np.any(u <= 0.0):
-        raise NonPositiveLandscapeError("landscape not positive")
     if E > ebar:
         raise ValueError(f"eigenvalue E = {E} exceeds threshold ebar = {ebar}")
     wc = _wc(A)
@@ -260,7 +256,7 @@ def check_general_localization(
     E, ebar = float(E), float(ebar)
     in_excluded = _index_mask(A.n, D)
     memo = None if in_excluded.any() else fields  # it holds distances to whole well sets
-    v, in_wells, rho = _field(A, A.matvec(u) / u, ebar, memo, in_excluded)
+    v, in_wells, rho = _field(A, L, ebar, memo, in_excluded)
     in_rel = in_wells & ~in_excluded
     if not np.any(in_rel):
         raise EmptyWellSetError("empty relative well set")
@@ -366,24 +362,20 @@ def check_double_commutator_lemma(A: SparseSymMatrix, psi_diag, g, u) -> float:
     return diff
 
 
-def check_dc_corollary(A: SparseSymMatrix, u, phi, E: float, g) -> tuple[float, float, bool]:
+def check_dc_corollary(A: SparseSymMatrix, L, phi, E: float, g) -> tuple[float, float, bool]:
     """Weighted eigenvalue bound from the double-commutator argument.
 
-    For a Z-matrix A, positive u, a (local) eigenvector phi of eigenvalue E,
-    and a diagonal weight G:  sum of phi_k^2 G_k^2 (vbar_k - E) must not
-    exceed -1/2 sum over i != j of a_ij phi_i phi_j (G_i - G_j)^2.
+    For a Z-matrix A, a landscape ``L`` of it, a (local) eigenvector phi of
+    eigenvalue E, and a diagonal weight G:  sum of phi_k^2 G_k^2 (vbar_k - E)
+    must not exceed -1/2 sum over i != j of a_ij phi_i phi_j (G_i - G_j)^2.
     Returns (lhs, rhs, holds); the slack uses |rhs| so a negative right side
     is not tightened.
     """
-    u = np.asarray(u, dtype=float)
     phi = np.asarray(phi, dtype=float)
     g = np.asarray(g, dtype=float)
     if not classify(A, compute_spectrum=False).is_z:
         raise ValueError("matrix is not a Z-matrix")
-    if np.any(u <= 0.0):
-        raise NonPositiveLandscapeError("landscape not positive")
-    vbar = A.matvec(u) / u
-    lhs = float(np.sum(phi * phi * g * g * (vbar - float(E))))
+    lhs = float(np.sum(phi * phi * g * g * (L.vbar - float(E))))
     off_i, off_j, off_v = A.off_arrays()
     ii = off_i - 1
     jj = off_j - 1
@@ -392,14 +384,36 @@ def check_dc_corollary(A: SparseSymMatrix, u, phi, E: float, g) -> tuple[float, 
     return lhs, rhs, holds
 
 
-def _decoupling_bound(wc: int, a_max: float, delta: float, s: float, norm_sq: float) -> float:
-    decay = 0.0 if math.isinf(s) else math.exp(-2.0 * s / math.sqrt(wc))
-    return (wc * wc / delta**3) * a_max**3 * decay * norm_sq
-
-
-def _require_verified(part: WellPartition) -> None:
+def _decoupling(A, part, direction, region_id, values, vectors, j, delta, ebar, window, residual):
+    """Both decoupling directions; ``window`` and ``residual`` are each direction's own."""
     if not part.axioms_hold:
         raise ValueError("partition axioms unverified")
+    delta = float(delta)
+    if delta <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    value = float(values[j - 1])
+    if value > float(ebar) - delta:
+        kind = "eigenvalue" if region_id is None else "local eigenvalue"
+        raise ValueError(f"{kind} {value} exceeds ebar - delta = {float(ebar) - delta}")
+    vec = vectors[:, j - 1]
+    defect = vec - project(window(value - delta, value + delta), vec)
+    defect_sq = float(defect @ defect)
+    wc, s = _wc(A), part.s_achieved
+    decay = 0.0 if math.isinf(s) else math.exp(-2.0 * s / math.sqrt(wc))
+    bound = (wc * wc / delta**3) * A.max_abs_entry() ** 3 * decay * float(vec @ vec)
+    res = residual(vec, value)
+    return DecouplingReport(
+        direction=direction,
+        eigen_id=j,
+        region_id=region_id,
+        eigen_value=value,
+        delta=delta,
+        s_used=s,
+        residual_norm_sq=float(res @ res),
+        defect_sq=defect_sq,
+        bound=bound,
+        holds=defect_sq <= bound * (1.0 + REL_SLACK) + DEFECT_ABS_SLACK,
+    )
 
 
 def check_decoupling_local(
@@ -419,31 +433,10 @@ def check_decoupling_local(
     |phi|^2 with S the achieved separation.  The residual |A phi - mu phi|^2
     is recorded: it always dominates delta^2 times the defect.
     """
-    _require_verified(part)
-    delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    mu = float(local.values[j - 1])
-    if mu > float(ebar) - delta:
-        raise ValueError(f"local eigenvalue {mu} exceeds ebar - delta = {float(ebar) - delta}")
-    phi = local.vectors[:, j - 1]
-    window = global_projector(ed, mu - delta, mu + delta)
-    defect = phi - project(window, phi)
-    defect_sq = float(defect @ defect)
-    wc = _wc(A)
-    bound = _decoupling_bound(wc, A.max_abs_entry(), delta, part.s_achieved, float(phi @ phi))
-    residual = A.matvec(phi) - mu * phi
-    return DecouplingReport(
-        direction="local_to_global",
-        eigen_id=j,
-        region_id=local.region_id,
-        eigen_value=mu,
-        delta=delta,
-        s_used=part.s_achieved,
-        residual_norm_sq=float(residual @ residual),
-        defect_sq=defect_sq,
-        bound=bound,
-        holds=defect_sq <= bound * (1.0 + REL_SLACK) + DEFECT_ABS_SLACK,
+    return _decoupling(
+        A, part, "local_to_global", local.region_id, local.values, local.vectors, j, delta, ebar,
+        window=lambda lo, hi: global_projector(ed, lo, hi),
+        residual=lambda phi, mu: A.matvec(phi) - mu * phi,
     )
 
 
@@ -463,38 +456,21 @@ def check_decoupling_global(
     eigenvectors obeys the same bound.  The recorded residual is the summed
     block residual |sum_l (A|_l - lambda) psi|_l|^2.
     """
-    _require_verified(part)
-    delta = float(delta)
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    lam = float(ed.values[j - 1])
-    if lam > float(ebar) - delta:
-        raise ValueError(f"eigenvalue {lam} exceeds ebar - delta = {float(ebar) - delta}")
-    psi = ed.vectors[:, j - 1]
-    window = local_projector(locals_, lam - delta, lam + delta)
-    defect = psi - project(window, psi)
-    defect_sq = float(defect @ defect)
-    wc = _wc(A)
-    bound = _decoupling_bound(wc, A.max_abs_entry(), delta, part.s_achieved, float(psi @ psi))
 
-    residual = np.zeros(A.n, dtype=float)
-    for region in part.regions:
-        pos = np.array(sorted(region), dtype=np.int64) - 1
-        chunk = np.zeros(A.n, dtype=float)
-        chunk[pos] = psi[pos]
-        blocked = restrict(A, region)
-        residual += blocked.matvec(chunk) - lam * chunk
-    return DecouplingReport(
-        direction="global_to_local",
-        eigen_id=j,
-        region_id=None,
-        eigen_value=lam,
-        delta=delta,
-        s_used=part.s_achieved,
-        residual_norm_sq=float(residual @ residual),
-        defect_sq=defect_sq,
-        bound=bound,
-        holds=defect_sq <= bound * (1.0 + REL_SLACK) + DEFECT_ABS_SLACK,
+    def block_residual(psi, lam):
+        residual = np.zeros(A.n, dtype=float)
+        for region in part.regions:
+            pos = np.array(sorted(region), dtype=np.int64) - 1
+            chunk = np.zeros(A.n, dtype=float)
+            chunk[pos] = psi[pos]
+            blocked = restrict(A, region)
+            residual += blocked.matvec(chunk) - lam * chunk
+        return residual
+
+    return _decoupling(
+        A, part, "global_to_local", None, ed.values, ed.vectors, j, delta, ebar,
+        window=lambda lo, hi: local_projector(locals_, lo, hi),
+        residual=block_residual,
     )
 
 

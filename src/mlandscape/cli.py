@@ -17,6 +17,7 @@ import numpy as np
 
 from .experiment import (
     ExperimentConfig,
+    _preflight,
     dump_config,
     load_config,
     partition_stage,
@@ -127,8 +128,8 @@ def _outdir(cfg: ExperimentConfig) -> str:
     return cfg.out_dir
 
 
-def _write_generate_artifacts(cfg: ExperimentConfig, out: str) -> str:
-    A, shift = generate_band_ensemble(cfg.ensemble)
+def _write_generate_artifacts(cfg: ExperimentConfig, A, shift: float) -> str:
+    out = _outdir(cfg)
     matrix_path = os.path.join(out, "matrix.mtx")
     write_matrix(matrix_path, A)
     meta = {
@@ -147,7 +148,7 @@ def _write_generate_artifacts(cfg: ExperimentConfig, out: str) -> str:
 
 def _cmd_generate(args) -> int:
     cfg = _build_config(args)
-    path = _write_generate_artifacts(cfg, _outdir(cfg))
+    path = _write_generate_artifacts(cfg, *generate_band_ensemble(cfg.ensemble))
     print(f"wrote {path}")
     return 0
 
@@ -255,10 +256,10 @@ def _cmd_figures(args) -> int:
 
 def _cmd_report(args) -> int:
     cfg = _build_config(args)
-    out = _outdir(cfg)
-    matrix_path = _write_generate_artifacts(cfg, out)
-    A = read_matrix(matrix_path)
-    summary = run_verification(A, cfg, out)
+    A, shift = generate_band_ensemble(cfg.ensemble)
+    _preflight(A, cfg)  # a run that would be refused writes nothing
+    A = read_matrix(_write_generate_artifacts(cfg, A, shift))
+    summary = run_verification(A, cfg)
     for name, entry in summary["checks"].items():
         if "pass" in entry:
             mark = "pass" if entry["pass"] else "FAIL"

@@ -74,16 +74,17 @@ class ExperimentConfig:
     scatter_floor: float = 1e-17
 
     def __post_init__(self):
-        if isinstance(self.thresholds, (list, tuple, np.ndarray)):
+        if isinstance(self.thresholds, (list, tuple, np.ndarray)) and len(self.thresholds) > 0:
             for t in self.thresholds:
                 if not _is_real(t):
                     raise ValueError(f"thresholds must be numbers, got {t!r}")
                 if not math.isfinite(t):
                     raise ValueError(f"thresholds must be finite, got {t}")
             object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
-        elif self.thresholds != PER_EIGENVALUE:
+        elif not isinstance(self.thresholds, str) or self.thresholds != PER_EIGENVALUE:
             raise ValueError(
-                f"thresholds must be a list or {PER_EIGENVALUE!r}, got {self.thresholds!r}"
+                f"thresholds must be {PER_EIGENVALUE!r} or a non-empty list, "
+                f"got {self.thresholds!r}"
             )
         for name in ("s_requested", "delta", "alpha", "scatter_floor"):
             value = getattr(self, name)
@@ -112,7 +113,7 @@ class ExperimentConfig:
     def partition_threshold(self) -> float | None:
         if isinstance(self.thresholds, str):
             return None
-        return max(self.thresholds) if self.thresholds else None
+        return max(self.thresholds)
 
 
 def _config_dict(cfg: ExperimentConfig) -> dict:
@@ -202,6 +203,16 @@ def partition_stage(
     return build_partition(A, build_metric(A, sp), s_requested)
 
 
+def _preflight(A: SparseSymMatrix, cfg: ExperimentConfig) -> tuple[int, float]:
+    """(W_c, alpha) of a run of cfg on A; ValueError for a non-Z A or an alpha out of range."""
+    if not A.is_z:
+        raise ValueError("matrix is not a Z-matrix")
+    wc = max(connectivity(A), 2)
+    alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(1.0 / wc)
+    _checked_alpha(alpha, wc)
+    return wc, alpha
+
+
 def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) -> dict:
     """Full verifier sweep over one matrix; returns the summary dict.
 
@@ -210,9 +221,7 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     inequality holds and 2 otherwise; numerical failures raise instead.
     """
     out = str(out_dir if out_dir is not None else cfg.out_dir)
-    wc = max(connectivity(A), 2)
-    alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(1.0 / wc)
-    _checked_alpha(alpha, wc)  # an invalid alpha fails before any work
+    wc, alpha = _preflight(A, cfg)
     os.makedirs(out, exist_ok=True)
     summary: dict = {"n": A.n, "connectivity_floor": wc}
     checks: dict = {}
@@ -251,7 +260,7 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
         for ebar in ebars:
             try:
                 rep = check_general_localization(
-                    A, L.u, ed.vectors[:, j - 1], E, ebar, (), alpha, eigen_id=j, fields=memo
+                    A, L, ed.vectors[:, j - 1], E, ebar, (), alpha, eigen_id=j, fields=memo
                 )
             except EmptyWellSetError:
                 skipped += 1
@@ -299,7 +308,7 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     corollary_fails = []
     for j in range(1, A.n + 1):
         g = rng.standard_normal(A.n)
-        lhs, rhs, ok = check_dc_corollary(A, L.u, ed.vectors[:, j - 1], float(ed.values[j - 1]), g)
+        lhs, rhs, ok = check_dc_corollary(A, L, ed.vectors[:, j - 1], float(ed.values[j - 1]), g)
         if not ok:
             corollary_fails.append(j)
     checks["dc_corollary"] = {"pass": not corollary_fails, "count": A.n, "failures": corollary_fails}
@@ -323,22 +332,20 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
 
     if part is not None and part.axioms_hold:
         locals_ = [local_eig(A, reg, region_id=i) for i, reg in enumerate(part.regions)]
-        dec_reports = []
-        spectral_step_ok = True
         cut = part_ebar - cfg.delta
-        for i, loc in enumerate(locals_):
-            for j in range(1, loc.values.size + 1):
-                if loc.values[j - 1] <= cut:
-                    rep = check_decoupling_local(A, part, loc, ed, j, cfg.delta, part_ebar)
-                    dec_reports.append(rep)
-                    spectral_step_ok &= (
-                        rep.residual_norm_sq >= cfg.delta**2 * rep.defect_sq - 1e-25
-                    )
-        for j in range(1, A.n + 1):
-            if ed.values[j - 1] <= cut:
-                rep = check_decoupling_global(A, part, ed, locals_, j, cfg.delta, part_ebar)
-                dec_reports.append(rep)
-                spectral_step_ok &= rep.residual_norm_sq >= cfg.delta**2 * rep.defect_sq - 1e-25
+        dec_reports = [
+            check_decoupling_local(A, part, loc, ed, j, cfg.delta, part_ebar)
+            for loc in locals_
+            for j in range(1, loc.values.size + 1)
+            if loc.values[j - 1] <= cut
+        ] + [
+            check_decoupling_global(A, part, ed, locals_, j, cfg.delta, part_ebar)
+            for j in range(1, A.n + 1)
+            if ed.values[j - 1] <= cut
+        ]
+        spectral_step_ok = all(
+            r.residual_norm_sq >= cfg.delta**2 * r.defect_sq - 1e-25 for r in dec_reports
+        )
         dec_failures = [
             (r.direction, r.region_id, r.eigen_id) for r in dec_reports if not r.holds
         ]

@@ -34,13 +34,19 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class LandscapeData:
-    """Landscape vector u, effective potential vbar = (A u)/u, solve residual."""
+    """Landscape u (finite, > 0), potential vbar = (A u)/u of equal length, solve residual."""
 
     u: np.ndarray
     vbar: np.ndarray
     residual_inf: float
 
     def __post_init__(self):
+        if self.u.shape != self.vbar.shape:
+            raise ValueError(f"u and vbar lengths differ: {self.u.shape} vs {self.vbar.shape}")
+        if not np.all(np.isfinite(self.u)):
+            raise ValueError("u must be finite")
+        if np.any(self.u <= 0.0):
+            raise NonPositiveLandscapeError("landscape not positive")
         _frozen(self.u)
         _frozen(self.vbar)
 
@@ -84,9 +90,9 @@ def solve_landscape(A: SparseSymMatrix) -> LandscapeData:
     """Solve A u = 1 for a positive definite A and derive the potential.
 
     One pass of iterative refinement is applied if the residual exceeds
-    1e-10 * max(1, max |a_ij|).  A non-positive component of u is an error:
-    the landscape of an M-matrix is strictly positive, so a sign flip means
-    the input is outside the supported class.
+    1e-10 * max(1, max |a_ij|).  A non-positive component of u is an error
+    (raised by ``LandscapeData``): the landscape of an M-matrix is strictly
+    positive, so a sign flip means the input is outside the supported class.
     """
     ones = np.ones(A.n, dtype=float)
     u = _solve_spd(A, ones)
@@ -94,25 +100,16 @@ def solve_landscape(A: SparseSymMatrix) -> LandscapeData:
     residual = ones - A.matvec(u)
     if float(np.abs(residual).max()) > tol:
         u = u + _solve_spd(A, residual)
-        residual = ones - A.matvec(u)
-    if np.any(u <= 0.0):
-        raise NonPositiveLandscapeError("landscape not positive")
-    au = A.matvec(u)
-    return LandscapeData(u=u, vbar=au / u, residual_inf=float(np.abs(ones - au).max()))
+    return landscape_from_vector(A, u)
 
 
 def landscape_from_vector(A: SparseSymMatrix, u) -> LandscapeData:
-    """Wrap a user-supplied strictly positive u; vbar is recomputed from A."""
+    """Wrap a strictly positive u of length n; vbar and the residual are computed from A."""
     u = np.array(u, dtype=float)
-    if u.shape != (A.n,):
-        raise ValueError(f"u must have length {A.n}, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("u must be finite")
-    if np.any(u <= 0.0):
-        raise NonPositiveLandscapeError("landscape not positive")
     au = A.matvec(u)
-    residual = float(np.abs(1.0 - au).max())
-    return LandscapeData(u=u, vbar=au / u, residual_inf=residual)
+    with np.errstate(divide="ignore", invalid="ignore"):  # such a u is rejected below
+        vbar = au / u
+    return LandscapeData(u=u, vbar=vbar, residual_inf=float(np.abs(1.0 - au).max()))
 
 
 def _shift(vbar: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:

@@ -5,8 +5,8 @@ positive, ties resolved toward the lowest index.
 
 The dense solver leaves every entry with an absolute error of ~1e-16, so the
 exponentially small tails of localized eigenvectors drown in that floor.
-``eig_sym`` rebuilds them from the landscape of the matrix being decomposed:
-with u solving A u = 1 and vbar = (A u) / u, the barrier set
+``eig_sym`` rebuilds them from ``solve_landscape`` of the matrix being
+decomposed: with u solving A u = 1 and vbar = (A u) / u, the barrier set
 T = {k : vbar_k > lambda} of an eigenpair (lambda, psi) satisfies
 A_TT u_T >= vbar_T u_T > lambda u_T for a Z-matrix, so A_TT - lambda is a
 nonsingular M-matrix and the eigen equation restricted to T gives
@@ -34,9 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .landscape import _solve_spd
+from .landscape import solve_landscape
 from .matrices import (
     DENSE_EIGEN_LIMIT,
+    NonPositiveLandscapeError,
     NotPositiveDefiniteError,
     SparseSymMatrix,
     _frozen,
@@ -126,12 +127,9 @@ def _repair_tails(A: SparseSymMatrix, values: np.ndarray, vectors: np.ndarray) -
     if not A.is_z or bw == 0 or bw > max(1, n // 3):
         return 0, 0
     try:
-        u = _solve_spd(A, np.ones(n))
-    except NotPositiveDefiniteError:
+        vbar = solve_landscape(A).vbar
+    except (NotPositiveDefiniteError, NonPositiveLandscapeError):
         return 0, 0
-    if not np.all(u > 0.0):
-        return 0, 0
-    vbar = A.matvec(u) / u
     off_i, off_j, off_v = A.off_arrays()
     lo, hi = off_i - 1, off_j - 1
     repaired = failed = 0

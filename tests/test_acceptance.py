@@ -31,7 +31,12 @@ from mlandscape.checks import (
     check_general_localization,
     check_landscape_localization,
 )
-from mlandscape.landscape import ShiftedPotential, shift_potential, solve_landscape
+from mlandscape.landscape import (
+    ShiftedPotential,
+    landscape_from_vector,
+    shift_potential,
+    solve_landscape,
+)
 from mlandscape.matrices import (
     EnsembleConfig,
     SparseSymMatrix,
@@ -157,7 +162,7 @@ def test_criterion_02_general_bound_sweep(sweep):
                 for alpha in alphas:
                     try:
                         rep = check_general_localization(
-                            A, L.u, psi, E, ebar, (), alpha, eigen_id=j
+                            A, L, psi, E, ebar, (), alpha, eigen_id=j
                         )
                     except EmptyWellSetError:
                         skipped += 1
@@ -216,12 +221,12 @@ def test_criterion_03_identity_suite():
         a = -m
         np.fill_diagonal(a, rng.normal(size=n))
         A = SparseSymMatrix.from_dense(a)
-        u = np.abs(rng.normal(size=n)) + 0.1
+        L = landscape_from_vector(A, np.abs(rng.normal(size=n)) + 0.1)
         g = rng.normal(size=n)
         ed = eig_sym(A)
         for j in range(n):
             _, _, holds = check_dc_corollary(
-                A, u, ed.vectors[:, j], float(ed.values[j]), g
+                A, L, ed.vectors[:, j], float(ed.values[j]), g
             )
             pairs += 1
             if not holds:

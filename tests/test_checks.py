@@ -30,6 +30,7 @@ from mlandscape import (
     distance_from_set,
     eig_sym,
     generate_band_ensemble,
+    landscape_from_vector,
     local_eig,
     shift_potential,
     solve_landscape,
@@ -108,12 +109,12 @@ def test_landscape_bound_rejects_non_z_input():
 def test_shifted_bound_three_site_pinned_values():
     """Chain of 3 with the exact ground pair: every quantity is analytic."""
     A = chain(3)
-    u = np.array([1.5, 2.0, 1.5])  # A u = 1 exactly
+    L = landscape_from_vector(A, [1.5, 2.0, 1.5])  # A u = 1 exactly
     phi = np.array([0.5, math.sqrt(2.0) / 2.0, 0.5])
     E = 2.0 - math.sqrt(2.0)
     ebar = 0.6  # wells = {2} (vbar = (2/3, 1/2, 2/3)); both edges touch the well
     alpha = math.sqrt(0.5)
-    rep = check_general_localization(A, u, phi, E, ebar, frozenset(), alpha)
+    rep = check_general_localization(A, L, phi, E, ebar, frozenset(), alpha)
     # zero-weight edges make every distance zero, so the sums are bare
     v_edge = 2.0 / 3.0 - 0.6
     expect_second = (1.0 - alpha * alpha) * 2.0 * 0.25 * v_edge
@@ -130,7 +131,7 @@ def test_shifted_bound_critical_alpha_kills_second_term():
     ed = eig_sym(A)
     E = float(ed.values[0])
     rep = check_general_localization(
-        A, L.u, ed.vectors[:, 0], E, E + 0.2, frozenset(), 1.0
+        A, L, ed.vectors[:, 0], E, E + 0.2, frozenset(), 1.0
     )
     # W_c = 2: alpha = sqrt(2/W_c) = 1 makes the coefficient exactly zero
     assert rep.lhs_second == 0.0
@@ -143,7 +144,7 @@ def test_shifted_bound_at_threshold_equal_to_eigenvalue():
     ed = eig_sym(A)
     E = float(ed.values[2])
     rep = check_general_localization(
-        A, L.u, ed.vectors[:, 2], E, E, frozenset(), math.sqrt(0.5), eigen_id=3
+        A, L, ed.vectors[:, 2], E, E, frozenset(), math.sqrt(0.5), eigen_id=3
     )
     assert rep.lhs_first == 0.0
     assert rep.eigen_id == 3
@@ -161,7 +162,7 @@ def test_shifted_bound_small_sweep():
             for alpha in (math.sqrt(0.5), 1.0):
                 try:
                     rep = check_general_localization(
-                        A, L.u, ed.vectors[:, j - 1], E, ebar, frozenset(), alpha
+                        A, L, ed.vectors[:, j - 1], E, ebar, frozenset(), alpha
                     )
                 except EmptyWellSetError:
                     skipped += 1
@@ -172,27 +173,31 @@ def test_shifted_bound_small_sweep():
 
 def test_shifted_bound_validation():
     A = chain(3)
-    u = np.array([1.5, 2.0, 1.5])
+    L = landscape_from_vector(A, [1.5, 2.0, 1.5])
     phi = np.zeros(3)
     with pytest.raises(ValueError, match="exceeds threshold"):
-        check_general_localization(A, u, phi, 1.0, 0.5, frozenset(), 0.5)
+        check_general_localization(A, L, phi, 1.0, 0.5, frozenset(), 0.5)
     with pytest.raises(ValueError, match="alpha"):
-        check_general_localization(A, u, phi, 0.5, 0.6, frozenset(), 1.5)
+        check_general_localization(A, L, phi, 0.5, 0.6, frozenset(), 1.5)
     with pytest.raises(ValueError, match="alpha"):
-        check_general_localization(A, u, phi, 0.5, 0.6, frozenset(), 0.0)
+        check_general_localization(A, L, phi, 0.5, 0.6, frozenset(), 0.0)
     with pytest.raises(NonPositiveLandscapeError):
-        check_general_localization(A, [1.0, 0.0, 1.0], phi, 0.5, 0.6, frozenset(), 0.5)
+        check_general_localization(
+            A, landscape_from_vector(A, [1.0, 0.0, 1.0]), phi, 0.5, 0.6, frozenset(), 0.5
+        )
     bad = SparseSymMatrix.from_dense([[1.0, 0.5], [0.5, 1.0]])
     with pytest.raises(ValueError, match="not a Z-matrix"):
-        check_general_localization(bad, [1.0, 1.0], [0.0, 0.0], 0.5, 0.6, frozenset(), 0.5)
+        check_general_localization(
+            bad, landscape_from_vector(bad, [1.0, 1.0]), [0.0, 0.0], 0.5, 0.6, frozenset(), 0.5
+        )
 
 
 def test_shifted_bound_empty_relative_wells():
     A = chain(3)
-    u = np.array([1.5, 2.0, 1.5])
+    L = landscape_from_vector(A, [1.5, 2.0, 1.5])
     phi = np.array([0.5, 0.7, 0.5])
     with pytest.raises(EmptyWellSetError, match="empty relative well set"):
-        check_general_localization(A, u, phi, 0.5, 0.6, frozenset({2}), 0.5)
+        check_general_localization(A, L, phi, 0.5, 0.6, frozenset({2}), 0.5)
 
 
 def test_shifted_bound_handles_unreachable_zero_amplitude(blocks):
@@ -204,7 +209,7 @@ def test_shifted_bound_handles_unreachable_zero_amplitude(blocks):
     phi = loc.vectors[:, j - 1]
     ebar = 3.5  # wells in both blocks; exclude the second block's wells
     rep = check_general_localization(
-        A, L.u, phi, mu, ebar, frozenset({6, 7}), math.sqrt(0.5)
+        A, L, phi, mu, ebar, frozenset({6, 7}), math.sqrt(0.5)
     )
     assert math.isfinite(rep.lhs_first) and math.isfinite(rep.lhs_second)
     assert rep.holds
@@ -215,7 +220,7 @@ def test_shared_fields_serve_only_checks_without_exclusions(blocks):
     A, L, ed, part, locals_ = blocks
     phi = locals_[0].vectors[:, 0]
     mu = float(locals_[0].values[0])
-    args = (A, L.u, phi, mu, 3.5)
+    args = (A, L, phi, mu, 3.5)
     fields = {}
     excluded = check_general_localization(*args, frozenset({6, 7}), 0.5, fields=fields)
     assert fields == {}
@@ -372,8 +377,8 @@ def test_identity_checks_reject_bad_vectors(bad, message):
 
 def test_corollary_single_support_is_tight():
     A = SparseSymMatrix(3, [3.0, 1.0, 2.0])
-    u = solve_landscape(A).u
-    lhs, rhs, holds = check_dc_corollary(A, u, [0.0, 1.0, 0.0], 1.0, [2.0, -1.0, 0.5])
+    L = solve_landscape(A)
+    lhs, rhs, holds = check_dc_corollary(A, L, [0.0, 1.0, 0.0], 1.0, [2.0, -1.0, 0.5])
     assert lhs == 0.0 and rhs == 0.0 and holds
 
 
@@ -383,7 +388,7 @@ def test_corollary_on_eigenvectors_with_constant_weight():
     ed = eig_sym(A)
     for j in range(1, 51):
         lhs, rhs, holds = check_dc_corollary(
-            A, L.u, ed.vectors[:, j - 1], float(ed.values[j - 1]), np.full(50, 3.0)
+            A, L, ed.vectors[:, j - 1], float(ed.values[j - 1]), np.full(50, 3.0)
         )
         assert rhs == 0.0
         assert holds
@@ -396,7 +401,7 @@ def test_corollary_on_eigenvectors_with_random_weights():
     rng = np.random.default_rng(0)
     for j in range(1, 51):
         _, _, holds = check_dc_corollary(
-            A, L.u, ed.vectors[:, j - 1], float(ed.values[j - 1]), rng.standard_normal(50)
+            A, L, ed.vectors[:, j - 1], float(ed.values[j - 1]), rng.standard_normal(50)
         )
         assert holds
 
@@ -404,10 +409,10 @@ def test_corollary_on_eigenvectors_with_random_weights():
 def test_corollary_validation():
     bad = SparseSymMatrix.from_dense([[1.0, 0.5], [0.5, 1.0]])
     with pytest.raises(ValueError, match="not a Z-matrix"):
-        check_dc_corollary(bad, [1.0, 1.0], [1.0, 0.0], 0.5, [1.0, 1.0])
+        check_dc_corollary(bad, landscape_from_vector(bad, [1.0, 1.0]), [1.0, 0.0], 0.5, [1.0, 1.0])
     A = chain(2)
     with pytest.raises(NonPositiveLandscapeError):
-        check_dc_corollary(A, [1.0, -1.0], [1.0, 0.0], 0.5, [1.0, 1.0])
+        check_dc_corollary(A, landscape_from_vector(A, [1.0, -1.0]), [1.0, 0.0], 0.5, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------- decoupling
@@ -565,7 +570,7 @@ def test_localization_holds_for_every_eigenpair_at_bandwidth_two(n, seed):
         for alpha in alphas:
             try:
                 rep = check_general_localization(
-                    A, L.u, ed.vectors[:, j - 1], E, E, frozenset(), alpha, eigen_id=j
+                    A, L, ed.vectors[:, j - 1], E, E, frozenset(), alpha, eigen_id=j
                 )
             except EmptyWellSetError:
                 continue

@@ -18,6 +18,15 @@ INDEFINITE_MTX = """\
 2 1 -2.0
 """
 
+# positive definite (eigenvalues 0.5 and 1.5) but not a Z-matrix
+NON_Z_MTX = """\
+%%MatrixMarket matrix coordinate real symmetric
+2 2 3
+1 1 1.0
+2 2 1.0
+2 1 0.5
+"""
+
 
 @pytest.fixture(scope="module")
 def mat(tmp_path_factory):
@@ -154,6 +163,40 @@ def test_verify_rejects_out_of_range_alpha_before_any_work(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: alpha must lie in (0, sqrt(2/W_c)], got 5.0")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_report_rejects_out_of_range_alpha_before_writing_the_matrix(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["report", "--n", "40", "--seed", "3", "--alpha", "5", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha must lie in (0, sqrt(2/W_c)], got 5.0")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_rejects_non_z_matrix_before_any_work(tmp_path, capsys):
+    path = tmp_path / "non_z.mtx"
+    path.write_text(NON_Z_MTX)
+    out = tmp_path / "out"
+    rc = main(["verify", str(path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix is not a Z-matrix")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_rejects_empty_threshold_list_before_any_work(mat, tmp_path, capsys):
+    path, _ = mat
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text('{"thresholds": []}\n')
+    out = tmp_path / "out"
+    rc = main(["verify", path, "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: thresholds must be 'per-eigenvalue' or a non-empty list")
     assert not out.exists()
 
 

@@ -12,6 +12,7 @@ from mlandscape import (
     EmptyWellSetError,
     EnsembleConfig,
     ExperimentConfig,
+    SparseSymMatrix,
     build_metric,
     build_partition,
     check_general_localization,
@@ -239,7 +240,7 @@ def _one_check_at_a_time(A, L, ed, thresholds, alpha):
             try:
                 general.append(
                     check_general_localization(
-                        A, L.u, ed.vectors[:, j - 1], E, ebar, frozenset(), alpha, eigen_id=j
+                        A, L, ed.vectors[:, j - 1], E, ebar, frozenset(), alpha, eigen_id=j
                     )
                 )
             except EmptyWellSetError:
@@ -321,3 +322,20 @@ def test_verify_runs_one_dijkstra_per_eigenpair(tmp_path, monkeypatch):
     assert summary["exit_code"] == 0
     assert summary["checks"]["general_localization"]["count"] == 60
     assert len(calls) == 60
+
+
+def test_verify_forms_vbar_once_per_landscape(tmp_path, monkeypatch):
+    """No check re-derives vbar from u: the matvec count stays below n."""
+    ens = EnsembleConfig(n=60, half_bandwidth=1, seed=1)
+    A, _ = generate_band_ensemble(ens)
+    real = SparseSymMatrix.matvec
+    calls = []
+
+    def counted(self, x):
+        calls.append(1)
+        return real(self, x)
+
+    monkeypatch.setattr(SparseSymMatrix, "matvec", counted)
+    summary = run_verification(A, ExperimentConfig(ensemble=ens, n_plot=0), tmp_path)
+    assert summary["checks"]["dc_corollary"]["count"] == 60
+    assert len(calls) < 60

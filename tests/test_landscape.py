@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mlandscape import (
     EnsembleConfig,
+    LandscapeData,
     NonPositiveLandscapeError,
     NotPositiveDefiniteError,
     SparseSymMatrix,
@@ -84,6 +85,22 @@ def test_landscape_from_vector():
         landscape_from_vector(A, [1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="finite"):
         landscape_from_vector(A, [1.0, float("inf")])
+
+
+@pytest.mark.parametrize(
+    "u, error",
+    [
+        ([1.0, 0.0], NonPositiveLandscapeError),
+        ([1.0, -0.5], NonPositiveLandscapeError),
+        ([1.0, float("nan")], ValueError),
+        ([1.0, float("inf")], ValueError),
+        ([1.0, 1.0, 1.0], ValueError),
+    ],
+)
+def test_landscape_data_enforces_its_invariant(u, error):
+    """u and vbar of equal length, u finite and strictly positive, whoever builds it."""
+    with pytest.raises(error):
+        LandscapeData(u=np.array(u), vbar=np.ones(2), residual_inf=0.0)
 
 
 # ---------------------------------------------------------------- shift
