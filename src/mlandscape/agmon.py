@@ -5,9 +5,10 @@ edge {i, j} is ln(1 + sqrt(sqrt(v_i v_j) / |a_ij|)).  Distances are shortest
 path sums (a pseudo-metric: weights vanish wherever the potential does), with
 +inf for unreachable targets and for distances to an empty set.
 
-A metric is a weight vector over a ``CsrPattern``: ``build_metric`` reuses the
-matrix's cached pattern, so a metric per eigenpair costs one vector of
-weights.  Distances come from ``scipy.sparse.csgraph.dijkstra`` on that graph
+A metric is its matrix plus one weight per stored off-diagonal pair, in the
+order of ``off_arrays()``.  Its graph is the matrix's cached ``CsrPattern``
+with those weights, so a metric per eigenpair costs one vector of weights.
+Distances come from ``scipy.sparse.csgraph.dijkstra`` on that graph
 (directed, since the pattern stores both orientations of every edge, with
 ``min_only`` over the source set); explicit zero weights stay edges.
 
@@ -30,7 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .landscape import ShiftedPotential
-from .matrices import CsrPattern, SparseSymMatrix, _frozen, _index_mask, _write_csv
+from .matrices import SparseSymMatrix, _frozen, _index_mask, _write_csv
 
 __all__ = [
     "AgmonMetric",
@@ -53,34 +54,28 @@ INF = float("inf")
 class AgmonMetric:
     """Weighted graph of the pseudo-metric; provenance records the potential.
 
-    ``pattern`` is the CSR layout of the edge arrays; when omitted it is
-    built from them.
+    ``edge_w[k]`` is the weight of pair k of ``matrix.off_arrays()``.
     """
 
-    n: int
-    threshold: float
-    edge_i: np.ndarray
-    edge_j: np.ndarray
+    matrix: SparseSymMatrix
     edge_w: np.ndarray
     provenance: ShiftedPotential
-    pattern: CsrPattern | None = field(default=None, repr=False)
     _graph: "scipy.sparse.csr_array" = field(init=False, repr=False)
 
     def __post_init__(self):
-        _frozen(self.edge_i)
-        _frozen(self.edge_j)
+        if self.edge_w.shape != (self.matrix.off_count,):
+            raise ValueError(f"{self.edge_w.size} weights for {self.matrix.off_count} pairs")
         _frozen(self.edge_w)
-        if self.pattern is None:
-            object.__setattr__(self, "pattern", CsrPattern.build(self.n, self.edge_i, self.edge_j))
-        object.__setattr__(self, "_graph", self.pattern.values(self.edge_w))
+        object.__setattr__(self, "_graph", self.matrix.pattern.values(self.edge_w))
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield (i, j, weight) with i < j, lexicographic."""
-        for i, j, w in zip(self.edge_i, self.edge_j, self.edge_w):
+        off_i, off_j, _ = self.matrix.off_arrays()
+        for i, j, w in zip(off_i, off_j, self.edge_w):
             yield int(i), int(j), float(w)
 
     def edge_weight(self, i: int, j: int) -> float:
-        k = self.pattern.slot(i, j) if i != j else -1
+        k = self.matrix.pattern.slot(i, j) if i != j else -1
         if k < 0:
             raise KeyError(f"no edge between {i} and {j}")
         return float(self._graph.data[k])
@@ -105,7 +100,7 @@ class DistanceField:
     def predecessor(self) -> np.ndarray:
         """0-based canonical predecessor of each index; -1 at sources and unreachable ones."""
         g, dist, n = self.metric._graph, self.dist, self.dist.size
-        tail = self.metric.pattern.rows
+        tail = self.metric.matrix.pattern.rows
         head = g.indices
         tight = (tail != head) & np.isfinite(dist[tail]) & (dist[tail] + g.data == dist[head])
         hop_graph = g.copy()
@@ -141,16 +136,7 @@ def build_metric(A: SparseSymMatrix, sp: ShiftedPotential) -> AgmonMetric:
     """Agmon metric of (A, v): weight(i,j) = ln(1 + sqrt(sqrt(v_i v_j)/|a_ij|))."""
     if sp.v.shape != (A.n,):
         raise ValueError(f"potential has length {sp.v.shape[0]}, matrix has n = {A.n}")
-    off_i, off_j, _ = A.off_arrays()
-    return AgmonMetric(
-        n=A.n,
-        threshold=sp.threshold,
-        edge_i=off_i,
-        edge_j=off_j,
-        edge_w=edge_weights(A, sp.v),
-        provenance=sp,
-        pattern=A.pattern,
-    )
+    return AgmonMetric(matrix=A, edge_w=edge_weights(A, sp.v), provenance=sp)
 
 
 def _dijkstra(graph, in_source: np.ndarray) -> np.ndarray:
@@ -165,21 +151,21 @@ def _dijkstra(graph, in_source: np.ndarray) -> np.ndarray:
 
 def distance_from_set(m: AgmonMetric, sources: Iterable[int]) -> DistanceField:
     """Multi-source shortest-path distances; an empty source set gives all +inf."""
-    in_source = _index_mask(m.n, sources)
+    in_source = _index_mask(m.matrix.n, sources)
     src = frozenset((np.flatnonzero(in_source) + 1).tolist())
     return DistanceField(source=src, dist=_dijkstra(m._graph, in_source), metric=m)
 
 
 def pairwise_distance(m: AgmonMetric, i: int, j: int) -> float:
     """rho(i, j); 0 on the diagonal, +inf when j is unreachable from i."""
-    _index_mask(m.n, [i, j])
+    _index_mask(m.matrix.n, [i, j])
     return float(distance_from_set(m, [i]).dist[j - 1])
 
 
 def set_distance(m: AgmonMetric, K: Iterable[int], M: Iterable[int]) -> float:
     """rho(K, M) = inf over pairs; +inf when either set is empty."""
-    in_k = _index_mask(m.n, K)
-    in_m = _index_mask(m.n, M)
+    in_k = _index_mask(m.matrix.n, K)
+    in_m = _index_mask(m.matrix.n, M)
     if not in_k.any() or not in_m.any():
         return INF
     return float(distance_from_set(m, np.flatnonzero(in_m) + 1).dist[in_k].min())
@@ -235,4 +221,5 @@ def write_distance_csv(path, field_: DistanceField) -> None:
 
 def write_edges_csv(path, m: AgmonMetric) -> None:
     """CSV with header i,j,weight listing each edge once (i < j)."""
-    _write_csv(path, ["i", "j", "weight"], m.edge_i, m.edge_j, m.edge_w)
+    off_i, off_j, _ = m.matrix.off_arrays()
+    _write_csv(path, ["i", "j", "weight"], off_i, off_j, m.edge_w)

@@ -165,6 +165,12 @@ def _log_weighted_sum(phi: np.ndarray, rho: np.ndarray, alpha: float, factor=Non
     return float(np.sum(terms))
 
 
+def _require_landscape_of(A: SparseSymMatrix, L) -> None:
+    """ValueError unless the landscape ``L`` has one entry per index of A."""
+    if L.u.size != A.n:
+        raise ValueError(f"landscape has length {L.u.size}, matrix has n = {A.n}")
+
+
 def _field(A: SparseSymMatrix, L, threshold: float, fields=None, in_excluded=None) -> tuple:
     """(v, well mask, distances to the wells outside in_excluded) of L.vbar shifted at threshold.
 
@@ -172,6 +178,7 @@ def _field(A: SparseSymMatrix, L, threshold: float, fields=None, in_excluded=Non
     ``fields`` memoizes the triple by threshold for checks of one matrix and
     one ``L`` (both passed with it) that exclude nothing.
     """
+    _require_landscape_of(A, L)
     if fields is not None and threshold in fields:
         return fields[threshold]
     v, in_wells = _shift(L.vbar, threshold)
@@ -375,6 +382,7 @@ def check_dc_corollary(A: SparseSymMatrix, L, phi, E: float, g) -> tuple[float, 
     g = np.asarray(g, dtype=float)
     if not classify(A, compute_spectrum=False).is_z:
         raise ValueError("matrix is not a Z-matrix")
+    _require_landscape_of(A, L)
     lhs = float(np.sum(phi * phi * g * g * (L.vbar - float(E))))
     off_i, off_j, off_v = A.off_arrays()
     ii = off_i - 1

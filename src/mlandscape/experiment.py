@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .agmon import build_metric
 from .checks import (
     EmptyWellSetError,
     _checked_alpha,
+    _wc,
     agmon_scatter,
     check_commutator_identity,
     check_counting,
@@ -38,7 +39,6 @@ from .matrices import (
     _is_real,
     _json_value,
     _write_json,
-    connectivity,
 )
 from .partition import WellPartition, build_partition, write_partition_json
 from .spectral import eig_sym, local_eig, write_eigenvalues_csv
@@ -116,39 +116,10 @@ class ExperimentConfig:
         return max(self.thresholds)
 
 
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    ens = cfg.ensemble
-    return {
-        "ensemble": {
-            "n": ens.n,
-            "half_bandwidth": ens.half_bandwidth,
-            "epsilon": ens.epsilon,
-            "seed": ens.seed,
-        },
-        "thresholds": cfg.thresholds if isinstance(cfg.thresholds, str) else list(cfg.thresholds),
-        "s_requested": cfg.s_requested,
-        "delta": cfg.delta,
-        "alpha": cfg.alpha,
-        "n_plot": cfg.n_plot,
-        "out_dir": cfg.out_dir,
-        "scatter_floor": cfg.scatter_floor,
-    }
-
-
 def _config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
-    known = {
-        "ensemble",
-        "thresholds",
-        "s_requested",
-        "delta",
-        "alpha",
-        "n_plot",
-        "out_dir",
-        "scatter_floor",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(data)
@@ -178,15 +149,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def dump_config(path, cfg: ExperimentConfig) -> None:
-    _write_json(path, _config_dict(cfg))
-
-
-def report_dict(report) -> dict:
-    """A report dataclass as a JSON-ready dict (inf serialized as "inf")."""
-    out = {}
-    for name in report.__dataclass_fields__:
-        out[name] = _json_value(getattr(report, name))
-    return out
+    _write_json(path, asdict(cfg))
 
 
 def partition_stage(
@@ -207,7 +170,7 @@ def _preflight(A: SparseSymMatrix, cfg: ExperimentConfig) -> tuple[int, float]:
     """(W_c, alpha) of a run of cfg on A; ValueError for a non-Z A or an alpha out of range."""
     if not A.is_z:
         raise ValueError("matrix is not a Z-matrix")
-    wc = max(connectivity(A), 2)
+    wc = _wc(A)
     alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(1.0 / wc)
     _checked_alpha(alpha, wc)
     return wc, alpha
@@ -272,7 +235,7 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
         "count": len(reports),
         "failures": failures,
     }
-    _write_json(os.path.join(out, "landscape_localization.json"), [report_dict(r) for r in reports])
+    _write_json(os.path.join(out, "landscape_localization.json"), reports)
 
     gen_failures = [(r.eigen_id, r.threshold) for r in gen_reports if not r.holds]
     checks["general_localization"] = {
@@ -282,9 +245,7 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
         "failures": gen_failures,
         "alpha": alpha,
     }
-    _write_json(
-        os.path.join(out, "general_localization.json"), [report_dict(r) for r in gen_reports]
-    )
+    _write_json(os.path.join(out, "general_localization.json"), gen_reports)
 
     # identity spot checks with seed-derived randomness
     rng = np.random.default_rng(np.random.SeedSequence(cfg.ensemble.seed, spawn_key=(2**31,)))
@@ -355,13 +316,13 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
             "failures": dec_failures,
             "spectral_step_pass": spectral_step_ok,
         }
-        _write_json(os.path.join(out, "decoupling.json"), [report_dict(r) for r in dec_reports])
+        _write_json(os.path.join(out, "decoupling.json"), dec_reports)
 
         cr = check_counting(
             ed, locals_, cfg.delta, part_ebar, part.s_achieved, wc, A.max_abs_entry()
         )
         checks["counting"] = {"pass": cr.all_hold, "nbar": cr.nbar}
-        _write_json(os.path.join(out, "counting.json"), report_dict(cr))
+        _write_json(os.path.join(out, "counting.json"), cr)
 
     # scatter data for the first few eigenvectors
     written = 0

@@ -4,6 +4,10 @@ The landscape vector u solves A u = 1 (componentwise ones).  Every verifier
 uses the effective potential ``vbar = (A u) / u`` of the recovered u: the
 paper's Z-matrix theorem holds exactly for the ratio potential of whatever
 positive u is used, while ``1 / u`` equals vbar only when the solve is exact.
+
+The solve is a banded Cholesky factorization (``scipy.linalg.solveh_banded``)
+of the band storage ``matrices._upper_band`` builds, the same storage the tail
+repair in ``spectral`` factors with its own driver.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .matrices import (
     SparseSymMatrix,
     _frozen,
     _index_mask,
+    _upper_band,
     _write_csv,
 )
 
@@ -67,21 +72,11 @@ class ShiftedPotential:
         _frozen(self.v)
 
 
-def _band_upper(A: SparseSymMatrix, bw: int) -> np.ndarray:
-    """Upper band storage (scipy solveh_banded layout) of a banded matrix."""
-    n = A.n
-    ab = np.zeros((bw + 1, n), dtype=float)
-    ab[bw, :] = A.diag
-    off_i, off_j, off_v = A.off_arrays()
-    # entry (i, j) with i < j sits at ab[bw + i - j, j - 1] in 0-based columns
-    ab[bw + (off_i - off_j), off_j - 1] = off_v
-    return ab
-
-
 def _solve_spd(A: SparseSymMatrix, rhs: np.ndarray) -> np.ndarray:
     """Banded Cholesky solve at the matrix's own bandwidth."""
+    band = _upper_band(A, np.ones(A.n, dtype=bool), 0.0)
     try:
-        return scipy.linalg.solveh_banded(_band_upper(A, A.bandwidth()), rhs, lower=False)
+        return scipy.linalg.solveh_banded(band, rhs, lower=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("not positive definite") from exc
 

@@ -6,12 +6,17 @@ diagonal is stored explicitly for every index (zeros included); off-diagonal
 entries are stored once per unordered pair {i, j} and must be non-zero, as
 three arrays (i, j, value) with i < j in lexicographic order.
 
-Every graph routine and the matrix-vector product run on one CSR layout of
-that pattern, built once per matrix and cached (``CsrPattern``).  Row r of the
-layout holds r itself, then its upper neighbours (j > r) ascending, then its
-lower neighbours (j < r) ascending.  ``matvec`` sums each row left to right in
-exactly that order; the bits of every artifact derived from A x rest on it.
-Instances are immutable after construction.
+Every graph routine, Agmon metric and the matrix-vector product run on one CSR
+layout of that pattern, built once per matrix and cached (``CsrPattern``).  Row
+r of the layout holds r itself, then its upper neighbours (j > r) ascending,
+then its lower neighbours (j < r) ascending.  ``matvec`` sums each row left to
+right in exactly that order; the bits of every artifact derived from A x rest
+on it.  Instances are immutable after construction.
+
+This module alone turns a matrix into a derived structure: the CSR layout,
+``restrict``, the relabelled principal submatrix ``_submatrix`` and the LAPACK
+band storage ``_upper_band`` of a masked, shifted A.  The last three take the
+pairs with both ends in a mask from ``_pairs_inside``.
 
 Every CSV and JSON artifact of the package is written by ``_write_csv`` and
 ``_write_json`` below, so the artifact format is decided in this module alone.
@@ -26,7 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -99,7 +104,8 @@ def _is_real(x) -> bool:
 
 def _json_value(x):
     """``x`` made JSON-ready: floats through ``_encode_float``, numpy scalars and
-    arrays as Python values, sets as sorted lists, tuples as lists."""
+    arrays as Python values, sets as sorted lists, tuples as lists, dataclass
+    instances (the reports) as dicts of their fields."""
     if isinstance(x, (float, np.floating)):
         return _encode_float(x)
     if isinstance(x, (np.integer,)):
@@ -112,6 +118,8 @@ def _json_value(x):
         return [_json_value(v) for v in x]
     if isinstance(x, dict):
         return {k: _json_value(v) for k, v in x.items()}
+    if is_dataclass(x) and not isinstance(x, type):
+        return {f.name: _json_value(getattr(x, f.name)) for f in fields(x)}
     return x
 
 
@@ -213,7 +221,8 @@ class SparseSymMatrix:
     """
 
     __slots__ = (
-        "_n", "_diag", "_off_i", "_off_j", "_off_v", "_pattern", "_csr", "_is_z", "_connectivity"
+        "_n", "_diag", "_off_i", "_off_j", "_off_v", "_ends", "_bandwidth",
+        "_pattern", "_csr", "_is_z", "_connectivity",
     )
 
     def __init__(self, n: int, diag, off_entries: Iterable[tuple] = ()):
@@ -252,6 +261,8 @@ class SparseSymMatrix:
         self._off_i = _frozen(lo)
         self._off_j = _frozen(hi)
         self._off_v = _frozen(v)
+        self._ends = (_frozen(lo - 1), _frozen(hi - 1))  # 0-based, for masks over positions
+        self._bandwidth = int(np.max(hi - lo, initial=0))
         self._pattern = None
         self._csr = None
         self._is_z = None
@@ -333,8 +344,7 @@ class SparseSymMatrix:
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self._n, self._n), dtype=float)
         np.fill_diagonal(out, self._diag)
-        ii = self._off_i - 1
-        jj = self._off_j - 1
+        ii, jj = self._ends
         out[ii, jj] = self._off_v
         out[jj, ii] = self._off_v
         return out
@@ -366,9 +376,7 @@ class SparseSymMatrix:
 
     def bandwidth(self) -> int:
         """max |i - j| over stored off-diagonal entries, 0 if none."""
-        if not self._off_v.size:
-            return 0
-        return int(np.max(self._off_j - self._off_i))
+        return self._bandwidth
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseSymMatrix):
@@ -523,6 +531,16 @@ def generate_band_ensemble(cfg: EnsembleConfig) -> tuple[SparseSymMatrix, float]
     return shift_to_epsilon(base, cfg.epsilon)
 
 
+def _pairs_inside(A: SparseSymMatrix, keep: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(lo, hi, value) of the off-diagonal pairs with both ends where ``keep`` holds.
+
+    lo and hi are 0-based positions, lo < hi; the pairs keep their stored order.
+    """
+    lo, hi = A._ends
+    both = keep[lo] & keep[hi]
+    return lo[both], hi[both], A._off_v[both]
+
+
 def restrict(A: SparseSymMatrix, subset: Iterable[int]) -> SparseSymMatrix:
     """Principal restriction I_M A I_M, keeping the full dimension.
 
@@ -530,10 +548,33 @@ def restrict(A: SparseSymMatrix, subset: Iterable[int]) -> SparseSymMatrix:
     (the diagonal included) becomes zero.
     """
     keep = _index_mask(A.n, subset)
-    off_i, off_j, off_v = A.off_arrays()
-    both = keep[off_i - 1] & keep[off_j - 1]
-    off = np.column_stack((off_i[both], off_j[both], off_v[both]))
+    lo, hi, v = _pairs_inside(A, keep)
+    off = np.column_stack((lo + 1, hi + 1, v))
     return SparseSymMatrix(A.n, np.where(keep, A.diag, 0.0), off)
+
+
+def _submatrix(A: SparseSymMatrix, keep: np.ndarray) -> SparseSymMatrix:
+    """A restricted to the positions where the boolean ``keep`` holds, relabelled 1..m."""
+    local = np.cumsum(keep)  # 1-based local index at every kept position
+    lo, hi, v = _pairs_inside(A, keep)
+    off = np.column_stack((local[lo], local[hi], v))
+    return SparseSymMatrix(int(local[-1]), A.diag[keep], off)
+
+
+def _upper_band(A: SparseSymMatrix, keep: np.ndarray, shift: float) -> np.ndarray:
+    """A_keep,keep - shift I in LAPACK upper band storage at A's bandwidth.
+
+    Entry (r, c), r <= c, of the kept block sits at row bw + r - c, column c.
+    Dropping positions never widens the band, so the block fits.
+    """
+    bw = A.bandwidth()
+    rank = np.cumsum(keep) - 1  # 0-based position in the block of every kept position
+    lo, hi, v = _pairs_inside(A, keep)
+    band = np.zeros((bw + 1, int(rank[-1]) + 1), dtype=float)
+    band[bw] = A.diag[keep] - shift
+    r, c = rank[lo], rank[hi]
+    band[bw + r - c, c] = v
+    return band
 
 
 def write_matrix(path, A: SparseSymMatrix) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agmon import AgmonMetric, INF, distance_from_set, inner_boundary
-from .matrices import SparseSymMatrix, _index_mask, _json_value, _write_json
+from .matrices import SparseSymMatrix, _index_mask, _json_value, _submatrix, _write_json
 
 __all__ = [
     "WellPartition",
@@ -61,19 +61,16 @@ def well_components(A: SparseSymMatrix, wells) -> list[frozenset[int]]:
 
     Components are ordered by their smallest member.
     """
-    import scipy.sparse  # deferred, see the matrices module docstring
-    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.csgraph import connected_components  # deferred, see matrices
 
     inside = _index_mask(A.n, wells)
-    off_i, off_j, _ = A.off_arrays()
-    both = inside[off_i - 1] & inside[off_j - 1]
-    graph = scipy.sparse.csr_array(
-        (np.ones(int(both.sum())), (off_i[both] - 1, off_j[both] - 1)), shape=(A.n, A.n)
-    )
-    _, label = connected_components(graph, directed=False)
+    if not inside.any():
+        return []
+    sub = _submatrix(A, inside)
+    _, label = connected_components(sub.pattern.values(np.ones(sub.off_count)), directed=False)
     groups: dict[int, list[int]] = {}
-    for k in np.flatnonzero(inside).tolist():
-        groups.setdefault(int(label[k]), []).append(k + 1)
+    for k, lab in zip(np.flatnonzero(inside).tolist(), label.tolist()):
+        groups.setdefault(lab, []).append(k + 1)
     return [frozenset(g) for g in groups.values()]
 
 

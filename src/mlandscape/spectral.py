@@ -13,7 +13,10 @@ nonsingular M-matrix and the eigen equation restricted to T gives
 
     psi_T = -(A_TT - lambda)^{-1} A_{T,T^c} psi_{T^c},
 
-one banded Cholesky solve per eigenpair.  The inverse of an M-matrix is
+one banded Cholesky solve per eigenpair.  It factors A_TT - lambda in the
+band storage that ``matrices._upper_band`` builds at A's bandwidth, the
+builder behind the landscape solve too; each keeps its own LAPACK driver
+(``dpbsv`` here, ``solveh_banded`` there).  The inverse of an M-matrix is
 entrywise non-negative, so constant-sign data meets no cancellation and the
 rebuilt entries keep relative accuracy however deep the decay runs.  The repair
 applies to Z-matrices whose bandwidth is at most max(1, n // 3) and whose
@@ -25,6 +28,9 @@ Its one limit: entries of T^c keep the dense solver's absolute accuracy
 (or its exact zeros), so where psi is tiny on T^c, far from its own well,
 the T entries beyond them follow that data.  Verifiers that weight tail
 entries by exp(2 alpha rho) rely on the repair.
+
+``local_eig`` decomposes the relabelled principal submatrix
+(``matrices._submatrix``) of its domain the same way.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ from .matrices import (
     SparseSymMatrix,
     _frozen,
     _index_mask,
+    _submatrix,
+    _upper_band,
     _write_csv,
 )
 
@@ -118,9 +126,9 @@ def _repair_tails(A: SparseSymMatrix, values: np.ndarray, vectors: np.ndarray) -
 
     For eigenpair k with T = {vbar > values[k]} neither empty nor everything,
     psi_T is overwritten by the solution of (A_TT - lambda) psi_T =
-    -(A psi 1_{T^c})_T in compressed band storage (the bandwidth of A_TT never
-    exceeds A's) and the column is renormalized.  Returns (repaired, failed);
-    a failed column keeps its dense values.
+    -(A psi 1_{T^c})_T in the band storage of ``_upper_band`` and the column
+    is renormalized.  Returns (repaired, failed); a failed column keeps its
+    dense values.
     """
     n = A.n
     bw = A.bandwidth()
@@ -130,8 +138,6 @@ def _repair_tails(A: SparseSymMatrix, values: np.ndarray, vectors: np.ndarray) -
         vbar = solve_landscape(A).vbar
     except (NotPositiveDefiniteError, NonPositiveLandscapeError):
         return 0, 0
-    off_i, off_j, off_v = A.off_arrays()
-    lo, hi = off_i - 1, off_j - 1
     repaired = failed = 0
     for k in range(n):
         lam = float(values[k])
@@ -141,15 +147,9 @@ def _repair_tails(A: SparseSymMatrix, values: np.ndarray, vectors: np.ndarray) -
             continue
         psi = np.where(barrier, 0.0, vectors[:, k])  # psi 1_{T^c}
         rhs = -A.matvec(psi)[barrier]
-        rank = np.cumsum(barrier) - 1
-        inner = barrier[lo] & barrier[hi]
-        ri, rj = rank[lo[inner]], rank[hi[inner]]
-        band = np.zeros((bw + 1, size), dtype=float)
-        band[bw] = A.diag[barrier] - lam
-        band[bw + ri - rj, rj] = off_v[inner]
         # banded Cholesky at every bandwidth (solveh_banded hands W = 1 to
         # ptsv, whose wrapper rejects a one-site T)
-        _, psi[barrier], info = scipy.linalg.lapack.dpbsv(band, rhs)
+        _, psi[barrier], info = scipy.linalg.lapack.dpbsv(_upper_band(A, barrier, lam), rhs)
         norm = np.linalg.norm(psi)
         if info != 0 or not (np.isfinite(norm) and norm > 0.0):
             failed += 1
@@ -177,22 +177,7 @@ def eig_sym(A: SparseSymMatrix, *, refine_tails: bool = True) -> EigenDecomposit
     return EigenDecomposition(values, vectors, tails_repaired=repaired, tails_failed=failed)
 
 
-def _principal_submatrix(A: SparseSymMatrix, keep: np.ndarray) -> SparseSymMatrix:
-    """A restricted to the positions where the boolean ``keep`` holds, relabelled 1..m."""
-    local = np.cumsum(keep)  # 1-based local index at every kept position
-    off_i, off_j, off_v = A.off_arrays()
-    both = keep[off_i - 1] & keep[off_j - 1]
-    off = np.column_stack((local[off_i[both] - 1], local[off_j[both] - 1], off_v[both]))
-    return SparseSymMatrix(int(local[-1]), A.diag[keep], off)
-
-
-def local_eig(
-    A: SparseSymMatrix,
-    domain,
-    region_id: int = 0,
-    *,
-    refine_tails: bool = True,
-) -> LocalEigenData:
+def local_eig(A: SparseSymMatrix, domain, region_id: int = 0) -> LocalEigenData:
     """Spectrum of the principal submatrix on ``domain`` (1-based indices).
 
     The submatrix goes through ``eig_sym``, tail repair included, with the
@@ -202,7 +187,7 @@ def local_eig(
     if not dom:
         raise ValueError("empty domain")
     keep = _index_mask(A.n, dom)
-    sub = eig_sym(_principal_submatrix(A, keep), refine_tails=refine_tails)
+    sub = eig_sym(_submatrix(A, keep))
     vectors = np.zeros((A.n, sub.n), dtype=float)
     vectors[keep, :] = sub.vectors
     return LocalEigenData(

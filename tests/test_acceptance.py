@@ -249,19 +249,14 @@ def _random_metric(rng, n: int) -> AgmonMetric:
     sp = ShiftedPotential(
         threshold=0.0, v=np.zeros(n), wells=frozenset(range(1, n + 1))
     )
-    return AgmonMetric(
-        n=n,
-        threshold=0.0,
-        edge_i=np.array(ei, dtype=np.int64),
-        edge_j=np.array(ej, dtype=np.int64),
-        edge_w=np.array(ew, dtype=float),
-        provenance=sp,
-    )
+    # pairs come in lexicographic order, the order of the matrix's pair arrays
+    A = SparseSymMatrix(n, np.zeros(n), [(i, j, -1.0) for i, j in zip(ei, ej)])
+    return AgmonMetric(matrix=A, edge_w=np.array(ew, dtype=float), provenance=sp)
 
 
 def _enum_distance(m: AgmonMetric, src: int, dst: int) -> float:
     # exhaustive simple-path minimum, written independently of the solver
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(m.n + 1)]
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(m.matrix.n + 1)]
     for i, j, w in m.edges():
         adj[i].append((j, w))
         adj[j].append((i, w))

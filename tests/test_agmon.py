@@ -30,16 +30,13 @@ INF = float("inf")
 
 
 def make_metric(n, edges):
-    """Metric with prescribed weights; provenance is a dummy empty potential."""
+    """Metric with prescribed weights on the matrix of the edge set; provenance
+    is a dummy empty potential."""
+    A = SparseSymMatrix(n, np.zeros(n), [(i, j, -1.0) for i, j, _ in edges])
+    weight = {(min(i, j), max(i, j)): w for i, j, w in edges}
+    w = np.array([weight[(i, j)] for i, j, _ in A.off_entries()], dtype=float)
     sp = ShiftedPotential(threshold=0.0, v=np.zeros(n), wells=frozenset())
-    return AgmonMetric(
-        n=n,
-        threshold=0.0,
-        edge_i=np.array([e[0] for e in edges], dtype=np.int64),
-        edge_j=np.array([e[1] for e in edges], dtype=np.int64),
-        edge_w=np.array([e[2] for e in edges], dtype=float),
-        provenance=sp,
-    )
+    return AgmonMetric(matrix=A, edge_w=w, provenance=sp)
 
 
 def random_metric(rng, n, p=0.5, p_zero=0.15):
@@ -54,7 +51,7 @@ def random_metric(rng, n, p=0.5, p_zero=0.15):
 
 def enum_distance(m, sources, target):
     """Minimum weight over all simple paths, by exhaustive search."""
-    adj = {i: [] for i in range(1, m.n + 1)}
+    adj = {i: [] for i in range(1, m.matrix.n + 1)}
     for i, j, w in m.edges():
         adj[i].append((j, w))
         adj[j].append((i, w))
@@ -98,7 +95,7 @@ def test_build_metric_from_shift():
     A = SparseSymMatrix(3, [0.0] * 3, [(1, 2, -1.0), (2, 3, -1.0)])
     sp = shift_potential(np.array([3.0, 1.0, 3.0]), 1.0)
     m = build_metric(A, sp)
-    assert m.threshold == 1.0
+    assert m.provenance.threshold == 1.0
     assert m.provenance is sp
     # v = (2, 0, 2): both edges touch the zero at the middle site
     assert m.edge_weight(1, 2) == 0.0
@@ -110,6 +107,9 @@ def test_build_metric_length_mismatch():
     sp = ShiftedPotential(threshold=0.0, v=np.zeros(2), wells=frozenset())
     with pytest.raises(ValueError, match="length"):
         build_metric(A, sp)
+    sp = ShiftedPotential(threshold=0.0, v=np.zeros(3), wells=frozenset())
+    with pytest.raises(ValueError, match="2 weights for 1 pairs"):
+        AgmonMetric(matrix=A, edge_w=np.zeros(2), provenance=sp)
 
 
 def test_weights_monotone_in_potential():
@@ -181,7 +181,7 @@ def test_witness_paths_realize_the_distance():
     for _ in range(20):
         m = random_metric(rng, int(rng.integers(3, 8)))
         f = distance_from_set(m, [1])
-        for t in range(1, m.n + 1):
+        for t in range(1, m.matrix.n + 1):
             if math.isinf(f.dist[t - 1]):
                 continue
             path = f.witness_path(t)
@@ -199,19 +199,19 @@ def test_witness_paths_terminate_across_zero_weight_ties():
     for _ in range(30):
         m = random_metric(rng, int(rng.integers(3, 9)), p_zero=0.6)
         k = int(rng.integers(1, 3))
-        cases.append((m, list(rng.choice(np.arange(1, m.n + 1), size=k, replace=False))))
+        cases.append((m, list(rng.choice(np.arange(1, m.matrix.n + 1), size=k, replace=False))))
     for m, sources in cases:
         f = distance_from_set(m, sources)
-        for t in range(1, m.n + 1):
+        for t in range(1, m.matrix.n + 1):
             if math.isinf(f.dist[t - 1]):
                 continue
             # walk the predecessors with a step budget, so a cycle fails instead of hanging
             k, steps = t - 1, 0
             while f.predecessor[k] >= 0:
                 k, steps = int(f.predecessor[k]), steps + 1
-                assert steps < m.n, f"predecessor cycle through {t}"
+                assert steps < m.matrix.n, f"predecessor cycle through {t}"
             path = f.witness_path(t)
-            assert len(path) <= m.n
+            assert len(path) <= m.matrix.n
             assert path[0] in sources and path[-1] == t
             total = 0.0
             for a, b in zip(path, path[1:]):

@@ -415,6 +415,20 @@ def test_corollary_validation():
         check_dc_corollary(A, landscape_from_vector(A, [1.0, -1.0]), [1.0, 0.0], 0.5, [1.0, 1.0])
 
 
+def test_checks_reject_a_landscape_of_another_size():
+    A = chain(3)
+    L = solve_landscape(chain(4))
+    ed = eig_sym(A)
+    phi, E = ed.vectors[:, 0], float(ed.values[0])
+    message = "landscape has length 4, matrix has n = 3"
+    with pytest.raises(ValueError, match=message):
+        check_landscape_localization(A, L, ed, 1)
+    with pytest.raises(ValueError, match=message):
+        check_general_localization(A, L, phi, E, E + 1.0, (), 0.5)
+    with pytest.raises(ValueError, match=message):
+        check_dc_corollary(A, L, phi, E, np.ones(3))
+
+
 # ---------------------------------------------------------------- decoupling
 
 

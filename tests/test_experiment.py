@@ -28,7 +28,7 @@ from mlandscape import (
     solve_landscape,
 )
 import mlandscape.experiment as experiment
-from mlandscape.experiment import PER_EIGENVALUE, report_dict
+from mlandscape.experiment import PER_EIGENVALUE
 from mlandscape.matrices import _write_json
 from mlandscape.spectral import EigenDecomposition
 
@@ -199,7 +199,10 @@ def test_sweep_is_deterministic(tmp_path):
     A, _ = generate_band_ensemble(cfg.ensemble)
     run_verification(A, cfg, tmp_path / "a")
     run_verification(A, cfg, tmp_path / "b")
-    for name in ("summary.json", "eigenvalues.csv", "scatter_1.csv"):
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert len(names) == 7
+    for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -271,7 +274,7 @@ def test_verify_localization_equals_the_public_checks_bit_for_bit(w, tmp_path, m
         summary = run_verification(A, cfg, out)
         landscape, general, skipped = _one_check_at_a_time(A, L, spectrum, thresholds, alpha)
         for name, reports in (("landscape", landscape), ("general", general)):
-            _write_json(tmp_path / "one_at_a_time.json", [report_dict(r) for r in reports])
+            _write_json(tmp_path / "one_at_a_time.json", reports)
             want = (tmp_path / "one_at_a_time.json").read_bytes()
             assert (out / f"{name}_localization.json").read_bytes() == want
         assert summary["checks"]["general_localization"]["skipped_empty_wells"] == skipped

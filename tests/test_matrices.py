@@ -18,6 +18,7 @@ from mlandscape import (
     smallest_eigenvalue,
     write_matrix,
 )
+from mlandscape.matrices import _upper_band
 
 
 def tridiag(n, d=2.0, off=-1.0):
@@ -215,6 +216,26 @@ def test_restrict_edge_cases():
     assert restrict(sub, [2, 3]) == sub  # idempotent
     with pytest.raises(ValueError, match="outside"):
         restrict(A, [5])
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_upper_band_is_the_masked_shifted_block(w):
+    A, _ = generate_band_ensemble(EnsembleConfig(n=12, half_bandwidth=w, seed=w))
+    shift = 0.375
+    for sites in ([1, 2, 3, 5, 8, 9, 12], [2, 4, 6, 7, 11], [7], list(range(1, 13))):
+        keep = np.isin(np.arange(1, 13), sites)
+        band = _upper_band(A, keep, shift)
+        m = len(sites)
+        assert band.shape == (w + 1, m)
+        # entry (r, c), r <= c, sits at band[w + r - c, c]; slots left of the
+        # first column are unused and stay zero
+        got = np.zeros((m, m))
+        for c in range(m):
+            assert not band[: max(0, w - c), c].any()
+            for r in range(max(0, c - w), c + 1):
+                got[r, c] = got[c, r] = band[w + r - c, c]
+        want = A.to_dense()[np.ix_(keep, keep)] - shift * np.eye(m)
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- matrix market

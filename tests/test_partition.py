@@ -36,10 +36,7 @@ def metric_for(A, weights, wells=frozenset()):
     off_i, off_j, _ = A.off_arrays()
     w = np.array([weights[(int(i), int(j))] for i, j in zip(off_i, off_j)])
     sp = ShiftedPotential(threshold=0.0, v=np.zeros(A.n), wells=frozenset(wells))
-    return AgmonMetric(
-        n=A.n, threshold=0.0, edge_i=off_i.copy(), edge_j=off_j.copy(), edge_w=w,
-        provenance=sp,
-    )
+    return AgmonMetric(matrix=A, edge_w=w, provenance=sp)
 
 
 def uniform_metric(A, w=1.0, wells=frozenset()):
