@@ -27,6 +27,7 @@ from .landscape import (
 from .agmon import (
     AgmonMetric,
     DistanceField,
+    ThresholdFields,
     band_lower_bound,
     build_metric,
     distance_from_set,
@@ -34,6 +35,7 @@ from .agmon import (
     outer_boundary,
     pairwise_distance,
     set_distance,
+    threshold_fields,
     write_distance_csv,
     write_edges_csv,
 )

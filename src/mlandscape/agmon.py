@@ -7,10 +7,15 @@ path sums (a pseudo-metric: weights vanish wherever the potential does), with
 
 A metric is its matrix plus one weight per stored off-diagonal pair, in the
 order of ``off_arrays()``.  Its graph is the matrix's cached ``CsrPattern``
-with those weights, so a metric per eigenpair costs one vector of weights.
-Distances come from ``scipy.sparse.csgraph.dijkstra`` on that graph
-(directed, since the pattern stores both orientations of every edge, with
-``min_only`` over the source set); explicit zero weights stay edges.
+with those weights, so a metric costs one vector of weights.  Distances come
+from ``scipy.sparse.csgraph.dijkstra`` on that graph (directed, since the
+pattern stores both orientations of every edge, with ``min_only`` over the
+source set); explicit zero weights stay edges.
+
+``threshold_fields`` gives the distances to the wells of many thresholds at
+once.  An edge at a well weighs exactly 0, so each field is decided on the
+barrier sites {vbar > t}; the sweep copies those sites and their edges once
+per threshold and runs one Dijkstra per block of consecutive thresholds.
 
 Witness paths follow canonical predecessors, derived from the final distances
 only when a path is asked for.  An edge u -> k is tight when
@@ -30,14 +35,16 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .landscape import ShiftedPotential
-from .matrices import SparseSymMatrix, _frozen, _index_mask, _write_csv
+from .landscape import ShiftedPotential, _shift
+from .matrices import CsrPattern, SparseSymMatrix, _frozen, _index_mask, _write_csv
 
 __all__ = [
     "AgmonMetric",
     "DistanceField",
+    "ThresholdFields",
     "build_metric",
     "distance_from_set",
+    "threshold_fields",
     "pairwise_distance",
     "set_distance",
     "inner_boundary",
@@ -126,10 +133,15 @@ class DistanceField:
         return path
 
 
+def _weight(v_i: np.ndarray, v_j: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """ln(1 + sqrt(sqrt(v_i v_j)/|a|)) elementwise: the one Agmon edge weight formula."""
+    return np.log1p(np.sqrt(np.sqrt(v_i * v_j) / np.abs(a)))
+
+
 def edge_weights(A: SparseSymMatrix, v: np.ndarray) -> np.ndarray:
     """Weight ln(1 + sqrt(sqrt(v_i v_j)/|a_ij|)) of each pair of ``A.off_arrays()``."""
     off_i, off_j, off_v = A.off_arrays()
-    return np.log1p(np.sqrt(np.sqrt(v[off_i - 1] * v[off_j - 1]) / np.abs(off_v)))
+    return _weight(v[off_i - 1], v[off_j - 1], off_v)
 
 
 def build_metric(A: SparseSymMatrix, sp: ShiftedPotential) -> AgmonMetric:
@@ -154,6 +166,101 @@ def distance_from_set(m: AgmonMetric, sources: Iterable[int]) -> DistanceField:
     in_source = _index_mask(m.matrix.n, sources)
     src = frozenset((np.flatnonzero(in_source) + 1).tolist())
     return DistanceField(source=src, dist=_dijkstra(m._graph, in_source), metric=m)
+
+
+# Most graph nodes one Dijkstra of a threshold sweep runs on: consecutive
+# thresholds share a Dijkstra up to this many copy nodes, which bounds the
+# sweep's graph and workspace (a lone threshold has at most n nodes).  Larger
+# blocks are no faster, and at n = 2000, W = 3 a sweep in blocks of 2^18
+# nodes peaks at about 100 MB of temporaries against 8 MB at this size.
+SWEEP_NODES = 1 << 13
+
+
+@dataclass(frozen=True, eq=False)
+class ThresholdFields:
+    """Distance fields of one matrix and potential at sorted distinct thresholds.
+
+    ``fields[t]`` is the triple (v, well mask, dist) at threshold t: v =
+    (vbar - t)_+, the wells vbar <= t and the distances to the wells outside
+    the excluded set D, bit for bit those of ``distance_from_set`` on
+    ``build_metric``'s metric.  Site k is a non-source at threshold j when
+    vbar_k > t_j or k is in D; ``copies[k]`` counts those thresholds, which
+    are the first ones, and its distance at j < copies[k] is
+    ``dist[base[k] + j]``.  A field is assembled on lookup; only the copies'
+    distances are kept.
+    """
+
+    matrix: SparseSymMatrix
+    vbar: np.ndarray
+    thresholds: np.ndarray
+    copies: np.ndarray
+    base: np.ndarray
+    dist: np.ndarray
+
+    def __getitem__(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        j = int(np.searchsorted(self.thresholds, t))
+        if j == self.thresholds.size or self.thresholds[j] != t:
+            raise KeyError(f"no field at threshold {t!r}")
+        v, in_wells = _shift(self.vbar, float(t))
+        dist = np.zeros(self.vbar.size)
+        copy = self.copies > j
+        dist[copy] = self.dist[self.base[copy] + j]
+        return v, in_wells, dist
+
+
+def threshold_fields(
+    A: SparseSymMatrix, vbar: np.ndarray, thresholds, excluded: Iterable[int] = ()
+) -> ThresholdFields:
+    """Distance fields to the wells {vbar <= t} minus ``excluded`` for each t in ``thresholds``.
+
+    ``thresholds`` is a sequence or array of numbers, in any order and with
+    repeats allowed; ``excluded`` holds 1-based indices.
+
+    Every edge at a source weighs +0.0, so a field is decided on its non-sources
+    alone.  The graph holds a copy of each non-source site and of each pair of
+    them per threshold, with the pair's weight at that threshold; a copy with
+    a source neighbour starts at 0.0.  Float addition is monotone, so the
+    shortest path sums equal those of the whole graph bit for bit.  Copies of
+    consecutive thresholds share one Dijkstra, up to ``SWEEP_NODES`` nodes.
+    """
+    vbar = np.asarray(vbar, dtype=float)
+    if vbar.shape != (A.n,):
+        raise ValueError(f"potential has length {vbar.size}, matrix has n = {A.n}")
+    t = np.unique(np.asarray(thresholds, dtype=float))
+    if np.isnan(t).any():
+        raise ValueError("thresholds must not be NaN")
+    q = t.size
+    copies = np.searchsorted(t, vbar)  # the thresholds below vbar_k
+    copies[_index_mask(A.n, excluded)] = q
+    base = np.cumsum(copies) - copies
+    off_i, off_j, off_v = A.off_arrays()
+    lo, hi = off_i - 1, off_j - 1
+    pair_copies = np.minimum(copies[lo], copies[hi])
+    seed_from = np.full(A.n, q)  # first threshold at which a neighbour is a source
+    np.minimum.at(seed_from, lo, copies[hi])
+    np.minimum.at(seed_from, hi, copies[lo])
+    dist = np.empty(int(copies.sum()))
+    nodes_at = A.n - np.cumsum(np.bincount(copies, minlength=q + 1))[:q]  # copies at threshold j
+    nodes_to = np.cumsum(nodes_at)
+    j0 = 0
+    while j0 < q:  # block [j0, j1): the most thresholds within SWEEP_NODES nodes, at least one
+        done = int(nodes_to[j0 - 1]) if j0 else 0
+        j1 = max(int(np.searchsorted(nodes_to, done + SWEEP_NODES, side="right")), j0 + 1)
+        site_copies = np.clip(np.minimum(copies, j1) - j0, 0, None)
+        if site_copies.any():
+            first = np.cumsum(site_copies) - site_copies  # block node of each site's first copy
+            site = np.repeat(np.arange(A.n), site_copies)
+            j = j0 + np.arange(site.size) - first[site]
+            pair_n = np.clip(np.minimum(pair_copies, j1) - j0, 0, None)
+            p = np.repeat(np.arange(lo.size), pair_n)
+            dj = np.arange(p.size) - (np.cumsum(pair_n) - pair_n)[p]  # copy p is at j0 + dj
+            v_lo, _ = _shift(vbar[lo[p]], t[j0 + dj])
+            v_hi, _ = _shift(vbar[hi[p]], t[j0 + dj])
+            pattern = CsrPattern.build(site.size, first[lo[p]] + dj + 1, first[hi[p]] + dj + 1)
+            graph = pattern.values(_weight(v_lo, v_hi, off_v[p]))
+            dist[base[site] + j] = _dijkstra(graph, j >= seed_from[site])
+        j0 = j1
+    return ThresholdFields(A, vbar, _frozen(t), _frozen(copies), _frozen(base), _frozen(dist))
 
 
 def pairwise_distance(m: AgmonMetric, i: int, j: int) -> float:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agmon import _dijkstra, build_metric, distance_from_set, edge_weights
-from .landscape import LandscapeData, _shift, shift_potential
+from .agmon import ThresholdFields, build_metric, distance_from_set, threshold_fields
+from .landscape import LandscapeData, shift_potential
 from .matrices import (
     SparseSymMatrix,
     _index_mask,
@@ -171,22 +171,20 @@ def _require_landscape_of(A: SparseSymMatrix, L) -> None:
         raise ValueError(f"landscape has length {L.u.size}, matrix has n = {A.n}")
 
 
-def _field(A: SparseSymMatrix, L, threshold: float, fields=None, in_excluded=None) -> tuple:
-    """(v, well mask, distances to the wells outside in_excluded) of L.vbar shifted at threshold.
+def _field(
+    A: SparseSymMatrix, L, threshold: float, fields: ThresholdFields | None = None, excluded=()
+) -> tuple:
+    """(v, well mask, distances to the wells outside ``excluded``) of L.vbar shifted at threshold.
 
-    The distances are those of ``build_metric``'s metric, from one Dijkstra.
-    ``fields`` memoizes the triple by threshold for checks of one matrix and
-    one ``L`` (both passed with it) that exclude nothing.
+    The triple is read from ``fields``, a ``threshold_fields`` sweep of A and
+    L.vbar that excludes nothing, or else from a one-threshold sweep of its own.
     """
     _require_landscape_of(A, L)
-    if fields is not None and threshold in fields:
-        return fields[threshold]
-    v, in_wells = _shift(L.vbar, threshold)
-    in_source = in_wells if in_excluded is None else in_wells & ~in_excluded
-    field = (v, in_wells, _dijkstra(A.pattern.values(edge_weights(A, v)), in_source))
-    if fields is not None:
-        fields[threshold] = field
-    return field
+    if fields is None:
+        fields = threshold_fields(A, L.vbar, [threshold], excluded)
+    elif fields.matrix is not A or fields.vbar is not L.vbar:
+        raise ValueError("fields were swept for another matrix or landscape")
+    return fields[threshold]
 
 
 def _checked_alpha(alpha, wc: int) -> float:
@@ -210,14 +208,15 @@ def check_landscape_localization(
     ed: EigenDecomposition,
     j: int,
     *,
-    fields: dict | None = None,
+    fields: ThresholdFields | None = None,
 ) -> LocalizationReport:
     """Landscape localization bound for the j-th eigenpair (1-based).
 
     Uses the effective potential vbar = (A u)/u, its wells at threshold
     E = lambda_j, and the weight exp(2 rho(k, wells) / sqrt(W_c)); the bound
-    is W_c * max |a_ij| over all entries.  A ``fields`` dict shared by checks
-    of A and this landscape computes each threshold's distances once.
+    is W_c * max |a_ij| over all entries.  ``fields``, a ``threshold_fields``
+    sweep of A and L.vbar with no excluded set that holds E, supplies the
+    distances, so checks sharing it run no Dijkstra of their own.
     """
     if not classify(A, compute_spectrum=False).is_z:
         raise ValueError("matrix is not an M-matrix with positive landscape")
@@ -241,7 +240,7 @@ def check_general_localization(
     alpha: float,
     *,
     eigen_id: int | None = None,
-    fields: dict | None = None,
+    fields: ThresholdFields | None = None,
 ) -> LocalizationReport:
     """Two-line localization bound for a (local) eigenvector phi of eigenvalue E.
 
@@ -250,10 +249,11 @@ def check_general_localization(
     distances are measured to wells minus the excluded set D (1-based indices
     in [1, n]), and phi must vanish on D and satisfy the local eigen relation
     on its complement (the caller's duty).
-    Requires E <= ebar and 0 < alpha <= sqrt(2 / W_c).  ``fields`` is shared
-    as in ``check_landscape_localization`` and is only read when D is empty.
+    Requires E <= ebar and 0 < alpha <= sqrt(2 / W_c), and phi finite of
+    length n.  ``fields`` is shared as in ``check_landscape_localization``
+    (holding ebar) and is only read when D is empty.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = _finite_vector(phi, A.n, "phi")
     if not classify(A, compute_spectrum=False).is_z:
         raise ValueError("matrix is not a Z-matrix")
     if E > ebar:
@@ -263,7 +263,7 @@ def check_general_localization(
     E, ebar = float(E), float(ebar)
     in_excluded = _index_mask(A.n, D)
     memo = None if in_excluded.any() else fields  # it holds distances to whole well sets
-    v, in_wells, rho = _field(A, L, ebar, memo, in_excluded)
+    v, in_wells, rho = _field(A, L, ebar, memo, np.flatnonzero(in_excluded) + 1)
     in_rel = in_wells & ~in_excluded
     if not np.any(in_rel):
         raise EmptyWellSetError("empty relative well set")
@@ -376,10 +376,11 @@ def check_dc_corollary(A: SparseSymMatrix, L, phi, E: float, g) -> tuple[float, 
     eigenvalue E, and a diagonal weight G:  sum of phi_k^2 G_k^2 (vbar_k - E)
     must not exceed -1/2 sum over i != j of a_ij phi_i phi_j (G_i - G_j)^2.
     Returns (lhs, rhs, holds); the slack uses |rhs| so a negative right side
-    is not tightened.
+    is not tightened.  ``phi`` and ``g`` must be finite and of length n
+    (ValueError otherwise).
     """
-    phi = np.asarray(phi, dtype=float)
-    g = np.asarray(g, dtype=float)
+    phi = _finite_vector(phi, A.n, "phi")
+    g = _finite_vector(g, A.n, "g")
     if not classify(A, compute_spectrum=False).is_z:
         raise ValueError("matrix is not a Z-matrix")
     _require_landscape_of(A, L)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .agmon import build_metric
+from .agmon import build_metric, threshold_fields
 from .checks import (
     EmptyWellSetError,
     _checked_alpha,
@@ -209,21 +209,20 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     csv_ebar = part_ebar if part_ebar is not None else float(ed.values[0])
     write_landscape_csv(os.path.join(out, "landscape.csv"), L, shift_potential(L, csv_ebar))
 
-    # both localization families; a general check at ebar = E_j reads the landscape
-    # check's distance field, and each explicit threshold gets one field
-    reports, gen_reports, skipped, fixed = [], [], 0, {}
+    # both localization families read one sweep of distance fields, at every
+    # eigenvalue and every explicit threshold
+    per_eigenvalue = isinstance(cfg.thresholds, str)
+    swept = ed.values if per_eigenvalue else np.concatenate([ed.values, cfg.thresholds])
+    sweep = threshold_fields(A, L.vbar, swept)
+    reports, gen_reports, skipped = [], [], 0
     for j in range(1, A.n + 1):
         E = float(ed.values[j - 1])
-        own = {}
-        reports.append(check_landscape_localization(A, L, ed, j, fields=own))
-        if isinstance(cfg.thresholds, str):
-            ebars, memo = (E,), own
-        else:
-            ebars, memo = tuple(t for t in cfg.thresholds if t >= E), fixed
+        reports.append(check_landscape_localization(A, L, ed, j, fields=sweep))
+        ebars = (E,) if per_eigenvalue else tuple(t for t in cfg.thresholds if t >= E)
         for ebar in ebars:
             try:
                 rep = check_general_localization(
-                    A, L, ed.vectors[:, j - 1], E, ebar, (), alpha, eigen_id=j, fields=memo
+                    A, L, ed.vectors[:, j - 1], E, ebar, (), alpha, eigen_id=j, fields=sweep
                 )
             except EmptyWellSetError:
                 skipped += 1

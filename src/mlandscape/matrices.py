@@ -182,7 +182,9 @@ class CsrPattern:
         col = np.concatenate([nodes, hi, lo])
         part = np.repeat([0, 1, 2], [n, m, m])  # diagonal, upper, lower
         pair = np.concatenate([np.full(n, -1), np.arange(m), np.arange(m)])
-        order = np.lexsort((col, part, row))
+        # by row, part, col: one stable sort of a combined key, which is faster
+        # than np.lexsort and leaves a smaller heap behind on the sweep's blocks
+        order = np.argsort((row * 3 + part) * n + col, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
         return cls(_frozen(indptr), _frozen(col[order]), _frozen(pair[order]))

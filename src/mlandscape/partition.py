@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agmon import AgmonMetric, INF, distance_from_set, inner_boundary
-from .matrices import SparseSymMatrix, _index_mask, _json_value, _submatrix, _write_json
+from .matrices import SparseSymMatrix, _index_mask, _submatrix, _write_json
 
 __all__ = [
     "WellPartition",
@@ -205,8 +205,8 @@ def build_partition(
 
 
 def partition_report_dict(p: WellPartition) -> dict:
-    """The partition as a JSON-ready dict (inf serialized as "inf")."""
-    return _json_value({
+    """The partition's report fields as a plain dict; ``_write_json`` encodes it."""
+    return {
         "wells": p.wells,
         "regions": p.regions,
         "s_requested": p.s_requested,
@@ -220,7 +220,7 @@ def partition_report_dict(p: WellPartition) -> dict:
         "boundary_well_distances": p.boundary_well_distances,
         "complement_well_distances": p.complement_well_distances,
         "unassigned": p.unassigned,
-    })
+    }
 
 
 def write_partition_json(path, p: WellPartition) -> None:

@@ -12,16 +12,21 @@ import pytest
 
 from mlandscape import (
     AgmonMetric,
+    EnsembleConfig,
     ShiftedPotential,
     SparseSymMatrix,
+    agmon,
     band_lower_bound,
     build_metric,
     distance_from_set,
+    generate_band_ensemble,
     inner_boundary,
     outer_boundary,
     pairwise_distance,
     set_distance,
     shift_potential,
+    solve_landscape,
+    threshold_fields,
     write_distance_csv,
     write_edges_csv,
 )
@@ -255,6 +260,112 @@ def test_index_validation():
         distance_from_set(m, [4])
     with pytest.raises(ValueError, match="outside"):
         pairwise_distance(m, 0, 1)
+
+
+# ---------------------------------------------------------------- threshold sweep
+
+
+def _draw(w, n=70):
+    A, _ = generate_band_ensemble(EnsembleConfig(n=n, half_bandwidth=w, seed=40 + w))
+    return A, solve_landscape(A).vbar
+
+
+def _thresholds(vbar):
+    """One threshold below every vbar, 31 quantiles of vbar (min and max among them), one above."""
+    inner = np.quantile(vbar, np.linspace(0.0, 1.0, 31)).tolist()
+    return [float(vbar.min()) - 1.0, *inner, float(vbar.max()) + 1.0]
+
+
+def _sweep_equals_one_dijkstra_per_threshold(A, vbar, thresholds, excluded=frozenset()):
+    """The sweep's triple at each t against shift_potential and distance_from_set."""
+    fields = threshold_fields(A, vbar, thresholds, excluded)
+    for t in thresholds:
+        sp = shift_potential(vbar, t)
+        v, in_wells, dist = fields[t]
+        assert np.array_equal(v, sp.v)
+        assert set((np.flatnonzero(in_wells) + 1).tolist()) == sp.wells
+        ref = distance_from_set(build_metric(A, sp), sp.wells - excluded).dist
+        assert np.array_equal(dist, ref)
+    return fields
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_sweep_equals_one_dijkstra_per_threshold(w):
+    A, vbar = _draw(w)
+    ts = _thresholds(vbar)
+    fields = _sweep_equals_one_dijkstra_per_threshold(A, vbar, ts)
+    assert np.all(np.isinf(fields[ts[0]][2]))  # below every vbar: no wells
+    assert not np.any(fields[ts[-1]][2])  # above every vbar: every site a well
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_sweep_of_a_relabelled_draw(w):
+    A, vbar = _draw(w)
+    perm = np.random.default_rng(w).permutation(A.n)  # new site k + 1 is old site perm[k] + 1
+    new = np.argsort(perm) + 1
+    B = SparseSymMatrix(
+        A.n, A.diag[perm], [(new[i - 1], new[j - 1], a) for i, j, a in A.off_entries()]
+    )
+    ts = _thresholds(vbar)
+    relabelled = _sweep_equals_one_dijkstra_per_threshold(B, vbar[perm], ts)
+    fields = threshold_fields(A, vbar, ts)
+    for t in ts:
+        assert np.array_equal(relabelled[t][2], fields[t][2][perm])
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_sweep_with_an_excluded_set(w):
+    A, vbar = _draw(w)
+    ts = _thresholds(vbar)
+    deepest = np.argsort(vbar)[:12] + 1
+    scattered = np.random.default_rng(w).choice(A.n, 12, replace=False) + 1
+    excluded = frozenset(np.concatenate([deepest, scattered]).tolist())
+    fields = _sweep_equals_one_dijkstra_per_threshold(A, vbar, ts, excluded)
+    assert np.all(np.isinf(fields[ts[1]][2]))  # the one well at min vbar is excluded
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_sweep_takes_duplicate_and_unsorted_thresholds(w):
+    A, vbar = _draw(w)
+    ts = _thresholds(vbar)
+    fields = _sweep_equals_one_dijkstra_per_threshold(A, vbar, ts[::-1] + ts[5:9])
+    assert fields.thresholds.tolist() == sorted(set(ts))
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_sweep_in_blocks_under_a_small_node_budget(w, monkeypatch):
+    import scipy.sparse.csgraph as csgraph
+
+    A, vbar = _draw(w)
+    ts = _thresholds(vbar)
+    real = csgraph.dijkstra
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", counted)
+    threshold_fields(A, vbar, ts)
+    assert len(calls) == 1
+    monkeypatch.setattr(agmon, "SWEEP_NODES", A.n)
+    threshold_fields(A, vbar, ts)
+    blocks = len(calls) - 1
+    assert 1 < blocks < len(ts)
+    _sweep_equals_one_dijkstra_per_threshold(A, vbar, ts)
+
+
+def test_sweep_lookup_and_validation():
+    A, vbar = _draw(1, n=10)
+    fields = threshold_fields(A, vbar, [0.5, 0.25])
+    with pytest.raises(KeyError, match="no field at threshold 0.3"):
+        fields[0.3]
+    with pytest.raises(ValueError, match="NaN"):
+        threshold_fields(A, vbar, [0.5, math.nan])
+    with pytest.raises(ValueError, match="length 9"):
+        threshold_fields(A, vbar[:9], [0.5])
+    with pytest.raises(ValueError, match="outside"):
+        threshold_fields(A, vbar, [0.5], [11])
 
 
 # ---------------------------------------------------------------- boundaries

@@ -34,6 +34,7 @@ from mlandscape import (
     local_eig,
     shift_potential,
     solve_landscape,
+    threshold_fields,
     verify_separation,
     write_scatter_csv,
 )
@@ -216,20 +217,24 @@ def test_shifted_bound_handles_unreachable_zero_amplitude(blocks):
 
 
 def test_shared_fields_serve_only_checks_without_exclusions(blocks):
-    """A fields dict holds distances to whole well sets; a non-empty D bypasses it."""
+    """A sweep holds distances to whole well sets; a non-empty D bypasses it."""
     A, L, ed, part, locals_ = blocks
     phi = locals_[0].vectors[:, 0]
     mu = float(locals_[0].values[0])
     args = (A, L, phi, mu, 3.5)
-    fields = {}
-    excluded = check_general_localization(*args, frozenset({6, 7}), 0.5, fields=fields)
-    assert fields == {}
+    fields = threshold_fields(A, L.vbar, [3.5])
+    elsewhere = threshold_fields(A, L.vbar, [9.0])  # never read with D non-empty
+    excluded = check_general_localization(*args, frozenset({6, 7}), 0.5, fields=elsewhere)
     assert _bits(excluded) == _bits(check_general_localization(*args, frozenset({6, 7}), 0.5))
     whole = check_general_localization(*args, frozenset(), 0.5, fields=fields)
-    assert list(fields) == [3.5]
     again = check_general_localization(*args, frozenset(), 0.5, fields=fields)
     assert _bits(whole) == _bits(again) == _bits(check_general_localization(*args, (), 0.5))
     assert _bits(excluded) != _bits(whole)
+    with pytest.raises(KeyError, match="no field at threshold"):
+        check_general_localization(*args, (), 0.5, fields=elsewhere)
+    twin = landscape_from_vector(A, L.u)  # equal values, another landscape
+    with pytest.raises(ValueError, match="another matrix or landscape"):
+        check_general_localization(A, twin, phi, mu, 3.5, (), 0.5, fields=fields)
 
 
 def test_distance_decreases_as_threshold_rises():
@@ -413,6 +418,24 @@ def test_corollary_validation():
     A = chain(2)
     with pytest.raises(NonPositiveLandscapeError):
         check_dc_corollary(A, landscape_from_vector(A, [1.0, -1.0]), [1.0, 0.0], 0.5, [1.0, 1.0])
+
+
+def test_general_localization_rejects_phi_of_the_wrong_length():
+    A = chain(3)
+    L = landscape_from_vector(A, [1.5, 2.0, 1.5])
+    with pytest.raises(ValueError, match="phi must have length 3"):
+        check_general_localization(A, L, np.ones(4), 0.5, 0.6, frozenset(), 0.5)
+    with pytest.raises(ValueError, match="phi must be finite"):
+        check_general_localization(A, L, [1.0, math.nan, 0.0], 0.5, 0.6, frozenset(), 0.5)
+
+
+def test_dc_corollary_rejects_phi_and_g_of_the_wrong_length():
+    A = chain(3)
+    L = solve_landscape(A)
+    with pytest.raises(ValueError, match="phi must have length 3"):
+        check_dc_corollary(A, L, np.ones(2), 0.5, np.ones(3))
+    with pytest.raises(ValueError, match="g must have length 3"):
+        check_dc_corollary(A, L, np.ones(3), 0.5, np.ones(4))
 
 
 def test_checks_reject_a_landscape_of_another_size():

@@ -307,8 +307,8 @@ def test_calibrated_large_partition():
     assert part.unassigned == frozenset()
 
 
-def test_verify_runs_one_dijkstra_per_eigenpair(tmp_path, monkeypatch):
-    """Both localization families of an eigenpair share one distance field."""
+def test_verify_runs_one_dijkstra_for_every_threshold(tmp_path, monkeypatch):
+    """Both localization families read one sweep: a single Dijkstra for all n thresholds."""
     import scipy.sparse.csgraph as csgraph
 
     real = csgraph.dijkstra
@@ -324,7 +324,7 @@ def test_verify_runs_one_dijkstra_per_eigenpair(tmp_path, monkeypatch):
     summary = run_verification(A, ExperimentConfig(ensemble=ens, n_plot=0), tmp_path)
     assert summary["exit_code"] == 0
     assert summary["checks"]["general_localization"]["count"] == 60
-    assert len(calls) == 60
+    assert len(calls) == 1
 
 
 def test_verify_forms_vbar_once_per_landscape(tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from mlandscape import (
     EnsembleConfig,
     generate_band_ensemble,
 )
+from mlandscape.matrices import _json_value
 
 INF = float("inf")
 
@@ -217,6 +218,8 @@ def test_report_dict_layout():
     m = uniform_metric(A, wells=frozenset({1, 4}))
     part = build_partition(A, m, s_requested=2.0)
     rep = partition_report_dict(part)
+    assert rep["wells"] == part.wells and rep["s_achieved"] == INF  # plain values
+    rep = _json_value(rep)  # what write_partition_json writes
     assert rep["wells"] == [[1], [4]]
     assert rep["regions"] == [[1, 2], [3, 4]]
     assert rep["s_achieved"] == "inf"
