@@ -186,8 +186,9 @@ class ThresholdFields:
     ``build_metric``'s metric.  Site k is a non-source at threshold j when
     vbar_k > t_j or k is in D; ``copies[k]`` counts those thresholds, which
     are the first ones, and its distance at j < copies[k] is
-    ``dist[base[k] + j]``.  A field is assembled on lookup; only the copies'
-    distances are kept.
+    ``dist[base[k] + j]``.  Fields are assembled on lookup, one threshold by
+    ``fields[t]`` or many as rows by ``rows``; only the copies' distances are
+    kept.
     """
 
     matrix: SparseSymMatrix
@@ -197,15 +198,26 @@ class ThresholdFields:
     base: np.ndarray
     dist: np.ndarray
 
-    def __getitem__(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        j = int(np.searchsorted(self.thresholds, t))
-        if j == self.thresholds.size or self.thresholds[j] != t:
-            raise KeyError(f"no field at threshold {t!r}")
-        v, in_wells = _shift(self.vbar, float(t))
-        dist = np.zeros(self.vbar.size)
-        copy = self.copies > j
-        dist[copy] = self.dist[self.base[copy] + j]
+    def rows(self, thresholds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(v, well mask, dist) at each of ``thresholds``, stacked as rows.
+
+        Row i holds the field at thresholds[i]; any order and repeats are
+        allowed.  KeyError names a threshold the sweep does not hold.
+        """
+        t = np.asarray(thresholds, dtype=float)
+        j = np.searchsorted(self.thresholds, t)
+        held = j < self.thresholds.size
+        held[held] = self.thresholds[j[held]] == t[held]
+        if not held.all():
+            raise KeyError(f"no field at threshold {float(t[~held][0])!r}")
+        v, in_wells = _shift(self.vbar, t[:, None])
+        copy = self.copies > j[:, None]
+        dist = np.zeros(copy.shape)
+        dist[copy] = self.dist[(self.base + j[:, None])[copy]]
         return v, in_wells, dist
+
+    def __getitem__(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(rows[0] for rows in self.rows([t]))
 
 
 def threshold_fields(

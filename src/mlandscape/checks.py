@@ -4,10 +4,18 @@ Conventions shared by every check here:
 
 * ``W_c`` is always max(connectivity(A), 2); every bound is monotone in W_c,
   so flooring at 2 keeps the inequalities valid for near-diagonal matrices.
-* Exponentially weighted sums are evaluated in log space, term by term as
+* Exponentially weighted sums are evaluated in log space, each term as
   exp(2 alpha rho_k + 2 ln |phi_k|), and terms with phi_k == 0 (or with a
   vanishing potential factor) are skipped before exponentiating.  That makes
   0 * inf contribute 0, which is the exact value of those terms.
+* Both localization checks take one eigenpair or a whole family of them and
+  evaluate it as array passes over blocks of pairs: the block's vectors,
+  shifted potentials, well masks and distances are stacked as rows of at
+  most ``BLOCK_ENTRIES`` entries in all, the terms of the block are formed
+  once, and the one-pair forms are the batch of one.  A batch gives the bits
+  of its pairs checked one at a time because each pair is summed by
+  ``np.sum``'s pairwise order over its own slice of terms (never padded or
+  reduced across rows), and |phi|^2 is taken on the caller's own vector.
 * Inequalities carry a relative slack of 1e-9 to absorb floating-point noise;
   a failure beyond the slack means the claimed inequality genuinely fails for
   the computed quantities.
@@ -17,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -146,23 +155,41 @@ def _wc(A: SparseSymMatrix) -> int:
     return max(connectivity(A), 2)
 
 
-def _log_weighted_sum(phi: np.ndarray, rho: np.ndarray, alpha: float, factor=None) -> float:
-    """Sum of phi_k^2 exp(2 alpha rho_k) [* factor_k], in log space.
+# Most entries (eigenpairs times n) one block of the array-form localization
+# checks stacks: the block's vectors, potentials, well masks and distances are
+# each one array of this many entries.  Unblocked, a verify at n = 500 holds
+# n^2-entry temporaries (about 11 MB more tracemalloc peak, +8 MB RSS); blocks
+# of about 64 rows add under 2 MB and are as fast.
+BLOCK_ENTRIES = 1 << 15
 
-    Terms with phi_k == 0, or factor_k == 0, are exactly zero and skipped
-    before any exponential is formed (the 0 * inf convention).
+
+def _blocks(m: int, n: int) -> Iterator[slice]:
+    """Consecutive slices of range(m), each of at most BLOCK_ENTRIES // n rows (at least one)."""
+    step = max(1, BLOCK_ENTRIES // max(n, 1))
+    return (slice(s, min(s + step, m)) for s in range(0, m, step))
+
+
+def _weighted_sums(P: np.ndarray, V: np.ndarray, R: np.ndarray, alpha: float) -> list:
+    """Per row i, (sum_k P_ik^2 e^{2 alpha R_ik}, the same sum with each term times V_ik).
+
+    Both sums run over the k with P_ik != 0 and V_ik != 0; the others are
+    exactly zero and are skipped before any exponential is formed (the
+    0 * inf convention).  V vanishes exactly on the wells, so the first sum is
+    the one over phi off the wells.  The terms of a block are formed once, in
+    row order, and each row is summed by ``np.sum`` over its own slice, the
+    same pairwise summation as over that row alone.
     """
-    mask = phi != 0.0
-    if factor is not None:
-        mask &= factor != 0.0
-    if not np.any(mask):
-        return 0.0
+    keep = (P != 0.0) & (V != 0.0)
     with np.errstate(over="ignore", divide="ignore"):
-        exponents = 2.0 * alpha * rho[mask] + 2.0 * np.log(np.abs(phi[mask]))
-        terms = np.exp(exponents)
-    if factor is not None:
-        terms = terms * factor[mask]
-    return float(np.sum(terms))
+        terms = np.exp(2.0 * alpha * R[keep] + 2.0 * np.log(np.abs(P[keep])))
+    weighted = terms * V[keep]
+    counts = np.count_nonzero(keep, axis=1)
+    ends = np.cumsum(counts).tolist()
+    add = np.add.reduce  # what np.sum runs on a 1-D array, without its dispatch
+    return [
+        (float(add(terms[e - c : e])), float(add(weighted[e - c : e])))
+        for c, e in zip(counts.tolist(), ends)
+    ]
 
 
 def _require_landscape_of(A: SparseSymMatrix, L) -> None:
@@ -171,20 +198,20 @@ def _require_landscape_of(A: SparseSymMatrix, L) -> None:
         raise ValueError(f"landscape has length {L.u.size}, matrix has n = {A.n}")
 
 
-def _field(
-    A: SparseSymMatrix, L, threshold: float, fields: ThresholdFields | None = None, excluded=()
-) -> tuple:
-    """(v, well mask, distances to the wells outside ``excluded``) of L.vbar shifted at threshold.
+def _sweep(
+    A: SparseSymMatrix, L, thresholds, fields: ThresholdFields | None, excluded=()
+) -> ThresholdFields:
+    """The sweep the fields of L.vbar at ``thresholds`` are read from.
 
-    The triple is read from ``fields``, a ``threshold_fields`` sweep of A and
-    L.vbar that excludes nothing, or else from a one-threshold sweep of its own.
+    That is ``fields``, a ``threshold_fields`` sweep of A and L.vbar that
+    excludes nothing, or else a sweep of its own over ``thresholds``.
     """
     _require_landscape_of(A, L)
     if fields is None:
-        fields = threshold_fields(A, L.vbar, [threshold], excluded)
-    elif fields.matrix is not A or fields.vbar is not L.vbar:
+        return threshold_fields(A, L.vbar, thresholds, excluded)
+    if fields.matrix is not A or fields.vbar is not L.vbar:
         raise ValueError("fields were swept for another matrix or landscape")
-    return fields[threshold]
+    return fields
 
 
 def _checked_alpha(alpha, wc: int) -> float:
@@ -206,10 +233,10 @@ def check_landscape_localization(
     A: SparseSymMatrix,
     L: LandscapeData,
     ed: EigenDecomposition,
-    j: int,
+    j: int | Sequence[int],
     *,
     fields: ThresholdFields | None = None,
-) -> LocalizationReport:
+) -> LocalizationReport | list[LocalizationReport]:
     """Landscape localization bound for the j-th eigenpair (1-based).
 
     Uses the effective potential vbar = (A u)/u, its wells at threshold
@@ -217,31 +244,42 @@ def check_landscape_localization(
     is W_c * max |a_ij| over all entries.  ``fields``, a ``threshold_fields``
     sweep of A and L.vbar with no excluded set that holds E, supplies the
     distances, so checks sharing it run no Dijkstra of their own.
+
+    ``j`` may also be a sequence of eigen indices: the reports come back as a
+    list in that order, evaluated in blocks of eigenpairs (``BLOCK_ENTRIES``).
     """
     if not classify(A, compute_spectrum=False).is_z:
-        raise ValueError("matrix is not an M-matrix with positive landscape")
-    if not (1 <= j <= ed.n):
-        raise ValueError(f"eigen index {j} outside [1, {ed.n}]")
+        raise ValueError("matrix is not a Z-matrix")
+    ids = np.atleast_1d(np.asarray(j, dtype=np.int64))
+    outside = (ids < 1) | (ids > ed.n)
+    if outside.any():
+        raise ValueError(f"eigen index {ids[outside][0]} outside [1, {ed.n}]")
     wc = _wc(A)
     alpha = 1.0 / math.sqrt(wc)
-    E = float(ed.values[j - 1])
-    v, _, rho = _field(A, L, E, fields)
-    lhs = _log_weighted_sum(ed.vectors[:, j - 1], rho, alpha, factor=v)
-    return _report(j, E, E, alpha, 0.0, lhs, wc * A.max_abs_entry())
+    rhs = wc * A.max_abs_entry()
+    E = ed.values[ids - 1]
+    sweep = _sweep(A, L, E, fields)
+    reports = []
+    for b in _blocks(ids.size, A.n):
+        v, _, rho = sweep.rows(E[b])
+        sums = _weighted_sums(ed.vectors[:, ids[b] - 1].T, v, rho, alpha)
+        for k, e, (_, lhs) in zip(ids[b].tolist(), E[b].tolist(), sums):
+            reports.append(_report(k, e, e, alpha, 0.0, lhs, rhs))
+    return reports if np.ndim(j) else reports[0]
 
 
 def check_general_localization(
     A: SparseSymMatrix,
     L: LandscapeData,
     phi,
-    E: float,
-    ebar: float,
+    E: float | Sequence[float],
+    ebar: float | Sequence[float],
     D,
     alpha: float,
     *,
-    eigen_id: int | None = None,
+    eigen_id: int | Sequence[int] | None = None,
     fields: ThresholdFields | None = None,
-) -> LocalizationReport:
+) -> LocalizationReport | list[LocalizationReport]:
     """Two-line localization bound for a (local) eigenvector phi of eigenvalue E.
 
     Works for any symmetric Z-matrix and landscape ``L`` of it (any positive u
@@ -249,33 +287,69 @@ def check_general_localization(
     distances are measured to wells minus the excluded set D (1-based indices
     in [1, n]), and phi must vanish on D and satisfy the local eigen relation
     on its complement (the caller's duty).
-    Requires E <= ebar and 0 < alpha <= sqrt(2 / W_c), and phi finite of
-    length n.  ``fields`` is shared as in ``check_landscape_localization``
+    Requires finite E <= ebar and 0 < alpha <= sqrt(2 / W_c), and phi finite
+    of length n.  ``fields`` is shared as in ``check_landscape_localization``
     (holding ebar) and is only read when D is empty.
+
+    Batch form: with ``ebar`` a sequence, phi is an n x k matrix of column
+    vectors and ``E`` and ``eigen_id`` are sequences of ebar's length; pair i
+    checks column eigen_id[i] (1-based) of phi with E[i] and ebar[i].  The
+    reports come back as a list in pair order, evaluated in blocks of pairs
+    (``BLOCK_ENTRIES``); D and alpha are shared.
     """
-    phi = _finite_vector(phi, A.n, "phi")
+    batch = bool(np.ndim(ebar))
+    if batch:
+        phi = np.asarray(phi, dtype=float)
+        if phi.ndim != 2 or phi.shape[0] != A.n:
+            raise ValueError(f"phi must be an n x k matrix with n = {A.n}, got shape {phi.shape}")
+        if not (np.ndim(E) == np.ndim(eigen_id) == 1 and len(E) == len(eigen_id) == len(ebar)):
+            raise ValueError("E, ebar and eigen_id must be sequences of one length")
+        cols = np.asarray(eigen_id, dtype=np.int64) - 1
+        if np.any((cols < 0) | (cols >= phi.shape[1])):
+            raise ValueError(f"eigen_id must name columns in [1, {phi.shape[1]}]")
+        labels = (cols + 1).tolist()
+    else:
+        phi = _finite_vector(phi, A.n, "phi")[:, None]
+        cols, labels = np.zeros(1, dtype=np.int64), [eigen_id]
+    E = np.atleast_1d(np.asarray(E, dtype=float))
+    ebar = np.atleast_1d(np.asarray(ebar, dtype=float))
     if not classify(A, compute_spectrum=False).is_z:
         raise ValueError("matrix is not a Z-matrix")
-    if E > ebar:
-        raise ValueError(f"eigenvalue E = {E} exceeds threshold ebar = {ebar}")
+    for name, x in (("E", E), ("ebar", ebar)):
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{name} must be finite, got {float(x[~np.isfinite(x)][0])}")
+    over = E > ebar
+    if over.any():
+        raise ValueError(
+            f"eigenvalue E = {float(E[over][0])} exceeds threshold ebar = {float(ebar[over][0])}"
+        )
     wc = _wc(A)
     alpha = _checked_alpha(alpha, wc)
-    E, ebar = float(E), float(ebar)
     in_excluded = _index_mask(A.n, D)
     memo = None if in_excluded.any() else fields  # it holds distances to whole well sets
-    v, in_wells, rho = _field(A, L, ebar, memo, np.flatnonzero(in_excluded) + 1)
-    in_rel = in_wells & ~in_excluded
-    if not np.any(in_rel):
-        raise EmptyWellSetError("empty relative well set")
-
-    phi_out = np.where(in_wells, 0.0, phi)
-    lhs_first = (ebar - E) * _log_weighted_sum(phi_out, rho, alpha)
-    lhs_second = (1.0 - alpha * alpha * wc / 2.0) * _log_weighted_sum(phi_out, rho, alpha, v)
+    sweep = _sweep(A, L, ebar, memo, np.flatnonzero(in_excluded) + 1)
     off_i, off_j, off_v = A.off_arrays()
-    crossing = in_rel[off_i - 1] ^ in_rel[off_j - 1]
-    a_cross = float(np.abs(off_v[crossing]).max()) if np.any(crossing) else 0.0
-    rhs = (wc / 2.0) * float(phi @ phi) * a_cross
-    return _report(eigen_id, E, ebar, alpha, lhs_first, lhs_second, rhs)
+    a_off = np.abs(off_v)
+    c_second = 1.0 - alpha * alpha * wc / 2.0
+    reports = []
+    for b in _blocks(cols.size, A.n):
+        v, in_wells, rho = sweep.rows(ebar[b])
+        in_rel = in_wells & ~in_excluded
+        if not in_rel.any(axis=1).all():
+            raise EmptyWellSetError("empty relative well set")
+        P = phi[:, cols[b]].T
+        if not np.all(np.isfinite(P)):
+            raise ValueError("phi must be finite")
+        crossing = in_rel[:, off_i - 1] ^ in_rel[:, off_j - 1]
+        a_cross = np.where(crossing, a_off, 0.0).max(axis=1, initial=0.0)
+        sums = _weighted_sums(P, v, rho, alpha)
+        for c, label, e, t, a, (s_first, s_second) in zip(
+            cols[b].tolist(), labels[b], E[b].tolist(), ebar[b].tolist(), a_cross.tolist(), sums
+        ):
+            col = phi[:, c]
+            rhs = (wc / 2.0) * float(col @ col) * a
+            reports.append(_report(label, e, t, alpha, (t - e) * s_first, c_second * s_second, rhs))
+    return reports if batch else reports[0]
 
 
 def _finite_vector(x, n: int, name: str) -> np.ndarray:
@@ -376,15 +450,18 @@ def check_dc_corollary(A: SparseSymMatrix, L, phi, E: float, g) -> tuple[float, 
     eigenvalue E, and a diagonal weight G:  sum of phi_k^2 G_k^2 (vbar_k - E)
     must not exceed -1/2 sum over i != j of a_ij phi_i phi_j (G_i - G_j)^2.
     Returns (lhs, rhs, holds); the slack uses |rhs| so a negative right side
-    is not tightened.  ``phi`` and ``g`` must be finite and of length n
-    (ValueError otherwise).
+    is not tightened.  ``phi`` and ``g`` must be finite and of length n, and
+    E finite (ValueError otherwise).
     """
     phi = _finite_vector(phi, A.n, "phi")
     g = _finite_vector(g, A.n, "g")
     if not classify(A, compute_spectrum=False).is_z:
         raise ValueError("matrix is not a Z-matrix")
     _require_landscape_of(A, L)
-    lhs = float(np.sum(phi * phi * g * g * (L.vbar - float(E))))
+    E = float(E)
+    if not math.isfinite(E):
+        raise ValueError(f"E must be finite, got {E}")
+    lhs = float(np.sum(phi * phi * g * g * (L.vbar - E)))
     off_i, off_j, off_v = A.off_arrays()
     ii = off_i - 1
     jj = off_j - 1

@@ -17,7 +17,6 @@ import numpy as np
 
 from .agmon import build_metric, threshold_fields
 from .checks import (
-    EmptyWellSetError,
     _checked_alpha,
     _wc,
     agmon_scatter,
@@ -210,24 +209,26 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     write_landscape_csv(os.path.join(out, "landscape.csv"), L, shift_potential(L, csv_ebar))
 
     # both localization families read one sweep of distance fields, at every
-    # eigenvalue and every explicit threshold
+    # eigenvalue and every explicit threshold, and each evaluates all of its
+    # pairs in one call
     per_eigenvalue = isinstance(cfg.thresholds, str)
     swept = ed.values if per_eigenvalue else np.concatenate([ed.values, cfg.thresholds])
     sweep = threshold_fields(A, L.vbar, swept)
-    reports, gen_reports, skipped = [], [], 0
-    for j in range(1, A.n + 1):
-        E = float(ed.values[j - 1])
-        reports.append(check_landscape_localization(A, L, ed, j, fields=sweep))
-        ebars = (E,) if per_eigenvalue else tuple(t for t in cfg.thresholds if t >= E)
-        for ebar in ebars:
-            try:
-                rep = check_general_localization(
-                    A, L, ed.vectors[:, j - 1], E, ebar, (), alpha, eigen_id=j, fields=sweep
-                )
-            except EmptyWellSetError:
-                skipped += 1
-                continue
-            gen_reports.append(rep)
+    ids = np.arange(1, A.n + 1)
+    reports = check_landscape_localization(A, L, ed, ids, fields=sweep)
+    if per_eigenvalue:
+        ebars = ed.values
+    else:  # j-major pairs (j, ebar), ebar in config order, for every ebar >= E_j
+        ids = np.repeat(ids, len(cfg.thresholds))
+        ebars = np.tile(cfg.thresholds, A.n)
+        keep = ebars >= ed.values[ids - 1]
+        ids, ebars = ids[keep], ebars[keep]
+    has_wells = ebars >= L.vbar.min()  # no site is a well below min vbar
+    skipped = int(np.count_nonzero(~has_wells))
+    ids, ebars = ids[has_wells], ebars[has_wells]
+    gen_reports = check_general_localization(
+        A, L, ed.vectors, ed.values[ids - 1], ebars, (), alpha, eigen_id=ids, fields=sweep
+    )
     failures = [r.eigen_id for r in reports if not r.holds]
     checks["landscape_localization"] = {
         "pass": not failures,

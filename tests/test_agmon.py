@@ -277,15 +277,19 @@ def _thresholds(vbar):
 
 
 def _sweep_equals_one_dijkstra_per_threshold(A, vbar, thresholds, excluded=frozenset()):
-    """The sweep's triple at each t against shift_potential and distance_from_set."""
+    """The sweep's triple at each t, alone and as a row of ``rows``.
+
+    Both are compared with shift_potential and distance_from_set.
+    """
     fields = threshold_fields(A, vbar, thresholds, excluded)
-    for t in thresholds:
+    rows = fields.rows(thresholds)
+    for i, t in enumerate(thresholds):
         sp = shift_potential(vbar, t)
-        v, in_wells, dist = fields[t]
-        assert np.array_equal(v, sp.v)
-        assert set((np.flatnonzero(in_wells) + 1).tolist()) == sp.wells
         ref = distance_from_set(build_metric(A, sp), sp.wells - excluded).dist
-        assert np.array_equal(dist, ref)
+        for v, in_wells, dist in (fields[t], [r[i] for r in rows]):
+            assert np.array_equal(v, sp.v)
+            assert set((np.flatnonzero(in_wells) + 1).tolist()) == sp.wells
+            assert np.array_equal(dist, ref)
     return fields
 
 
@@ -360,6 +364,9 @@ def test_sweep_lookup_and_validation():
     fields = threshold_fields(A, vbar, [0.5, 0.25])
     with pytest.raises(KeyError, match="no field at threshold 0.3"):
         fields[0.3]
+    with pytest.raises(KeyError, match="no field at threshold 0.3"):
+        fields.rows([0.5, 0.3, 0.25])
+    assert [r.shape for r in fields.rows([])] == [(0, 10)] * 3
     with pytest.raises(ValueError, match="NaN"):
         threshold_fields(A, vbar, [0.5, math.nan])
     with pytest.raises(ValueError, match="length 9"):

@@ -26,7 +26,11 @@ def test_every_traced_attribute_resolves():
 
 
 def test_verify_calls_the_traced_localization_checks(tmp_path, monkeypatch):
-    """The tracer times localization through these two names; verify must call them."""
+    """The tracer times localization through these two names; verify calls each once.
+
+    Each call evaluates its whole family (every eigenpair, every (j, ebar)
+    pair), so the traced call count is one per name, not one per eigenpair.
+    """
     from mlandscape import experiment
     from mlandscape.matrices import EnsembleConfig, generate_band_ensemble
 
@@ -41,5 +45,9 @@ def test_verify_calls_the_traced_localization_checks(tmp_path, monkeypatch):
         monkeypatch.setattr(experiment, name, counted)
     ens = EnsembleConfig(n=30, half_bandwidth=1, seed=2)
     A, _ = generate_band_ensemble(ens)
-    experiment.run_verification(A, experiment.ExperimentConfig(ensemble=ens, n_plot=0), tmp_path)
-    assert calls == {"check_landscape_localization": 30, "check_general_localization": 30}
+    summary = experiment.run_verification(
+        A, experiment.ExperimentConfig(ensemble=ens, n_plot=0), tmp_path
+    )
+    assert calls == {"check_landscape_localization": 1, "check_general_localization": 1}
+    assert summary["checks"]["landscape_localization"]["count"] == 30
+    assert summary["checks"]["general_localization"]["count"] == 30

@@ -98,10 +98,13 @@ def test_landscape_bound_holds_on_a_draw():
 def test_landscape_bound_rejects_non_z_input():
     A = SparseSymMatrix.from_dense([[1.0, 0.5], [0.5, 1.0]])
     L = solve_landscape(A)
-    with pytest.raises(ValueError, match="not an M-matrix"):
-        check_landscape_localization(A, L, eig_sym(A), 1)
-    with pytest.raises(ValueError, match="outside"):
-        check_landscape_localization(chain(2), solve_landscape(chain(2)), eig_sym(chain(2)), 3)
+    for j in (1, [1, 2]):  # the check tests the sign pattern only, so it names that
+        with pytest.raises(ValueError, match="^matrix is not a Z-matrix$"):
+            check_landscape_localization(A, L, eig_sym(A), j)
+    B = chain(2)
+    for j in (3, [1, 3], [0]):
+        with pytest.raises(ValueError, match="outside"):
+            check_landscape_localization(B, solve_landscape(B), eig_sym(B), j)
 
 
 # ---------------------------------------------------------------- shifted bound
@@ -450,6 +453,87 @@ def test_checks_reject_a_landscape_of_another_size():
         check_general_localization(A, L, phi, E, E + 1.0, (), 0.5)
     with pytest.raises(ValueError, match=message):
         check_dc_corollary(A, L, phi, E, np.ones(3))
+
+
+def test_non_finite_energies_are_rejected_not_failed():
+    """A NaN or infinite E or ebar makes the sums NaN; that is bad input, not a FAIL."""
+    A, _ = generate_band_ensemble(EnsembleConfig(n=20, half_bandwidth=1, seed=1))
+    L, ed = solve_landscape(A), eig_sym(A)
+    phi, E = ed.vectors[:, 0], float(ed.values[0])
+    alpha = math.sqrt(0.5)
+    cases = [(math.nan, E, "E must be finite"), (-INF, E, "E must be finite")]
+    cases += [(E, INF, "ebar must be finite"), (E, math.nan, "ebar must be finite")]
+    for bad_E, bad_ebar, message in cases:
+        with pytest.raises(ValueError, match=message):
+            check_general_localization(A, L, phi, bad_E, bad_ebar, (), alpha)
+        with pytest.raises(ValueError, match=message):  # one bad pair in a batch
+            check_general_localization(
+                A, L, ed.vectors, [E, bad_E], [E, bad_ebar], (), alpha, eigen_id=[1, 1]
+            )
+    for bad_E in (math.nan, INF):
+        with pytest.raises(ValueError, match="E must be finite"):
+            check_dc_corollary(A, L, phi, bad_E, np.ones(20))
+
+
+def test_batch_forms_equal_the_scalar_checks_in_pair_order():
+    A, _ = generate_band_ensemble(EnsembleConfig(n=40, half_bandwidth=2, seed=3))
+    L, ed = solve_landscape(A), eig_sym(A)
+    alpha = math.sqrt(1.0 / max(connectivity(A), 2))
+    ids = [3, 1, 3, 40]  # unsorted, with a repeat
+    batch = check_landscape_localization(A, L, ed, ids)
+    assert [_bits(r) for r in batch] == [
+        _bits(check_landscape_localization(A, L, ed, j)) for j in ids
+    ]
+    E = ed.values[np.array(ids) - 1]
+    ebar = E + np.array([0.0, 0.3, 0.1, 0.0])
+    for D in ((), {5, 6}):
+        general = check_general_localization(A, L, ed.vectors, E, ebar, D, alpha, eigen_id=ids)
+        assert [_bits(r) for r in general] == [
+            _bits(
+                check_general_localization(
+                    A, L, ed.vectors[:, j - 1], e, t, D, alpha, eigen_id=j
+                )
+            )
+            for j, e, t in zip(ids, E.tolist(), ebar.tolist())
+        ]
+    assert check_landscape_localization(A, L, ed, []) == []
+    assert check_general_localization(A, L, ed.vectors, [], [], (), alpha, eigen_id=[]) == []
+    with pytest.raises(ValueError, match="n x k matrix"):
+        check_general_localization(A, L, ed.vectors[:, 0], E, ebar, (), alpha, eigen_id=ids)
+    with pytest.raises(ValueError, match="one length"):
+        check_general_localization(A, L, ed.vectors, E, ebar, (), alpha, eigen_id=ids[:3])
+    with pytest.raises(ValueError, match="one length"):
+        check_general_localization(A, L, ed.vectors, E, ebar, (), alpha)
+    with pytest.raises(ValueError, match="columns in"):
+        check_general_localization(A, L, ed.vectors, E, ebar, (), alpha, eigen_id=[0, 1, 2, 3])
+    low = float(L.vbar.min()) - 1.0
+    with pytest.raises(EmptyWellSetError):  # one pair below min vbar fails the whole batch
+        check_general_localization(
+            A, L, ed.vectors, [low, E[0]], [low, E[0]], (), alpha, eigen_id=[1, 1]
+        )
+
+
+def test_localization_batches_stay_small_in_memory():
+    """Blocks bound the batches' temporaries: both families at n = 500 peak under 4 MB.
+
+    Unblocked, the n x n temporaries of one batch alone take about 11 MB.
+    """
+    import tracemalloc
+
+    A, _ = generate_band_ensemble(EnsembleConfig(n=500, half_bandwidth=1, seed=1))
+    L, ed = solve_landscape(A), eig_sym(A)
+    sweep = threshold_fields(A, L.vbar, ed.values)
+    ids = np.arange(1, A.n + 1)
+    tracemalloc.start()
+    try:
+        check_landscape_localization(A, L, ed, ids, fields=sweep)
+        check_general_localization(
+            A, L, ed.vectors, ed.values, ed.values, (), math.sqrt(0.5), eigen_id=ids, fields=sweep
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------- decoupling

@@ -27,7 +27,10 @@ from mlandscape import (
     shift_potential,
     solve_landscape,
 )
+import mlandscape.checks as checks
 import mlandscape.experiment as experiment
+from mlandscape.agmon import ThresholdFields
+from mlandscape.checks import LocalizationReport
 from mlandscape.experiment import PER_EIGENVALUE
 from mlandscape.matrices import _write_json
 from mlandscape.spectral import EigenDecomposition
@@ -251,9 +254,60 @@ def _one_check_at_a_time(A, L, ed, thresholds, alpha):
     return landscape, general, skipped
 
 
+def _written_out(A, L, ed, thresholds, alpha):
+    """Both localization families pair by pair from their definitions.
+
+    One metric and one Dijkstra per pair (``distance_from_set`` on
+    ``build_metric``), and plain masked sums of psi_k^2 e^{2 rate rho_k}.
+    """
+    wc = max(connectivity(A), 2)
+    off_i, off_j, off_v = A.off_arrays()
+
+    def sums(psi, sp, rate):
+        """The sum over psi != 0 off the wells, and the one weighted by v where v != 0."""
+        rho = distance_from_set(build_metric(A, sp), sp.wells).dist
+        off = (psi != 0.0) & ~np.isin(np.arange(1, A.n + 1), list(sp.wells))
+        pos = off & (sp.v != 0.0)
+        with np.errstate(over="ignore"):
+            terms = np.exp(2.0 * rate * rho[off] + 2.0 * np.log(np.abs(psi[off])))
+            weighted = np.exp(2.0 * rate * rho[pos] + 2.0 * np.log(np.abs(psi[pos]))) * sp.v[pos]
+        return float(np.sum(terms)), float(np.sum(weighted))
+
+    def report(j, E, t, rate, first, second, rhs):
+        lhs = first + second
+        return LocalizationReport(
+            j, E, t, rate, first, second, rhs, lhs <= rhs * (1.0 + 1e-9), rhs - lhs
+        )
+
+    landscape, general, skipped = [], [], 0
+    rate = 1.0 / math.sqrt(wc)
+    for j in range(1, ed.n + 1):
+        E, psi = float(ed.values[j - 1]), ed.vectors[:, j - 1]
+        _, lhs = sums(psi, shift_potential(L, E), rate)
+        landscape.append(report(j, E, E, rate, 0.0, lhs, wc * A.max_abs_entry()))
+        for t in (E,) if thresholds == PER_EIGENVALUE else [t for t in thresholds if t >= E]:
+            sp = shift_potential(L, t)
+            if not sp.wells:
+                skipped += 1
+                continue
+            first, second = sums(psi, sp, alpha)
+            in_wells = np.isin(np.arange(1, A.n + 1), list(sp.wells))
+            crossing = in_wells[off_i - 1] != in_wells[off_j - 1]
+            a_cross = float(np.abs(off_v[crossing]).max()) if crossing.any() else 0.0
+            rhs = (wc / 2.0) * float(psi @ psi) * a_cross
+            lines = ((t - E) * first, (1.0 - alpha * alpha * wc / 2.0) * second)
+            general.append(report(j, E, t, alpha, *lines, rhs))
+    return landscape, general, skipped
+
+
 @pytest.mark.parametrize("w", [1, 2, 3])
 def test_verify_localization_equals_the_public_checks_bit_for_bit(w, tmp_path, monkeypatch):
-    """Shared distance fields change no byte of either localization file."""
+    """Verify's blocked batches write the bytes of the one-pair checks and of the definitions.
+
+    The one-pair checks are batches of one, so the pairs are also written out
+    in full (``_written_out``).  Blocks of 7 eigenpairs make every family run
+    in many blocks.
+    """
     ens = EnsembleConfig(n=120, half_bandwidth=w, seed=20 + w)
     A, _ = generate_band_ensemble(ens)
     L = solve_landscape(A)
@@ -264,6 +318,15 @@ def test_verify_localization_equals_the_public_checks_bit_for_bit(w, tmp_path, m
     explicit = (mid, low, mid, float(L.vbar.max()))  # mid twice
     # every E >= min vbar, so an empty well set needs a spectrum moved below it
     lowered = EigenDecomposition(ed.values - (ed.values[2] - low), ed.vectors)
+    monkeypatch.setattr(checks, "BLOCK_ENTRIES", 7 * A.n)
+    read = []
+    real_rows = ThresholdFields.rows
+
+    def rows(self, thresholds):
+        read.append(len(thresholds))
+        return real_rows(self, thresholds)
+
+    monkeypatch.setattr(ThresholdFields, "rows", rows)
     skips = 0
     for k, (spectrum, thresholds) in enumerate(
         itertools.product((ed, lowered), (PER_EIGENVALUE, explicit))
@@ -271,13 +334,18 @@ def test_verify_localization_equals_the_public_checks_bit_for_bit(w, tmp_path, m
         monkeypatch.setattr(experiment, "_SPECTRUM_HOOK", lambda _, s=spectrum: s)
         out = tmp_path / f"run{k}"
         cfg = ExperimentConfig(ensemble=ens, thresholds=thresholds, n_plot=0)
+        del read[:]
         summary = run_verification(A, cfg, out)
-        landscape, general, skipped = _one_check_at_a_time(A, L, spectrum, thresholds, alpha)
-        for name, reports in (("landscape", landscape), ("general", general)):
-            _write_json(tmp_path / "one_at_a_time.json", reports)
-            want = (tmp_path / "one_at_a_time.json").read_bytes()
-            assert (out / f"{name}_localization.json").read_bytes() == want
-        assert summary["checks"]["general_localization"]["skipped_empty_wells"] == skipped
+        assert len(read) > math.ceil(A.n / 7) and max(read) == 7  # landscape alone: 18 blocks
+        one_at_a_time = _one_check_at_a_time(A, L, spectrum, thresholds, alpha)
+        written_out = _written_out(A, L, spectrum, thresholds, alpha)
+        for reference in (one_at_a_time, written_out):
+            landscape, general, skipped = reference
+            for name, reports in (("landscape", landscape), ("general", general)):
+                _write_json(tmp_path / "reference.json", reports)
+                want = (tmp_path / "reference.json").read_bytes()
+                assert (out / f"{name}_localization.json").read_bytes() == want
+            assert summary["checks"]["general_localization"]["skipped_empty_wells"] == skipped
         skips += skipped
     assert skips >= 3  # the lowered spectrum puts E_1..E_3 at or below `low`
 

@@ -350,3 +350,17 @@ def test_reader_skips_comments_and_blank_lines(tmp_path):
     )
     A = read_matrix(p)
     assert np.array_equal(A.diag, [1.5, 2.5])
+
+
+def test_json_writer_joins_tokens_into_few_writes(tmp_path, monkeypatch):
+    """Joined batches of tokens give the bytes of json.dumps at any batch size."""
+    import json
+
+    from mlandscape import matrices
+
+    data = {"b": [1.5, float("inf"), {"z": -0.0, "a": [1, 2, 3]}], "a": "x", "n": None}
+    want = json.dumps(matrices._json_value(data), indent=2, sort_keys=True, allow_nan=False)
+    for per_write in (1, 3, matrices.JSON_TOKENS_PER_WRITE):
+        monkeypatch.setattr(matrices, "JSON_TOKENS_PER_WRITE", per_write)
+        matrices._write_json(tmp_path / "out.json", data)
+        assert (tmp_path / "out.json").read_text(encoding="ascii") == want + "\n"
