@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .agmon import ThresholdFields, build_metric, distance_from_set, threshold_fields
-from .landscape import LandscapeData, shift_potential
+from .landscape import LandscapeData, _require_landscape_of, shift_potential
 from .matrices import (
     SparseSymMatrix,
     _index_mask,
@@ -190,12 +190,6 @@ def _weighted_sums(P: np.ndarray, V: np.ndarray, R: np.ndarray, alpha: float) ->
         (float(add(terms[e - c : e])), float(add(weighted[e - c : e])))
         for c, e in zip(counts.tolist(), ends)
     ]
-
-
-def _require_landscape_of(A: SparseSymMatrix, L) -> None:
-    """ValueError unless the landscape ``L`` has one entry per index of A."""
-    if L.u.size != A.n:
-        raise ValueError(f"landscape has length {L.u.size}, matrix has n = {A.n}")
 
 
 def _sweep(

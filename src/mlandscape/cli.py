@@ -170,7 +170,7 @@ def _cmd_landscape(args) -> int:
 def _cmd_spectrum(args) -> int:
     cfg = _build_config(args)
     A = read_matrix(args.matrix)
-    ed = eig_sym(A)
+    ed = eig_sym(A, None)
     out = _outdir(cfg)
     path = os.path.join(out, "eigenvalues.csv")
     write_eigenvalues_csv(path, ed)
@@ -211,7 +211,7 @@ def _cmd_scatter(args) -> int:
     cfg = _build_config(args)
     A = read_matrix(args.matrix)
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     out = _outdir(cfg)
     for j in range(1, min(cfg.n_plot, ed.n) + 1):
         sd = agmon_scatter(A, L, ed, j, floor=cfg.scatter_floor)
@@ -225,7 +225,7 @@ def _cmd_figures(args) -> int:
     cfg = _build_config(args)
     A = read_matrix(args.matrix)
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     out = _outdir(cfg)
 
     overlay_csv = os.path.join(out, "overlay.csv")
@@ -295,10 +295,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (NotPositiveDefiniteError, NonPositiveLandscapeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as exc:
+    except (NotPositiveDefiniteError, NonPositiveLandscapeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:

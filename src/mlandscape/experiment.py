@@ -30,7 +30,7 @@ from .checks import (
     check_landscape_localization,
     write_scatter_csv,
 )
-from .landscape import solve_landscape, shift_potential, write_landscape_csv
+from .landscape import _residual_tolerance, shift_potential, solve_landscape, write_landscape_csv
 from .matrices import (
     EnsembleConfig,
     SparseSymMatrix,
@@ -190,14 +190,14 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     summary["checks"] = checks
 
     L = solve_landscape(A)
-    tol = 1e-10 * max(1.0, A.max_abs_entry())
+    tol = _residual_tolerance(A)
     checks["landscape_residual"] = {
         "pass": bool(L.residual_inf <= tol),
         "residual_inf": L.residual_inf,
         "tol": tol,
     }
 
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     summary["tails_repaired"] = ed.tails_repaired
     summary["tails_failed"] = ed.tails_failed
     if _SPECTRUM_HOOK is not None:

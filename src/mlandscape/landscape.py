@@ -81,19 +81,29 @@ def _solve_spd(A: SparseSymMatrix, rhs: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError("not positive definite") from exc
 
 
+def _residual_tolerance(A: SparseSymMatrix) -> float:
+    """The bound 1e-10 * max(1, max |a_ij|) on |1 - A u|_inf that a landscape solve must meet."""
+    return 1e-10 * max(1.0, A.max_abs_entry())
+
+
+def _require_landscape_of(A: SparseSymMatrix, L: LandscapeData) -> None:
+    """ValueError unless the landscape ``L`` has one entry per index of A."""
+    if L.u.size != A.n:
+        raise ValueError(f"landscape has length {L.u.size}, matrix has n = {A.n}")
+
+
 def solve_landscape(A: SparseSymMatrix) -> LandscapeData:
     """Solve A u = 1 for a positive definite A and derive the potential.
 
     One pass of iterative refinement is applied if the residual exceeds
-    1e-10 * max(1, max |a_ij|).  A non-positive component of u is an error
+    ``_residual_tolerance(A)``.  A non-positive component of u is an error
     (raised by ``LandscapeData``): the landscape of an M-matrix is strictly
     positive, so a sign flip means the input is outside the supported class.
     """
     ones = np.ones(A.n, dtype=float)
     u = _solve_spd(A, ones)
-    tol = 1e-10 * max(1.0, A.max_abs_entry())
     residual = ones - A.matvec(u)
-    if float(np.abs(residual).max()) > tol:
+    if float(np.abs(residual).max()) > _residual_tolerance(A):
         u = u + _solve_spd(A, residual)
     return landscape_from_vector(A, u)
 

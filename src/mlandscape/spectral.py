@@ -5,9 +5,9 @@ positive, ties resolved toward the lowest index.
 
 The dense solver leaves every entry with an absolute error of ~1e-16, so the
 exponentially small tails of localized eigenvectors drown in that floor.
-``eig_sym`` rebuilds them from ``solve_landscape`` of the matrix being
-decomposed: with u solving A u = 1 and vbar = (A u) / u, the barrier set
-T = {k : vbar_k > lambda} of an eigenpair (lambda, psi) satisfies
+``eig_sym(A, L)`` rebuilds them from the caller's landscape: for any positive
+u with vbar = (A u) / u (u = A^{-1} 1 is only the M-matrix case), the barrier
+set T = {k : vbar_k > lambda} of an eigenpair (lambda, psi) satisfies
 A_TT u_T >= vbar_T u_T > lambda u_T for a Z-matrix, so A_TT - lambda is a
 nonsingular M-matrix and the eigen equation restricted to T gives
 
@@ -19,10 +19,10 @@ builder behind the landscape solve too; each keeps its own LAPACK driver
 (``dpbsv`` here, ``solveh_banded`` there).  The inverse of an M-matrix is
 entrywise non-negative, so constant-sign data meets no cancellation and the
 rebuilt entries keep relative accuracy however deep the decay runs.  The repair
-applies to Z-matrices whose bandwidth is at most max(1, n // 3) and whose
-landscape is strictly positive; otherwise, or for an eigenpair whose solve
-fails, the dense vector stands, and ``EigenDecomposition`` counts the
-repaired and the failed eigenpairs.
+applies to Z-matrices whose bandwidth is at most max(1, n // 3); otherwise,
+with no landscape (``L`` None), or for an eigenpair whose solve fails, the
+dense vector stands, and ``EigenDecomposition`` counts the repaired and the
+failed eigenpairs.
 
 Its one limit: entries of T^c keep the dense solver's absolute accuracy
 (or its exact zeros), so where psi is tiny on T^c, far from its own well,
@@ -30,7 +30,7 @@ the T entries beyond them follow that data.  Verifiers that weight tail
 entries by exp(2 alpha rho) rely on the repair.
 
 ``local_eig`` decomposes the relabelled principal submatrix
-(``matrices._submatrix``) of its domain the same way.
+(``matrices._submatrix``) of its domain the same way, with its own landscape.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .landscape import solve_landscape
+from .landscape import LandscapeData, _require_landscape_of, solve_landscape
 from .matrices import (
     DENSE_EIGEN_LIMIT,
-    NonPositiveLandscapeError,
-    NotPositiveDefiniteError,
     SparseSymMatrix,
     _frozen,
     _index_mask,
@@ -121,7 +119,9 @@ class SpectralProjector:
         _frozen(self.basis)
 
 
-def _repair_tails(A: SparseSymMatrix, values: np.ndarray, vectors: np.ndarray) -> tuple[int, int]:
+def _repair_tails(
+    A: SparseSymMatrix, vbar: np.ndarray, values: np.ndarray, vectors: np.ndarray
+) -> tuple[int, int]:
     """Rebuild each column of ``vectors`` on its barrier set T, in place.
 
     For eigenpair k with T = {vbar > values[k]} neither empty nor everything,
@@ -133,10 +133,6 @@ def _repair_tails(A: SparseSymMatrix, values: np.ndarray, vectors: np.ndarray) -
     n = A.n
     bw = A.bandwidth()
     if not A.is_z or bw == 0 or bw > max(1, n // 3):
-        return 0, 0
-    try:
-        vbar = solve_landscape(A).vbar
-    except (NotPositiveDefiniteError, NonPositiveLandscapeError):
         return 0, 0
     repaired = failed = 0
     for k in range(n):
@@ -167,12 +163,14 @@ def _fix_signs(vectors: np.ndarray) -> None:
             col *= -1.0
 
 
-def eig_sym(A: SparseSymMatrix, *, refine_tails: bool = True) -> EigenDecomposition:
-    """Full eigendecomposition with deterministic signs (and Dirichlet tail repair)."""
+def eig_sym(A: SparseSymMatrix, L: LandscapeData | None) -> EigenDecomposition:
+    """Full eigendecomposition with deterministic signs, tails repaired from ``L`` unless None."""
     if A.n > DENSE_EIGEN_LIMIT:
         raise ValueError(f"dense eigensolve limited to n <= {DENSE_EIGEN_LIMIT}, got n = {A.n}")
+    if L is not None:
+        _require_landscape_of(A, L)
     values, vectors = np.linalg.eigh(A.to_dense())
-    repaired, failed = _repair_tails(A, values, vectors) if refine_tails else (0, 0)
+    repaired, failed = _repair_tails(A, L.vbar, values, vectors) if L is not None else (0, 0)
     _fix_signs(vectors)
     return EigenDecomposition(values, vectors, tails_repaired=repaired, tails_failed=failed)
 
@@ -180,14 +178,15 @@ def eig_sym(A: SparseSymMatrix, *, refine_tails: bool = True) -> EigenDecomposit
 def local_eig(A: SparseSymMatrix, domain, region_id: int = 0) -> LocalEigenData:
     """Spectrum of the principal submatrix on ``domain`` (1-based indices).
 
-    The submatrix goes through ``eig_sym``, tail repair included, with the
-    landscape of the submatrix itself.
+    The submatrix goes through ``eig_sym`` with its own ``solve_landscape``,
+    which raises if it is not positive definite or its landscape is not positive.
     """
     dom = sorted({int(i) for i in domain})
     if not dom:
         raise ValueError("empty domain")
     keep = _index_mask(A.n, dom)
-    sub = eig_sym(_submatrix(A, keep))
+    A_dom = _submatrix(A, keep)
+    sub = eig_sym(A_dom, solve_landscape(A_dom))
     vectors = np.zeros((A.n, sub.n), dtype=float)
     vectors[keep, :] = sub.vectors
     return LocalEigenData(

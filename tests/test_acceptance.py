@@ -78,7 +78,8 @@ def sweep():
         A, _ = generate_band_ensemble(
             EnsembleConfig(n=n, half_bandwidth=w, epsilon=0.1, seed=seed)
         )
-        runs.append((seed, w, A, solve_landscape(A), eig_sym(A)))
+        L = solve_landscape(A)
+        runs.append((seed, w, A, L, eig_sym(A, L)))
     return runs
 
 
@@ -90,7 +91,7 @@ def decoupled():
             EnsembleConfig(n=n, half_bandwidth=1, epsilon=0.1, seed=seed)
         )
         L = solve_landscape(A)
-        ed = eig_sym(A)
+        ed = eig_sym(A, L)
         metric = build_metric(A, shift_potential(L, ebar))
         part = build_partition(A, metric, S_REQUESTED)
         locals_ = [
@@ -114,7 +115,7 @@ def _two_block_fixture():
                (5, 6, -1.0), (6, 7, -1.0), (7, 8, -1.0)]
     A = SparseSymMatrix(8, diag, entries)
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     metric = build_metric(A, shift_potential(L, 10.0))
     part = build_partition(A, metric, S_REQUESTED)
     locals_ = [
@@ -223,7 +224,7 @@ def test_criterion_03_identity_suite():
         A = SparseSymMatrix.from_dense(a)
         L = landscape_from_vector(A, np.abs(rng.normal(size=n)) + 0.1)
         g = rng.normal(size=n)
-        ed = eig_sym(A)
+        ed = eig_sym(A, L)
         for j in range(n):
             _, _, holds = check_dc_corollary(
                 A, L, ed.vectors[:, j], float(ed.values[j]), g
@@ -424,7 +425,7 @@ def test_criterion_08_scatter_correlation():
         EnsembleConfig(n=1000, half_bandwidth=1, epsilon=0.1, seed=42)
     )
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     sd = agmon_scatter(A, L, ed, 1, floor=1e-17)
     elapsed = time.monotonic() - t0
     ok = abs(sd.pearson_r) >= 0.90 and elapsed < 60.0

@@ -55,7 +55,7 @@ def blocks():
         [(1, 2, -1.0), (2, 3, -1.0), (3, 4, -1.0), (5, 6, -1.0), (6, 7, -1.0), (7, 8, -1.0)],
     )
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     sp = shift_potential(L, 10.0)  # every site is a well; blocks stay separate
     part = build_partition(A, build_metric(A, sp), s_requested=2.0)
     locals_ = [local_eig(A, reg, region_id=i) for i, reg in enumerate(part.regions)]
@@ -67,7 +67,8 @@ def blocks():
 
 def test_landscape_bound_diagonal_is_exactly_zero():
     A = SparseSymMatrix(3, [3.0, 1.0, 2.0])
-    rep = check_landscape_localization(A, solve_landscape(A), eig_sym(A), 1)
+    L = solve_landscape(A)
+    rep = check_landscape_localization(A, L, eig_sym(A, L), 1)
     assert rep.lhs_second == 0.0
     assert rep.rhs == 6.0
     assert rep.holds
@@ -77,7 +78,7 @@ def test_landscape_bound_diagonal_is_exactly_zero():
 def test_landscape_bound_two_site_chain():
     A = SparseSymMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     for j in (1, 2):
         rep = check_landscape_localization(A, L, ed, j)
         # every site is a well at both eigenvalues, so the weighted sum vanishes
@@ -89,7 +90,7 @@ def test_landscape_bound_two_site_chain():
 def test_landscape_bound_holds_on_a_draw():
     A, _ = generate_band_ensemble(EnsembleConfig(n=120, half_bandwidth=1, seed=5))
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     for j in range(1, 121):
         rep = check_landscape_localization(A, L, ed, j)
         assert rep.holds, f"eigenpair {j}: lhs {rep.lhs_second} > rhs {rep.rhs}"
@@ -100,11 +101,12 @@ def test_landscape_bound_rejects_non_z_input():
     L = solve_landscape(A)
     for j in (1, [1, 2]):  # the check tests the sign pattern only, so it names that
         with pytest.raises(ValueError, match="^matrix is not a Z-matrix$"):
-            check_landscape_localization(A, L, eig_sym(A), j)
+            check_landscape_localization(A, L, eig_sym(A, L), j)
     B = chain(2)
+    LB = solve_landscape(B)
     for j in (3, [1, 3], [0]):
         with pytest.raises(ValueError, match="outside"):
-            check_landscape_localization(B, solve_landscape(B), eig_sym(B), j)
+            check_landscape_localization(B, LB, eig_sym(B, LB), j)
 
 
 # ---------------------------------------------------------------- shifted bound
@@ -132,7 +134,7 @@ def test_shifted_bound_three_site_pinned_values():
 def test_shifted_bound_critical_alpha_kills_second_term():
     A, _ = generate_band_ensemble(EnsembleConfig(n=60, half_bandwidth=1, seed=5))
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     E = float(ed.values[0])
     rep = check_general_localization(
         A, L, ed.vectors[:, 0], E, E + 0.2, frozenset(), 1.0
@@ -145,7 +147,7 @@ def test_shifted_bound_critical_alpha_kills_second_term():
 def test_shifted_bound_at_threshold_equal_to_eigenvalue():
     A, _ = generate_band_ensemble(EnsembleConfig(n=60, half_bandwidth=1, seed=5))
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     E = float(ed.values[2])
     rep = check_general_localization(
         A, L, ed.vectors[:, 2], E, E, frozenset(), math.sqrt(0.5), eigen_id=3
@@ -158,7 +160,7 @@ def test_shifted_bound_at_threshold_equal_to_eigenvalue():
 def test_shifted_bound_small_sweep():
     A, _ = generate_band_ensemble(EnsembleConfig(n=60, half_bandwidth=1, seed=5))
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     skipped = 0
     for j in range(1, 61):
         E = float(ed.values[j - 1])
@@ -393,7 +395,7 @@ def test_corollary_single_support_is_tight():
 def test_corollary_on_eigenvectors_with_constant_weight():
     A, _ = generate_band_ensemble(EnsembleConfig(n=50, half_bandwidth=2, seed=17))
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     for j in range(1, 51):
         lhs, rhs, holds = check_dc_corollary(
             A, L, ed.vectors[:, j - 1], float(ed.values[j - 1]), np.full(50, 3.0)
@@ -405,7 +407,7 @@ def test_corollary_on_eigenvectors_with_constant_weight():
 def test_corollary_on_eigenvectors_with_random_weights():
     A, _ = generate_band_ensemble(EnsembleConfig(n=50, half_bandwidth=1, seed=18))
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     rng = np.random.default_rng(0)
     for j in range(1, 51):
         _, _, holds = check_dc_corollary(
@@ -444,7 +446,7 @@ def test_dc_corollary_rejects_phi_and_g_of_the_wrong_length():
 def test_checks_reject_a_landscape_of_another_size():
     A = chain(3)
     L = solve_landscape(chain(4))
-    ed = eig_sym(A)
+    ed = eig_sym(A, None)
     phi, E = ed.vectors[:, 0], float(ed.values[0])
     message = "landscape has length 4, matrix has n = 3"
     with pytest.raises(ValueError, match=message):
@@ -458,7 +460,8 @@ def test_checks_reject_a_landscape_of_another_size():
 def test_non_finite_energies_are_rejected_not_failed():
     """A NaN or infinite E or ebar makes the sums NaN; that is bad input, not a FAIL."""
     A, _ = generate_band_ensemble(EnsembleConfig(n=20, half_bandwidth=1, seed=1))
-    L, ed = solve_landscape(A), eig_sym(A)
+    L = solve_landscape(A)
+    ed = eig_sym(A, L)
     phi, E = ed.vectors[:, 0], float(ed.values[0])
     alpha = math.sqrt(0.5)
     cases = [(math.nan, E, "E must be finite"), (-INF, E, "E must be finite")]
@@ -477,7 +480,8 @@ def test_non_finite_energies_are_rejected_not_failed():
 
 def test_batch_forms_equal_the_scalar_checks_in_pair_order():
     A, _ = generate_band_ensemble(EnsembleConfig(n=40, half_bandwidth=2, seed=3))
-    L, ed = solve_landscape(A), eig_sym(A)
+    L = solve_landscape(A)
+    ed = eig_sym(A, L)
     alpha = math.sqrt(1.0 / max(connectivity(A), 2))
     ids = [3, 1, 3, 40]  # unsorted, with a repeat
     batch = check_landscape_localization(A, L, ed, ids)
@@ -521,7 +525,8 @@ def test_localization_batches_stay_small_in_memory():
     import tracemalloc
 
     A, _ = generate_band_ensemble(EnsembleConfig(n=500, half_bandwidth=1, seed=1))
-    L, ed = solve_landscape(A), eig_sym(A)
+    L = solve_landscape(A)
+    ed = eig_sym(A, L)
     sweep = threshold_fields(A, L.vbar, ed.values)
     ids = np.arange(1, A.n + 1)
     tracemalloc.start()
@@ -631,7 +636,7 @@ def test_scatter_block_confinement(blocks):
 def test_scatter_single_point_has_no_fit():
     A = SparseSymMatrix(2, [1.0, 2.0])
     L = solve_landscape(A)
-    sd = agmon_scatter(A, L, eig_sym(A), 1)
+    sd = agmon_scatter(A, L, eig_sym(A, L), 1)
     assert sd.points.shape[0] == 1
     assert math.isnan(sd.fitted_slope) and math.isnan(sd.pearson_r)
 
@@ -639,7 +644,7 @@ def test_scatter_single_point_has_no_fit():
 def test_scatter_floor_filters_amplitudes():
     A, _ = generate_band_ensemble(EnsembleConfig(n=150, half_bandwidth=1, seed=42))
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     tight = agmon_scatter(A, L, ed, 1, floor=1e-5)
     loose = agmon_scatter(A, L, ed, 1, floor=1e-17)
     assert tight.points.shape[0] < loose.points.shape[0]
@@ -649,7 +654,7 @@ def test_scatter_floor_filters_amplitudes():
 def test_scatter_fit_on_a_draw():
     A, _ = generate_band_ensemble(EnsembleConfig(n=300, half_bandwidth=1, seed=42))
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     sd = agmon_scatter(A, L, ed, 1)
     assert sd.pearson_r >= 0.8
     assert sd.fitted_slope > 0.0
@@ -680,7 +685,7 @@ def test_localization_holds_for_every_eigenpair_at_bandwidth_two(n, seed):
     """
     A, _ = generate_band_ensemble(EnsembleConfig(n=n, half_bandwidth=2, seed=seed))
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     wc = max(connectivity(A), 2)
     alphas = (math.sqrt(1.0 / wc), math.sqrt(2.0 / wc))
     bad = []

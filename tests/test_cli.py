@@ -112,6 +112,23 @@ def test_spectrum_csv(mat, tmp_path, capsys):
     assert values == sorted(values)
 
 
+def test_spectrum_needs_no_positive_landscape(tmp_path):
+    bad = tmp_path / "indefinite.mtx"
+    bad.write_text(INDEFINITE_MTX)
+    assert main(["spectrum", str(bad), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "eigenvalues.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [float(r[1]) for r in rows[1:]] == [-1.0, 3.0]
+
+
+def test_spectrum_writes_the_eigenvalues_verify_writes(mat, tmp_path):
+    path, _ = mat
+    assert main(["spectrum", path, "--out", str(tmp_path / "spectrum")]) == 0
+    assert main(["verify", path, "--out", str(tmp_path / "verify")]) == 0
+    written = (tmp_path / "spectrum" / "eigenvalues.csv").read_bytes()
+    assert written == (tmp_path / "verify" / "eigenvalues.csv").read_bytes()
+
+
 def test_partition_requires_threshold(mat, tmp_path, capsys):
     path, _ = mat
     rc = main(["partition", path, "--out", str(tmp_path)])

@@ -311,7 +311,7 @@ def test_verify_localization_equals_the_public_checks_bit_for_bit(w, tmp_path, m
     ens = EnsembleConfig(n=120, half_bandwidth=w, seed=20 + w)
     A, _ = generate_band_ensemble(ens)
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     alpha = math.sqrt(1.0 / max(connectivity(A), 2))
     low = float(L.vbar.min()) - 0.01  # below every vbar: no wells
     mid = float(np.median(L.vbar))
@@ -410,3 +410,22 @@ def test_verify_forms_vbar_once_per_landscape(tmp_path, monkeypatch):
     summary = run_verification(A, ExperimentConfig(ensemble=ens, n_plot=0), tmp_path)
     assert summary["checks"]["dc_corollary"]["count"] == 60
     assert len(calls) < 60
+
+
+def test_verify_solves_the_landscape_once(tmp_path, monkeypatch):
+    """The tail repair reads the landscape the verify holds: one full-size landscape."""
+    import mlandscape.landscape as landscape
+
+    real = landscape.landscape_from_vector
+    sizes = []
+
+    def counted(A, u):
+        sizes.append(A.n)
+        return real(A, u)
+
+    monkeypatch.setattr(landscape, "landscape_from_vector", counted)
+    ens = EnsembleConfig(n=100, half_bandwidth=1, seed=1)
+    A, _ = generate_band_ensemble(ens)
+    summary = run_verification(A, ExperimentConfig(ensemble=ens, n_plot=0), tmp_path)
+    assert summary["tails_repaired"] > 0
+    assert sizes.count(100) == 1

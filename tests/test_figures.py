@@ -27,7 +27,7 @@ def _diag_fixture():
     # diag(1, 2): u = (1, 0.5), vbar = (1, 2), eigenvectors are unit vectors
     A = SparseSymMatrix(2, [1.0, 2.0], [])
     L = solve_landscape(A)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     return L, ed
 
 

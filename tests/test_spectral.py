@@ -9,15 +9,19 @@ import scipy.linalg
 
 from mlandscape import (
     EnsembleConfig,
+    NotPositiveDefiniteError,
     SparseSymMatrix,
     counting_global,
     counting_local,
     eig_sym,
     generate_band_ensemble,
     global_projector,
+    landscape_from_vector,
     local_eig,
     local_projector,
     project,
+    smallest_eigenvalue,
+    solve_landscape,
     write_eigenvalues_csv,
 )
 
@@ -27,7 +31,7 @@ def tridiag(n, d=2.0):
 
 
 def test_diagonal_matrix_sorted_with_identity_vectors():
-    ed = eig_sym(SparseSymMatrix(3, [3.0, 1.0, 2.0]))
+    ed = eig_sym(SparseSymMatrix(3, [3.0, 1.0, 2.0]), None)
     assert np.allclose(ed.values, [1.0, 2.0, 3.0], atol=1e-15)
     expect = np.zeros((3, 3))
     expect[1, 0] = expect[2, 1] = expect[0, 2] = 1.0
@@ -35,7 +39,7 @@ def test_diagonal_matrix_sorted_with_identity_vectors():
 
 
 def test_two_site_chain():
-    ed = eig_sym(SparseSymMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]]))
+    ed = eig_sym(SparseSymMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]]), None)
     assert np.allclose(ed.values, [1.0, 3.0], atol=1e-14)
     s = 1.0 / math.sqrt(2.0)
     assert np.allclose(ed.vectors[:, 0], [s, s], atol=1e-14)
@@ -46,7 +50,7 @@ def test_two_site_chain():
 def test_sign_convention_largest_entry_positive():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((12, 12))
-    ed = eig_sym(SparseSymMatrix.from_dense(a + a.T))
+    ed = eig_sym(SparseSymMatrix.from_dense(a + a.T), None)
     for k in range(12):
         col = ed.vectors[:, k]
         assert col[np.argmax(np.abs(col))] > 0.0
@@ -56,7 +60,7 @@ def test_residual_and_orthonormality_random():
     rng = np.random.default_rng(21)
     a = rng.standard_normal((50, 50))
     A = SparseSymMatrix.from_dense(a + a.T)
-    ed = eig_sym(A)
+    ed = eig_sym(A, None)
     d = A.to_dense()
     res = np.linalg.norm(d @ ed.vectors - ed.vectors * ed.values, axis=0).max()
     assert res <= 1e-10 * np.linalg.norm(d, "fro")
@@ -66,7 +70,7 @@ def test_residual_and_orthonormality_random():
 
 def test_completeness_of_the_basis():
     A, _ = generate_band_ensemble(EnsembleConfig(n=150, half_bandwidth=2, seed=2))
-    ed = eig_sym(A)
+    ed = eig_sym(A, solve_landscape(A))
     assert np.abs(ed.vectors @ ed.vectors.T - np.eye(150)).max() <= 1e-8
 
 
@@ -79,8 +83,8 @@ def test_tail_refinement_reaches_below_the_dense_floor():
     entries.
     """
     A, _ = generate_band_ensemble(EnsembleConfig(n=200, half_bandwidth=1, seed=15))
-    refined = eig_sym(A, refine_tails=True)
-    raw = eig_sym(A, refine_tails=False)
+    refined = eig_sym(A, solve_landscape(A))
+    raw = eig_sym(A, None)
     for ed in (refined, raw):
         d = A.to_dense()
         res = np.linalg.norm(d @ ed.vectors - ed.vectors * ed.values, axis=0).max()
@@ -99,7 +103,7 @@ def test_refinement_survives_exactly_degenerate_clusters():
     A = SparseSymMatrix(
         6, [2.0] * 6, [(1, 2, -1.0), (2, 3, -1.0), (4, 5, -1.0), (5, 6, -1.0)]
     )
-    ed = eig_sym(A)
+    ed = eig_sym(A, solve_landscape(A))
     assert np.allclose(ed.values[0::2], ed.values[1::2], atol=1e-12)
     assert np.abs(ed.vectors.T @ ed.vectors - np.eye(6)).max() <= 1e-12
     d = A.to_dense()
@@ -116,8 +120,8 @@ def test_tail_repair_matches_high_precision_reference():
     """
     mpmath = pytest.importorskip("mpmath")
     A, _ = generate_band_ensemble(EnsembleConfig(n=200, half_bandwidth=1, seed=15))
-    psi = eig_sym(A).vectors[:, 0]
-    start = eig_sym(A, refine_tails=False).vectors[:, 0]
+    psi = eig_sym(A, solve_landscape(A)).vectors[:, 0]
+    start = eig_sym(A, None).vectors[:, 0]
 
     ctx = mpmath.MPContext()
     ctx.dps = 400
@@ -160,39 +164,70 @@ def test_tail_repair_matches_high_precision_reference():
 
 def test_chain_reports_tail_repairs():
     A, _ = generate_band_ensemble(EnsembleConfig(n=120, half_bandwidth=1, seed=4))
-    ed = eig_sym(A)
+    ed = eig_sym(A, solve_landscape(A))
     assert ed.tails_repaired > 0
     assert ed.tails_failed == 0
-    raw = eig_sym(A, refine_tails=False)
+    raw = eig_sym(A, None)
     assert raw.tails_repaired == 0 and raw.tails_failed == 0
 
 
 def test_no_positive_landscape_keeps_the_dense_vectors():
-    # positive definite and tridiagonal, but u = A^{-1} 1 has u_1 < 0
+    # positive definite and tridiagonal, but not a Z-matrix: u = A^{-1} 1 has
+    # u_1 < 0, and a positive u handed in does not make A_TT - lambda an M-matrix
     A = SparseSymMatrix(
         6,
         [1.0, 0.85, 2.0, 2.0, 2.0, 2.0],
         [(1, 2, 0.9), (2, 3, -0.05), (3, 4, -0.5), (4, 5, -0.5), (5, 6, -0.5)],
     )
-    ed = eig_sym(A)
+    ed = eig_sym(A, landscape_from_vector(A, np.ones(6)))
     assert ed.tails_repaired == 0 and ed.tails_failed == 0
-    assert np.array_equal(ed.vectors, eig_sym(A, refine_tails=False).vectors)
+    assert np.array_equal(ed.vectors, eig_sym(A, None).vectors)
+
+
+def test_landscape_of_another_length_is_rejected():
+    L = solve_landscape(tridiag(4))
+    with pytest.raises(ValueError, match="landscape has length 4, matrix has n = 3"):
+        eig_sym(tridiag(3), L)
+
+
+def test_any_positive_u_repairs_a_z_matrix_that_is_not_an_m_matrix():
+    """The paper's Z-matrix case: u from a shifted matrix drives the repair.
+
+    The chain has lambda_1 < 0, so A u = 1 has no positive solution, but
+    A_TT - lambda is an M-matrix on T = {vbar > lambda} for the ratio
+    potential of any positive u.
+    """
+    rng = np.random.default_rng(0)
+    n = 50
+    diag = 1.0 + 0.5 * rng.random(n)
+    hops = [(i, i + 1, -1.0) for i in range(1, n)]
+    A = SparseSymMatrix(n, diag, hops)
+    lam1 = smallest_eigenvalue(A)
+    assert lam1 < 0.0
+    u = solve_landscape(SparseSymMatrix(n, diag + (1.0 - lam1), hops)).u
+    ed = eig_sym(A, landscape_from_vector(A, u))
+    assert ed.tails_repaired > 0
+    assert ed.tails_failed == 0
+    d = A.to_dense()
+    assert np.abs(d @ ed.vectors - ed.vectors * ed.values).max() <= 1e-13
+    assert np.abs(ed.vectors.T @ ed.vectors - np.eye(n)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("info, fill", [(1, 0.0), (0, float("nan"))])
 def test_failed_tail_solves_are_counted_and_keep_the_dense_vectors(monkeypatch, info, fill):
     A, _ = generate_band_ensemble(EnsembleConfig(n=60, half_bandwidth=2, seed=3))
-    attempted = eig_sym(A).tails_repaired
+    L = solve_landscape(A)
+    attempted = eig_sym(A, L).tails_repaired
     assert attempted > 0
 
     def broken(band, rhs):
         return band, np.full_like(rhs, fill), info
 
     monkeypatch.setattr(scipy.linalg.lapack, "dpbsv", broken)
-    ed = eig_sym(A)
+    ed = eig_sym(A, L)
     assert ed.tails_repaired == 0
     assert ed.tails_failed == attempted
-    assert np.array_equal(ed.vectors, eig_sym(A, refine_tails=False).vectors)
+    assert np.array_equal(ed.vectors, eig_sym(A, None).vectors)
 
 
 # ---------------------------------------------------------------- local spectra
@@ -200,7 +235,7 @@ def test_failed_tail_solves_are_counted_and_keep_the_dense_vectors(monkeypatch, 
 
 def test_local_eig_full_domain_matches_global():
     A = tridiag(8)
-    ed = eig_sym(A)
+    ed = eig_sym(A, solve_landscape(A))
     loc = local_eig(A, range(1, 9), region_id=3)
     assert loc.region_id == 3
     assert loc.domain == frozenset(range(1, 9))
@@ -229,7 +264,7 @@ def test_local_eig_block_diagonal_reassembles_spectrum():
         6, [2.0, 2.0, 2.0, 5.0, 5.0, 5.0],
         [(1, 2, -1.0), (2, 3, -1.0), (4, 5, -1.0), (5, 6, -1.0)],
     )
-    ed = eig_sym(A)
+    ed = eig_sym(A, None)
     la = local_eig(A, [1, 2, 3], region_id=0)
     lb = local_eig(A, [4, 5, 6], region_id=1)
     merged = np.sort(np.concatenate([la.values, lb.values]))
@@ -253,6 +288,13 @@ def test_local_eig_never_densifies_the_full_matrix(monkeypatch):
     assert np.abs(sub @ loc.vectors[10:30] - loc.vectors[10:30] * loc.values).max() <= 1e-13
 
 
+def test_local_eig_raises_on_an_indefinite_domain():
+    # the submatrix on {1, 2} is the Z-matrix [[1, -2], [-2, 1]], eigenvalues -1 and 3
+    A = SparseSymMatrix(3, [1.0, 1.0, 5.0], [(1, 2, -2.0)])
+    with pytest.raises(NotPositiveDefiniteError):
+        local_eig(A, [1, 2])
+
+
 def test_local_eig_rejects_bad_domains():
     A = tridiag(4)
     with pytest.raises(ValueError, match="empty"):
@@ -265,7 +307,7 @@ def test_local_eig_rejects_bad_domains():
 
 
 def test_projector_interval_is_open():
-    ed = eig_sym(SparseSymMatrix(3, [1.0, 2.0, 3.0]))
+    ed = eig_sym(SparseSymMatrix(3, [1.0, 2.0, 3.0]), None)
     assert global_projector(ed, 1.0, 3.0).basis.shape == (3, 1)
     assert global_projector(ed, 1.0, 2.0).basis.shape == (3, 0)
     assert global_projector(ed, 0.5, 3.5).basis.shape == (3, 3)
@@ -273,7 +315,7 @@ def test_projector_interval_is_open():
 
 def test_projector_idempotent_and_contractive():
     A, _ = generate_band_ensemble(EnsembleConfig(n=40, half_bandwidth=1, seed=13))
-    ed = eig_sym(A)
+    ed = eig_sym(A, None)
     mid = float(np.median(ed.values))
     P = global_projector(ed, ed.values[0] - 1.0, mid)
     rng = np.random.default_rng(0)
@@ -285,7 +327,7 @@ def test_projector_idempotent_and_contractive():
 
 
 def test_empty_projector_maps_to_zero():
-    ed = eig_sym(SparseSymMatrix(2, [1.0, 2.0]))
+    ed = eig_sym(SparseSymMatrix(2, [1.0, 2.0]), None)
     P = global_projector(ed, 5.0, 6.0)
     assert np.array_equal(project(P, [1.0, 1.0]), [0.0, 0.0])
 
@@ -306,7 +348,7 @@ def test_local_projector_combines_disjoint_supports():
 
 
 def test_counting_step_function():
-    ed = eig_sym(SparseSymMatrix(3, [1.0, 2.0, 3.0]))
+    ed = eig_sym(SparseSymMatrix(3, [1.0, 2.0, 3.0]), None)
     assert counting_global(ed, 0.5) == 0
     assert counting_global(ed, 1.0) == 1  # inclusive at the eigenvalue
     assert counting_global(ed, 2.5) == 2
@@ -323,7 +365,7 @@ def test_counting_local_sums_regions():
 
 
 def test_eigenvalues_csv(tmp_path):
-    ed = eig_sym(SparseSymMatrix(2, [1.5, 0.5]))
+    ed = eig_sym(SparseSymMatrix(2, [1.5, 0.5]), None)
     p = tmp_path / "ev.csv"
     write_eigenvalues_csv(p, ed)
     rows = list(csv.reader(p.open()))
