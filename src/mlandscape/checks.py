@@ -215,6 +215,17 @@ def _checked_alpha(alpha, wc: int) -> float:
     return alpha
 
 
+def _eigen_ids(j, count: int) -> np.ndarray:
+    """j as 1-based eigen indices (int64); ValueError unless each is an integer in [1, count]."""
+    ids = np.asarray(j)
+    bad = np.ones(ids.shape, dtype=bool)  # bools, strings and the like name no column
+    if ids.dtype.kind in "iuf":
+        bad = (ids < 1) | (ids > count) | (ids != np.trunc(ids))
+    if bad.any():
+        raise ValueError(f"eigen index {ids[bad][0].item()!r} outside the columns in [1, {count}]")
+    return ids.astype(np.int64)
+
+
 def _report(eigen_id, E, ebar, alpha, lhs_first, lhs_second, rhs) -> LocalizationReport:
     lhs = lhs_first + lhs_second
     holds = lhs <= rhs * (1.0 + REL_SLACK)
@@ -244,10 +255,7 @@ def check_landscape_localization(
     """
     if not classify(A, compute_spectrum=False).is_z:
         raise ValueError("matrix is not a Z-matrix")
-    ids = np.atleast_1d(np.asarray(j, dtype=np.int64))
-    outside = (ids < 1) | (ids > ed.n)
-    if outside.any():
-        raise ValueError(f"eigen index {ids[outside][0]} outside [1, {ed.n}]")
+    ids = np.atleast_1d(_eigen_ids(j, ed.n))
     wc = _wc(A)
     alpha = 1.0 / math.sqrt(wc)
     rhs = wc * A.max_abs_entry()
@@ -298,9 +306,7 @@ def check_general_localization(
             raise ValueError(f"phi must be an n x k matrix with n = {A.n}, got shape {phi.shape}")
         if not (np.ndim(E) == np.ndim(eigen_id) == 1 and len(E) == len(eigen_id) == len(ebar)):
             raise ValueError("E, ebar and eigen_id must be sequences of one length")
-        cols = np.asarray(eigen_id, dtype=np.int64) - 1
-        if np.any((cols < 0) | (cols >= phi.shape[1])):
-            raise ValueError(f"eigen_id must name columns in [1, {phi.shape[1]}]")
+        cols = _eigen_ids(eigen_id, phi.shape[1]) - 1
         labels = (cols + 1).tolist()
     else:
         phi = _finite_vector(phi, A.n, "phi")[:, None]
@@ -471,6 +477,7 @@ def _decoupling(A, part, direction, region_id, values, vectors, j, delta, ebar, 
     delta = float(delta)
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
+    j = int(_eigen_ids(j, len(values)))
     value = float(values[j - 1])
     if value > float(ebar) - delta:
         kind = "eigenvalue" if region_id is None else "local eigenvalue"
@@ -575,6 +582,8 @@ def check_counting(
     delta = float(delta)
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     n = ed.n
     coeff = (wc * wc / delta**3) * a_max**3
     if math.isinf(s):
@@ -588,17 +597,10 @@ def check_counting(
 
     lo = float(min(ed.values.min(), min((loc.values.min() for loc in locals_), default=np.inf)))
     mu_grid = np.linspace(lo - delta, float(ebar), grid_points)
-    lhs_from_local = np.empty(grid_points, dtype=np.int64)
-    rhs_global = np.empty(grid_points, dtype=np.int64)
-    lhs_from_global = np.empty(grid_points, dtype=np.int64)
-    rhs_local = np.empty(grid_points, dtype=np.int64)
-    for idx, mu in enumerate(mu_grid):
-        n_local_below = counting_local(locals_, mu - delta)
-        n_global_below = counting_global(ed, mu - delta)
-        lhs_from_local[idx] = min(nbar, n_local_below)
-        rhs_global[idx] = counting_global(ed, mu)
-        lhs_from_global[idx] = min(nbar, n_global_below)
-        rhs_local[idx] = counting_local(locals_, mu)
+    lhs_from_local = np.minimum(nbar, counting_local(locals_, mu_grid - delta))
+    rhs_global = counting_global(ed, mu_grid)
+    lhs_from_global = np.minimum(nbar, counting_global(ed, mu_grid - delta))
+    rhs_local = counting_local(locals_, mu_grid)
     all_hold = bool(
         np.all(lhs_from_local <= rhs_global) and np.all(lhs_from_global <= rhs_local)
     )
@@ -629,8 +631,7 @@ def agmon_scatter(
     |psi_i| > floor and finite distance; slope and Pearson r come from
     ordinary least squares of -ln |psi_i| against rho.
     """
-    if not (1 <= j <= ed.n):
-        raise ValueError(f"eigen index {j} outside [1, {ed.n}]")
+    j = int(_eigen_ids(j, ed.n))
     E = float(ed.values[j - 1])
     psi = ed.vectors[:, j - 1]
     sp = shift_potential(L.vbar, E)

@@ -188,10 +188,7 @@ def render_partition_svg(json_path, svg_path, title: str = "well partition") -> 
         report = json.load(fh)
     regions = report.get("regions", [])
     wells = report.get("wells", [])
-    n = int(report.get("n", 0)) or max(
-        (max(r) for r in regions if r), default=1
-    )
-    frame = _Frame([1, max(n, 1)], [0.0, 1.0])
+    n = max((max(r) for r in regions if r), default=1)
     parts = _svg_open(f"{title} (regions: {len(regions)})")
     parts += [
         f'<rect x="{_PAD}" y="{_PAD}" width="{_W - 2 * _PAD}" height="{_H - 2 * _PAD}" '
@@ -199,7 +196,7 @@ def render_partition_svg(json_path, svg_path, title: str = "well partition") -> 
     ]
     band_y = _PAD + 40
     band_h = _H - 2 * _PAD - 80
-    cell = (_W - 2 * _PAD) / max(n, 1)
+    cell = (_W - 2 * _PAD) / n
     for ridx, reg in enumerate(regions):
         color = _PALETTE[ridx % len(_PALETTE)]
         for i in reg:

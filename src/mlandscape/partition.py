@@ -5,12 +5,15 @@ A "well" here is a connected component of the well set of a shifted potential
 minimum separation are merged transitively; every index is then assigned to
 the region of its nearest well.  ``verify_separation`` evaluates the three
 separation axioms and records the achieved margins; failures are reported in
-the result, never raised.
+the result, never raised.  Each step reads one distance field per well,
+stacked as rows: ``build_partition`` runs one Dijkstra per component, and a
+merged well's row is the least of its components' rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -35,8 +38,9 @@ class WellPartition:
 
     ``s_achieved`` is the smallest distance from a region's inner boundary to
     its own well; ``well_separation`` is the smallest well-to-well distance.
-    ``unassigned`` lists indices unreachable from every well; they are parked
-    in region 0 and flagged here.
+    ``unassigned`` lists indices unreachable from every well, always derived
+    from the wells' distance fields; they are parked in region 0 and flagged
+    here.
     """
 
     wells: tuple[frozenset[int], ...]
@@ -67,16 +71,41 @@ def well_components(A: SparseSymMatrix, wells) -> list[frozenset[int]]:
     if not inside.any():
         return []
     sub = _submatrix(A, inside)
-    _, label = connected_components(sub.pattern.values(np.ones(sub.off_count)), directed=False)
-    groups: dict[int, list[int]] = {}
-    for k, lab in zip(np.flatnonzero(inside).tolist(), label.tolist()):
-        groups.setdefault(lab, []).append(k + 1)
-    return [frozenset(g) for g in groups.values()]
+    # labels count up from the lowest site, so label order is smallest-member order
+    count, label = connected_components(sub.pattern.values(np.ones(sub.off_count)), directed=False)
+    sites = np.flatnonzero(inside) + 1
+    return [frozenset(sites[label == k].tolist()) for k in range(count)]
 
 
-def _min_over(dist, members) -> float:
-    """Smallest of dist at the 1-based members; +inf for an empty set."""
-    return float(np.min(dist[_index_mask(dist.size, members)], initial=INF))
+def _rows(m: AgmonMetric, sets) -> np.ndarray:
+    """Row l is the distance field from sets[l]: one ``distance_from_set`` per set."""
+    return np.reshape([distance_from_set(m, s).dist for s in sets], (len(sets), m.matrix.n))
+
+
+def _masks(n: int, sets) -> np.ndarray:
+    """Row l is the boolean mask of the 1-based sets[l]."""
+    return np.reshape(np.array([_index_mask(n, s) for s in sets], dtype=bool), (len(sets), n))
+
+
+def _least(rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """least[a, b] is the smallest of rows[a] where masks[b] holds; +inf where it holds nowhere."""
+    shape = (len(rows), len(masks), rows.shape[1])
+    return np.min(np.broadcast_to(rows[:, None, :], shape), axis=2, where=masks[None], initial=INF)
+
+
+def _merge(components, rows: np.ndarray, min_sep: float):
+    """Merged wells and their rows: float addition is monotone, so the least of the
+    components' rows is, bit for bit, the field of a Dijkstra from their union.
+    """
+    from scipy.sparse.csgraph import connected_components  # deferred, as above
+
+    # rho(a, b) is read from a's row for a < b only: reversed sums can differ in the last bit
+    close = np.triu(_least(rows, _masks(rows.shape[1], components)) < min_sep, 1)
+    count, group = connected_components(close, directed=False)
+    wells = [frozenset().union(*compress(components, group == k)) for k in range(count)]
+    order = sorted(range(count), key=lambda k: min(wells[k]))
+    merged = [rows[group == k].min(axis=0) for k in order]
+    return [wells[k] for k in order], np.reshape(merged, (count, rows.shape[1]))
 
 
 def merge_close_wells(
@@ -91,22 +120,12 @@ def merge_close_wells(
     min_sep" relation is exactly what is needed.  Results keep the order of
     their smallest member.
     """
-    from scipy.sparse.csgraph import connected_components  # deferred, as above
+    return _merge(components, _rows(m, components), min_sep)[0]
 
-    count = len(components)
-    if count == 0:
-        return []
-    # one distance field per component serves all pairwise queries
-    fields = [distance_from_set(m, comp) for comp in components]
-    close = np.zeros((count, count), dtype=bool)
-    for a in range(count):
-        for b in range(a + 1, count):
-            close[a, b] = _min_over(fields[a].dist, components[b]) < min_sep
-    _, group = connected_components(close, directed=False)
-    grouped: dict[int, set[int]] = {}
-    for g, comp in zip(group.tolist(), components):
-        grouped.setdefault(g, set()).update(comp)
-    return sorted((frozenset(v) for v in grouped.values()), key=min)
+
+def _voronoi(rows: np.ndarray) -> list[frozenset[int]]:
+    best = rows.argmin(axis=0) if len(rows) else None  # ties go to the lowest well id
+    return [frozenset((np.flatnonzero(best == ell) + 1).tolist()) for ell in range(len(rows))]
 
 
 def voronoi_regions(
@@ -118,18 +137,32 @@ def voronoi_regions(
 
     Indices at infinite distance from every well fall back to region 0.
     """
-    regions, _ = _assign_regions(A, wells, m)
-    return regions
+    return _voronoi(_rows(m, wells))
 
 
-def _assign_regions(A, wells, m):
-    if not wells:
-        return [], frozenset()
-    dist = np.vstack([distance_from_set(m, w).dist for w in wells])
-    best = np.argmin(dist, axis=0)  # first minimum: ties go to the lowest well id
-    regions = [frozenset((np.flatnonzero(best == ell) + 1).tolist()) for ell in range(len(wells))]
-    unassigned = np.flatnonzero(np.isinf(dist.min(axis=0))) + 1
-    return regions, frozenset(unassigned.tolist())
+def _audit(A, wells, regions, rows: np.ndarray, s_requested) -> WellPartition:
+    if len(wells) != len(regions):
+        raise ValueError(f"{len(wells)} wells but {len(regions)} regions")
+    inside = _masks(A.n, regions)
+    boundaries = _masks(A.n, [inner_boundary(A, r) for r in regions])
+    boundary_d = rows.min(axis=1, where=boundaries, initial=INF)
+    complement_d = rows.min(axis=1, where=~inside, initial=INF)
+    between = _least(rows, _masks(A.n, wells))
+    np.fill_diagonal(between, INF)
+    far = np.isinf(rows.min(axis=0, initial=INF)) if wells else np.zeros(A.n, dtype=bool)
+    return WellPartition(
+        wells=tuple(wells),
+        regions=tuple(regions),
+        s_requested=float(s_requested),
+        s_achieved=float(boundary_d.min(initial=INF)),
+        well_separation=float(between.min(initial=INF)),
+        axiom_disjoint=bool(np.all(inside.sum(axis=0) <= 1)),
+        axiom_complement=bool(np.all(complement_d >= s_requested)),
+        axiom_boundary=bool(np.all(boundary_d >= s_requested)),
+        boundary_well_distances=tuple(boundary_d.tolist()),
+        complement_well_distances=tuple(complement_d.tolist()),
+        unassigned=frozenset((np.flatnonzero(far) + 1).tolist()),
+    )
 
 
 def verify_separation(
@@ -138,7 +171,6 @@ def verify_separation(
     regions: list[frozenset[int]],
     m: AgmonMetric,
     s_requested: float,
-    unassigned: frozenset[int] = frozenset(),
 ) -> WellPartition:
     """Evaluate the separation axioms at s_requested; never raises on failure.
 
@@ -146,46 +178,10 @@ def verify_separation(
     (complement)  rho(complement of region, its well) >= S for every region;
     (boundary)    rho(inner boundary of region, its well) >= S for every region.
     The boundary axiom strengthens the complement one: leaving a region means
-    stepping through its inner boundary first.
+    stepping through its inner boundary first.  ``unassigned`` is derived:
+    the sites at +inf from every well.
     """
-    if len(wells) != len(regions):
-        raise ValueError(f"{len(wells)} wells but {len(regions)} regions")
-    disjoint = True
-    seen: set[int] = set()
-    for reg in regions:
-        if seen & reg:
-            disjoint = False
-            break
-        seen |= reg
-
-    boundary_d: list[float] = []
-    complement_d: list[float] = []
-    well_sep = INF
-    fields = [distance_from_set(m, w) for w in wells]
-    for ell, (well, reg) in enumerate(zip(wells, regions)):
-        dist = fields[ell].dist
-        boundary_d.append(_min_over(dist, inner_boundary(A, reg)))
-        complement_d.append(float(np.min(dist[~_index_mask(A.n, reg)], initial=INF)))
-        for other in range(len(wells)):
-            if other != ell:
-                well_sep = min(well_sep, _min_over(dist, wells[other]))
-
-    s_achieved = min(boundary_d, default=INF)
-    ax_boundary = all(d >= s_requested for d in boundary_d)
-    ax_complement = all(d >= s_requested for d in complement_d)
-    return WellPartition(
-        wells=tuple(wells),
-        regions=tuple(regions),
-        s_requested=float(s_requested),
-        s_achieved=s_achieved,
-        well_separation=well_sep,
-        axiom_disjoint=disjoint,
-        axiom_complement=ax_complement,
-        axiom_boundary=ax_boundary,
-        boundary_well_distances=tuple(boundary_d),
-        complement_well_distances=tuple(complement_d),
-        unassigned=unassigned,
-    )
+    return _audit(A, wells, regions, _rows(m, wells), s_requested)
 
 
 def build_partition(
@@ -195,13 +191,13 @@ def build_partition(
 ) -> WellPartition:
     """Full recipe: components, merge, Voronoi assignment, separation audit.
 
-    The merge threshold 2 * s_requested + 1e-9 guarantees no two surviving
-    wells could both claim an index within s_requested of each.
+    One distance field per component; the merge, assignment and audit all read
+    them.  The merge threshold 2 * s_requested + 1e-9 guarantees no two
+    surviving wells could both claim an index within s_requested of each.
     """
     comps = well_components(A, m.provenance.wells)
-    wells = merge_close_wells(comps, m, 2.0 * float(s_requested) + 1e-9)
-    regions, unassigned = _assign_regions(A, wells, m)
-    return verify_separation(A, wells, regions, m, s_requested, unassigned)
+    wells, rows = _merge(comps, _rows(m, comps), 2.0 * float(s_requested) + 1e-9)
+    return _audit(A, wells, _voronoi(rows), rows, s_requested)
 
 
 def partition_report_dict(p: WellPartition) -> dict:

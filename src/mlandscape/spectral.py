@@ -235,14 +235,20 @@ def project(P: SpectralProjector, x) -> np.ndarray:
     return P.basis @ (P.basis.T @ x)
 
 
-def counting_global(ed: EigenDecomposition, lam: float) -> int:
-    """N(lam): number of global eigenvalues <= lam."""
-    return int(np.count_nonzero(ed.values <= lam))
+def _count_at_most(values: np.ndarray, lam):
+    """How many values are <= lam, elementwise over an array lam; values may be unsorted."""
+    counts = np.count_nonzero(values <= np.asarray(lam, dtype=float)[..., None], axis=-1)
+    return int(counts) if np.ndim(lam) == 0 else counts
 
 
-def counting_local(locals_: list[LocalEigenData], mu: float) -> int:
-    """N0(mu): number of local eigenvalues <= mu, summed over regions."""
-    return int(sum(np.count_nonzero(loc.values <= mu) for loc in locals_))
+def counting_global(ed: EigenDecomposition, lam):
+    """N(lam): number of global eigenvalues <= lam, elementwise over an array lam."""
+    return _count_at_most(ed.values, lam)
+
+
+def counting_local(locals_: list[LocalEigenData], mu):
+    """N0(mu): number of local eigenvalues <= mu over all regions, elementwise over an array mu."""
+    return _count_at_most(np.concatenate([np.empty(0)] + [loc.values for loc in locals_]), mu)
 
 
 def write_eigenvalues_csv(path, ed: EigenDecomposition) -> None:

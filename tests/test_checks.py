@@ -583,6 +583,27 @@ def test_decoupling_window_precondition(blocks):
         check_decoupling_local(A, part, locals_[0], ed, 1, 0.0, 10.0)
 
 
+def test_eigen_indices_must_name_a_column(blocks):
+    """Bools, non-integers and indices outside [1, count] are refused, never rounded or wrapped."""
+    A, L, ed, part, locals_ = blocks
+    for j in (1.7, True, 0, -2, 9):
+        with pytest.raises(ValueError, match="outside"):
+            check_landscape_localization(A, L, ed, j)
+        with pytest.raises(ValueError, match="outside"):
+            agmon_scatter(A, L, ed, j)
+        with pytest.raises(ValueError, match="outside"):
+            check_decoupling_global(A, part, ed, locals_, j, 0.3, 10.0)
+    for j in (1.5, True, 0, -2, 5):  # the first region holds 4 local eigenpairs
+        with pytest.raises(ValueError, match="outside"):
+            check_decoupling_local(A, part, locals_[0], ed, j, 0.3, 10.0)
+    E = ed.values[:1]
+    for ids in ([1.9], [True], ["1"]):
+        with pytest.raises(ValueError, match="outside"):
+            check_general_localization(A, L, ed.vectors, E, E, (), 0.5, eigen_id=ids)
+    assert check_landscape_localization(A, L, ed, [np.int64(2)])[0].eigen_id == 2
+    assert check_decoupling_local(A, part, locals_[0], ed, 2.0, 0.3, 10.0).eigen_id == 2
+
+
 # ---------------------------------------------------------------- counting
 
 
@@ -609,6 +630,15 @@ def test_counting_zero_budget_is_vacuous(blocks):
     cr = check_counting(ed, locals_, 2.0, 10.0, 0.0, 2, 100.0)
     assert cr.nbar == 0
     assert cr.all_hold
+
+
+def test_counting_rejects_an_empty_grid(blocks):
+    A, L, ed, part, locals_ = blocks
+    for points in (0, -3):
+        with pytest.raises(ValueError, match="grid_points"):
+            check_counting(ed, locals_, 0.3, 10.0, INF, 2, 5.0, grid_points=points)
+    cr = check_counting(ed, locals_, 0.3, 10.0, INF, 2, 5.0, grid_points=1)
+    assert cr.mu_grid.size == 1 and cr.all_hold
 
 
 def test_counting_grid_control(blocks):

@@ -225,16 +225,6 @@ def test_verify_summary_bytes_do_not_depend_on_out_dir(mat, tmp_path):
     assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
 
 
-def test_verify_honors_thread_env(mat, tmp_path, monkeypatch):
-    path, _ = mat
-    d1, d2 = tmp_path / "serial", tmp_path / "fanout"
-    monkeypatch.delenv("MLANDSCAPE_THREADS", raising=False)
-    assert main(["verify", path, "--out", str(d1)]) == 0
-    monkeypatch.setenv("MLANDSCAPE_THREADS", "3")
-    assert main(["verify", path, "--out", str(d2)]) == 0
-    assert (d1 / "summary.json").read_bytes() == (d2 / "summary.json").read_bytes()
-
-
 def test_scatter_writes_one_file_per_vector(mat, tmp_path, capsys):
     path, _ = mat
     assert main(["scatter", path, "--out", str(tmp_path)]) == 0

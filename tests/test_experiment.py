@@ -209,18 +209,6 @@ def test_sweep_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_sweep_thread_fanout_changes_nothing(tmp_path, monkeypatch):
-    cfg = small_cfg()
-    A, _ = generate_band_ensemble(cfg.ensemble)
-    monkeypatch.delenv("MLANDSCAPE_THREADS", raising=False)
-    run_verification(A, cfg, tmp_path / "one")
-    monkeypatch.setenv("MLANDSCAPE_THREADS", "3")
-    run_verification(A, cfg, tmp_path / "three")
-    assert (tmp_path / "one" / "summary.json").read_bytes() == (
-        tmp_path / "three" / "summary.json"
-    ).read_bytes()
-
-
 def test_sweep_flags_a_faulty_spectrum(tmp_path, monkeypatch):
     """A spectrum that no longer matches its vectors must trip the verifier."""
     cfg = small_cfg()

@@ -12,6 +12,7 @@ from mlandscape import (
     SparseSymMatrix,
     build_metric,
     build_partition,
+    distance_from_set,
     merge_close_wells,
     partition_report_dict,
     shift_potential,
@@ -23,6 +24,7 @@ from mlandscape import (
     EnsembleConfig,
     generate_band_ensemble,
 )
+from mlandscape import partition
 from mlandscape.matrices import _json_value
 
 INF = float("inf")
@@ -90,6 +92,14 @@ def test_merge_is_transitive():
     )
     comps = [frozenset({1}), frozenset({4}), frozenset({7})]
     assert merge_close_wells(comps, m, 2.5) == [frozenset({1, 4, 7})]
+
+
+def test_merge_orders_by_smallest_member_for_unsorted_components():
+    A = chain(9)
+    m = uniform_metric(A)
+    comps = [frozenset({8}), frozenset({5}), frozenset({2}), frozenset({1})]
+    merged = merge_close_wells(comps, m, 1.5)
+    assert merged == [frozenset({1, 2}), frozenset({5}), frozenset({8})]
 
 
 def test_merge_empty():
@@ -174,6 +184,61 @@ def test_unreachable_sites_are_parked_and_reported():
     part = build_partition(A, m, s_requested=0.5)
     assert part.unassigned == frozenset({3})
     assert 3 in part.regions[0]
+
+
+def test_verify_separation_derives_unassigned_like_build_partition():
+    A = SparseSymMatrix(3, [0.0] * 3, [(1, 2, -1.0)])
+    m = uniform_metric(A, wells=frozenset({1}))
+    wells = [frozenset({1})]
+    part = verify_separation(A, wells, voronoi_regions(A, wells, m), m, 0.5)
+    assert part.unassigned == frozenset({3})
+    assert part.unassigned == build_partition(A, m, s_requested=0.5).unassigned
+
+
+def test_zero_wells_give_an_empty_partition():
+    A = chain(4)
+    part = build_partition(A, uniform_metric(A), s_requested=1.0)
+    assert part.wells == () and part.regions == ()
+    assert part.unassigned == frozenset()
+    assert part.s_achieved == INF and part.well_separation == INF
+    assert part.axioms_hold
+    assert verify_separation(A, [], [], uniform_metric(A), 1.0).unassigned == frozenset()
+
+
+def wells_draw(n=500, seed=5, ebar=0.5):
+    """A W=1 draw and its metric at ebar; the default is a `wells` draw with one merge at S=2."""
+    A, _ = generate_band_ensemble(EnsembleConfig(n=n, half_bandwidth=1, seed=seed))
+    return A, build_metric(A, shift_potential(solve_landscape(A), ebar))
+
+
+def test_build_partition_runs_one_dijkstra_per_component(monkeypatch):
+    A, m = wells_draw()
+    calls = []
+    real = partition.distance_from_set
+    monkeypatch.setattr(partition, "distance_from_set", lambda *a: calls.append(a) or real(*a))
+    part = build_partition(A, m, s_requested=2.0)
+    comps = well_components(A, m.provenance.wells)
+    assert len(comps) == 9 and len(part.wells) == 8  # one merge on this draw
+    assert len(calls) == len(comps)
+
+
+@pytest.mark.parametrize("n, seed, ebar, s", [(500, 5, 0.5, 2.0), (2000, 2, 1.0, 1.0)])
+def test_a_merged_row_is_the_field_of_a_dijkstra_from_the_union(n, seed, ebar, s):
+    A, m = wells_draw(n, seed, ebar)
+    comps = well_components(A, m.provenance.wells)
+    wells, rows = partition._merge(comps, partition._rows(m, comps), 2.0 * s + 1e-9)
+    assert len(rows) == len(wells) < len(comps)  # 9 -> 8 and 37 -> 34 wells
+    for well, row in zip(wells, rows):
+        assert row.tobytes() == distance_from_set(m, well).dist.tobytes()
+
+
+def test_build_partition_equals_the_public_steps():
+    """The shared rows give what the three public steps give with fields of their own."""
+    A, m = wells_draw()
+    part = build_partition(A, m, s_requested=2.0)
+    wells = merge_close_wells(well_components(A, m.provenance.wells), m, 4.0 + 1e-9)
+    steps = verify_separation(A, wells, voronoi_regions(A, wells, m), m, 2.0)
+    assert partition_report_dict(part) == partition_report_dict(steps)
 
 
 def test_boundary_distance_never_exceeds_complement_distance():

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from mlandscape import (
+    EigenDecomposition,
     EnsembleConfig,
     NotPositiveDefiniteError,
     SparseSymMatrix,
@@ -362,6 +363,19 @@ def test_counting_local_sums_regions():
     assert counting_local([la, lb], 2.5) == 2
     assert counting_local([la, lb], 4.0) == 4
     assert counting_local([], 10.0) == 0
+
+
+def test_counting_runs_elementwise_over_threshold_arrays():
+    A = SparseSymMatrix(4, [1.0, 2.0, 3.0, 4.0])
+    locals_ = [local_eig(A, [1, 2], region_id=0), local_eig(A, [3, 4], region_id=1)]
+    # a fault-injected spectrum need not be sorted: counts are comparisons
+    ed = EigenDecomposition(values=np.array([3.0, 1.0, 2.0]), vectors=np.eye(3))
+    grid = np.array([0.5, 1.0, 2.5, 3.0, 99.0, 1.5])
+    assert counting_global(ed, grid).tolist() == [0, 1, 2, 3, 3, 1]
+    assert counting_local(locals_, grid).tolist() == [0, 1, 2, 3, 4, 1]
+    assert counting_local([], grid).tolist() == [0] * 6
+    assert counting_global(ed, grid.reshape(2, 3)).shape == (2, 3)
+    assert type(counting_global(ed, 2.5)) is int and type(counting_local(locals_, 2.5)) is int
 
 
 def test_eigenvalues_csv(tmp_path):
