@@ -8,14 +8,16 @@ Conventions shared by every check here:
   exp(2 alpha rho_k + 2 ln |phi_k|), and terms with phi_k == 0 (or with a
   vanishing potential factor) are skipped before exponentiating.  That makes
   0 * inf contribute 0, which is the exact value of those terms.
-* Both localization checks take one eigenpair or a whole family of them and
-  evaluate it as array passes over blocks of pairs: the block's vectors,
-  shifted potentials, well masks and distances are stacked as rows of at
-  most ``BLOCK_ENTRIES`` entries in all, the terms of the block are formed
-  once, and the one-pair forms are the batch of one.  A batch gives the bits
-  of its pairs checked one at a time because each pair is summed by
-  ``np.sum``'s pairwise order over its own slice of terms (never padded or
-  reduced across rows), and |phi|^2 is taken on the caller's own vector.
+* Both localization checks and the corollary take one eigenpair or a whole
+  family of them and evaluate it as array passes over blocks of pairs: the
+  block's vectors, shifted potentials, well masks, distances and weights
+  are stacked as rows of at most ``matrices.BLOCK_ENTRIES`` entries in all,
+  the terms of the block are formed once, and the one-pair forms are the
+  batch of one.  A batch gives the bits of its pairs checked one at a time
+  because each pair is summed in ``np.sum``'s pairwise order over its own
+  C-contiguous row or slice of terms (never padded or reduced across rows),
+  and |phi|^2 is taken on the caller's own vector.  The decoupling checks
+  take a sequence of eigen indices too and loop over it.
 * Inequalities carry a relative slack of 1e-9 to absorb floating-point noise;
   a failure beyond the slack means the claimed inequality genuinely fails for
   the computed quantities.
@@ -33,6 +35,7 @@ from .agmon import ThresholdFields, build_metric, distance_from_set, threshold_f
 from .landscape import LandscapeData, _require_landscape_of, shift_potential
 from .matrices import (
     SparseSymMatrix,
+    _blocks,
     _index_mask,
     _write_csv,
     classify,
@@ -153,20 +156,6 @@ class ScatterData:
 
 def _wc(A: SparseSymMatrix) -> int:
     return max(connectivity(A), 2)
-
-
-# Most entries (eigenpairs times n) one block of the array-form localization
-# checks stacks: the block's vectors, potentials, well masks and distances are
-# each one array of this many entries.  Unblocked, a verify at n = 500 holds
-# n^2-entry temporaries (about 11 MB more tracemalloc peak, +8 MB RSS); blocks
-# of about 64 rows add under 2 MB and are as fast.
-BLOCK_ENTRIES = 1 << 15
-
-
-def _blocks(m: int, n: int) -> Iterator[slice]:
-    """Consecutive slices of range(m), each of at most BLOCK_ENTRIES // n rows (at least one)."""
-    step = max(1, BLOCK_ENTRIES // max(n, 1))
-    return (slice(s, min(s + step, m)) for s in range(0, m, step))
 
 
 def _weighted_sums(P: np.ndarray, V: np.ndarray, R: np.ndarray, alpha: float) -> list:
@@ -443,7 +432,18 @@ def check_double_commutator_lemma(A: SparseSymMatrix, psi_diag, g, u) -> float:
     return diff
 
 
-def check_dc_corollary(A: SparseSymMatrix, L, phi, E: float, g) -> tuple[float, float, bool]:
+def _corollary_blocks(A: SparseSymMatrix, count: int) -> Iterator[slice]:
+    """The blocks ``check_dc_corollary`` evaluates ``count`` pairs in.
+
+    A row of a block spans the n sites and the stored pairs of A, so a block
+    has at most BLOCK_ENTRIES // max(n, pairs) rows.
+    """
+    return _blocks(count, max(A.n, A.off_count))
+
+
+def check_dc_corollary(
+    A: SparseSymMatrix, L, phi, E: float | Sequence[float], g
+) -> tuple[float, float, bool] | list[tuple[float, float, bool]]:
     """Weighted eigenvalue bound from the double-commutator argument.
 
     For a Z-matrix A, a landscape ``L`` of it, a (local) eigenvector phi of
@@ -452,55 +452,94 @@ def check_dc_corollary(A: SparseSymMatrix, L, phi, E: float, g) -> tuple[float, 
     Returns (lhs, rhs, holds); the slack uses |rhs| so a negative right side
     is not tightened.  ``phi`` and ``g`` must be finite and of length n, and
     E finite (ValueError otherwise).
+
+    Batch form: with ``E`` a sequence of k eigenvalues, phi is an n x k matrix
+    and g a k x n matrix; pair i checks column i of phi with E[i] and row i of
+    g.  The triples come back as a list in pair order, evaluated in blocks of
+    pairs (``_corollary_blocks``).  Each block is stacked as C-contiguous
+    rows and each row summed on its own, so a batch gives the bits of its
+    pairs checked one at a time.
     """
-    phi = _finite_vector(phi, A.n, "phi")
-    g = _finite_vector(g, A.n, "g")
+    batch = bool(np.ndim(E))
+    if batch:
+        E = np.asarray(E, dtype=float)
+        if E.ndim != 1:
+            raise ValueError(f"E must be a number or a sequence of them, got shape {E.shape}")
+        phi = np.asarray(phi, dtype=float)
+        g = np.asarray(g, dtype=float)
+        for name, x, shape in (("phi", phi, (A.n, E.size)), ("g", g, (E.size, A.n))):
+            if x.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {x.shape}")
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"{name} must be finite")
+    else:
+        phi = _finite_vector(phi, A.n, "phi")[:, None]
+        g = _finite_vector(g, A.n, "g")[None, :]
+        E = np.array([float(E)])
     if not classify(A, compute_spectrum=False).is_z:
         raise ValueError("matrix is not a Z-matrix")
     _require_landscape_of(A, L)
-    E = float(E)
-    if not math.isfinite(E):
-        raise ValueError(f"E must be finite, got {E}")
-    lhs = float(np.sum(phi * phi * g * g * (L.vbar - E)))
+    if not np.all(np.isfinite(E)):
+        raise ValueError(f"E must be finite, got {float(E[~np.isfinite(E)][0])}")
     off_i, off_j, off_v = A.off_arrays()
     ii = off_i - 1
     jj = off_j - 1
-    rhs = -float(np.sum(off_v * phi[ii] * phi[jj] * (g[ii] - g[jj]) ** 2))
-    holds = lhs <= rhs + REL_SLACK * abs(rhs) + 1e-12
-    return lhs, rhs, holds
+    out = []
+    for b in _corollary_blocks(A, E.size):
+        P = np.ascontiguousarray(phi[:, b].T)
+        G = np.ascontiguousarray(g[b])
+        lhs = np.add.reduce(P * P * G * G * (L.vbar - E[b, None]), axis=1)
+        dG = np.take(G, ii, axis=1) - np.take(G, jj, axis=1)
+        terms = off_v * np.take(P, ii, axis=1) * np.take(P, jj, axis=1) * dG**2
+        rhs = -np.add.reduce(terms, axis=1)
+        for l, r in zip(lhs.tolist(), rhs.tolist()):
+            out.append((l, r, l <= r + REL_SLACK * abs(r) + 1e-12))
+    return out if batch else out[0]
 
 
 def _decoupling(A, part, direction, region_id, values, vectors, j, delta, ebar, window, residual):
-    """Both decoupling directions; ``window`` and ``residual`` are each direction's own."""
+    """Both decoupling directions; ``window`` and ``residual`` are each direction's own.
+
+    ``j`` is one 1-based eigen index or a sequence of them; a sequence gives
+    the list of reports in its order.
+    """
     if not part.axioms_hold:
         raise ValueError("partition axioms unverified")
     delta = float(delta)
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    j = int(_eigen_ids(j, len(values)))
-    value = float(values[j - 1])
-    if value > float(ebar) - delta:
+    ids = np.atleast_1d(_eigen_ids(j, len(values)))
+    cut = float(ebar) - delta
+    over = values[ids - 1] > cut
+    if over.any():
         kind = "eigenvalue" if region_id is None else "local eigenvalue"
-        raise ValueError(f"{kind} {value} exceeds ebar - delta = {float(ebar) - delta}")
-    vec = vectors[:, j - 1]
-    defect = vec - project(window(value - delta, value + delta), vec)
-    defect_sq = float(defect @ defect)
+        raise ValueError(f"{kind} {float(values[ids[over][0] - 1])} exceeds ebar - delta = {cut}")
     wc, s = _wc(A), part.s_achieved
     decay = 0.0 if math.isinf(s) else math.exp(-2.0 * s / math.sqrt(wc))
-    bound = (wc * wc / delta**3) * A.max_abs_entry() ** 3 * decay * float(vec @ vec)
-    res = residual(vec, value)
-    return DecouplingReport(
-        direction=direction,
-        eigen_id=j,
-        region_id=region_id,
-        eigen_value=value,
-        delta=delta,
-        s_used=s,
-        residual_norm_sq=float(res @ res),
-        defect_sq=defect_sq,
-        bound=bound,
-        holds=defect_sq <= bound * (1.0 + REL_SLACK) + DEFECT_ABS_SLACK,
-    )
+    coeff = (wc * wc / delta**3) * A.max_abs_entry() ** 3 * decay
+    reports = []
+    for k in ids.tolist():
+        value = float(values[k - 1])
+        vec = vectors[:, k - 1]
+        defect = vec - project(window(value - delta, value + delta), vec)
+        defect_sq = float(defect @ defect)
+        bound = coeff * float(vec @ vec)
+        res = residual(vec, value)
+        reports.append(
+            DecouplingReport(
+                direction=direction,
+                eigen_id=k,
+                region_id=region_id,
+                eigen_value=value,
+                delta=delta,
+                s_used=s,
+                residual_norm_sq=float(res @ res),
+                defect_sq=defect_sq,
+                bound=bound,
+                holds=defect_sq <= bound * (1.0 + REL_SLACK) + DEFECT_ABS_SLACK,
+            )
+        )
+    return reports if np.ndim(j) else reports[0]
 
 
 def check_decoupling_local(
@@ -508,17 +547,18 @@ def check_decoupling_local(
     part: WellPartition,
     local: LocalEigenData,
     ed: EigenDecomposition,
-    j: int,
+    j: int | Sequence[int],
     delta: float,
     ebar: float,
-) -> DecouplingReport:
+) -> DecouplingReport | list[DecouplingReport]:
     """A local eigenvector is nearly a global spectral-window vector.
 
     For local eigenpair (mu, phi) of a verified partition with mu <= ebar -
     delta, the defect |phi - Psi_(mu-delta, mu+delta) phi|^2 (global window
     projector) is bounded by (W_c^2/delta^3) max|a|^3 e^{-2 S / sqrt(W_c)}
     |phi|^2 with S the achieved separation.  The residual |A phi - mu phi|^2
-    is recorded: it always dominates delta^2 times the defect.
+    is recorded: it always dominates delta^2 times the defect.  A sequence
+    ``j`` gives the list of reports in its order.
     """
     return _decoupling(
         A, part, "local_to_global", local.region_id, local.values, local.vectors, j, delta, ebar,
@@ -532,25 +572,25 @@ def check_decoupling_global(
     part: WellPartition,
     ed: EigenDecomposition,
     locals_: list[LocalEigenData],
-    j: int,
+    j: int | Sequence[int],
     delta: float,
     ebar: float,
-) -> DecouplingReport:
+) -> DecouplingReport | list[DecouplingReport]:
     """A global eigenvector is nearly a local spectral-window vector.
 
     Mirror direction: for global eigenpair (lambda, psi) with lambda <= ebar -
     delta, the defect against the window projector built from all local
     eigenvectors obeys the same bound.  The recorded residual is the summed
-    block residual |sum_l (A|_l - lambda) psi|_l|^2.
+    block residual |sum_l (A|_l - lambda) psi|_l|^2.  A sequence ``j`` gives
+    the list of reports in its order; each call restricts A to every region
+    once.
     """
+    restricted = [(_index_mask(A.n, region), restrict(A, region)) for region in part.regions]
 
     def block_residual(psi, lam):
         residual = np.zeros(A.n, dtype=float)
-        for region in part.regions:
-            pos = np.array(sorted(region), dtype=np.int64) - 1
-            chunk = np.zeros(A.n, dtype=float)
-            chunk[pos] = psi[pos]
-            blocked = restrict(A, region)
+        for inside, blocked in restricted:
+            chunk = np.where(inside, psi, 0.0)
             residual += blocked.matvec(chunk) - lam * chunk
         return residual
 

@@ -20,6 +20,12 @@ pairs with both ends in a mask from ``_pairs_inside``.
 
 Every CSV and JSON artifact of the package is written by ``_write_csv`` and
 ``_write_json`` below, so the artifact format is decided in this module alone.
+``_write_json`` spells a list of reports through one string template per
+report type and everything else through ``json``; both give the bytes of
+``json.dumps(..., indent=2, sort_keys=True)``.
+
+``BLOCK_ENTRIES`` and ``_blocks`` size every array pass over eigenpairs, in
+``checks`` and ``spectral`` alike.
 
 scipy.sparse is imported where a CSR matrix or a graph routine is first
 needed, not at package import: it costs ~40 ms and ~3.5 MB that callers who
@@ -32,8 +38,10 @@ import csv
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -61,6 +69,13 @@ DENSE_EIGEN_LIMIT = 5000
 
 # |lambda_min| at or below this is treated as numerically singular.
 NEAR_SINGULAR_TOL = 1e-12
+
+# Most entries one block of an array pass over eigenpairs stacks (the
+# localization and corollary checks, the tail repair, the sign fixing): each
+# stacked array of a block holds at most this many.  Unblocked, a verify at
+# n = 500 holds n^2-entry temporaries (about 11 MB more tracemalloc peak,
+# +8 MB RSS); blocks of about 64 rows add under 2 MB and are as fast.
+BLOCK_ENTRIES = 1 << 15
 
 MM_HEADER = "%%MatrixMarket matrix coordinate real symmetric"
 
@@ -130,11 +145,72 @@ def _json_value(x):
 JSON_TOKENS_PER_WRITE = 2048
 
 
+# Exact scalar types and their JSON text, spelled as ``json`` spells them:
+# finite floats by float.__repr__, the rest as _encode_float's strings.
+_JSON_SCALARS = {
+    type(None): lambda x: "null",
+    bool: lambda x: "true" if x else "false",
+    int: int.__repr__,
+    float: lambda x: (
+        float.__repr__(x) if math.isfinite(x) else encode_basestring_ascii(_encode_float(x))
+    ),
+    str: encode_basestring_ascii,
+}
+
+
+def _json_scalar(x) -> str | None:
+    """The JSON text of ``_json_value(x)`` when that is a scalar; None otherwise."""
+    encode = _JSON_SCALARS.get(type(x))
+    if encode is None:
+        x = _json_value(x)  # numpy scalars as Python ones
+        encode = _JSON_SCALARS.get(type(x))
+    return None if encode is None else encode(x)
+
+
+def _json_records(data) -> list[str] | None:
+    """The items of ``data`` as ``_write_json`` spells them, one string each, when
+    data is a non-empty list of one dataclass type with at least two fields,
+    all holding scalars (the check reports); None otherwise.
+
+    One ``%``-template per type holds the sorted keys, so each record is one
+    string format instead of a walk of ``json``'s pure-Python indent encoder.
+    """
+    if not (isinstance(data, list) and data):
+        return None
+    cls = type(data[0])
+    if not is_dataclass(cls) or any(type(x) is not cls for x in data):
+        return None
+    names = sorted(f.name for f in fields(cls))
+    if len(names) < 2:  # the reports have more; attrgetter of one name returns no tuple
+        return None
+    lines = ",\n".join(f"    {encode_basestring_ascii(k)}: %s" for k in names)
+    template = "  {\n" + lines + "\n  }"
+    get = operator.attrgetter(*names)
+    records = []
+    for x in data:
+        text = tuple([_json_scalar(v) for v in get(x)])
+        if None in text:
+            return None
+        records.append(template % text)
+    return records
+
+
 def _write_json(path, data) -> None:
-    """The one JSON artifact writer: strict JSON, sorted keys, two-space indent."""
-    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
-    tokens = encoder.iterencode(_json_value(data))
+    """The one JSON artifact writer: strict JSON, sorted keys, two-space indent.
+
+    Lists of reports take ``_json_records``; everything else goes through the
+    ``json`` encoder.  Both spell the bytes ``json.dumps(_json_value(data),
+    indent=2, sort_keys=True, allow_nan=False)`` would, then a newline.
+    """
+    records = _json_records(data)
     with open(path, "w", encoding="ascii") as fh:
+        if records is not None:
+            fh.write("[\n")
+            fh.write(",\n".join(records))
+            fh.write("\n]\n")
+            return
+        encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+        tokens = encoder.iterencode(_json_value(data))
         while text := "".join(itertools.islice(tokens, JSON_TOKENS_PER_WRITE)):
             fh.write(text)
         fh.write("\n")
@@ -150,6 +226,12 @@ def _write_csv(path, header, *columns) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*(np.asarray(c).tolist() for c in columns), strict=True))
+
+
+def _blocks(m: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of range(m) of at most BLOCK_ENTRIES // width rows (at least one)."""
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    return (slice(s, min(s + step, m)) for s in range(0, m, step))
 
 
 def _index_mask(n: int, indices: Iterable[int]) -> np.ndarray:
@@ -374,9 +456,14 @@ class SparseSymMatrix:
         return self._csr_matrix().data
 
     def matvec(self, x) -> np.ndarray:
-        """A @ x without forming the dense matrix, summed in the row order of the pattern."""
+        """A @ x without forming the dense matrix, summed in the row order of the pattern.
+
+        ``x`` may also be an n x k block: column c of the product has the bits
+        of the product with column c alone (scipy sums every column over the
+        same slots in the same order).
+        """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self._n,):
+        if x.ndim not in (1, 2) or x.shape[0] != self._n:
             raise ValueError(f"vector must have length {self._n}, got shape {x.shape}")
         return self._csr_matrix() @ x
 

@@ -1,7 +1,8 @@
 """Dense symmetric eigendecompositions, local spectra, and spectral projectors.
 
 Eigenvectors get a deterministic sign: the largest-magnitude component is made
-positive, ties resolved toward the lowest index.
+positive, ties resolved toward the lowest index (one ``argmax`` per block of
+columns).
 
 The dense solver leaves every entry with an absolute error of ~1e-16, so the
 exponentially small tails of localized eigenvectors drown in that floor.
@@ -13,12 +14,14 @@ nonsingular M-matrix and the eigen equation restricted to T gives
 
     psi_T = -(A_TT - lambda)^{-1} A_{T,T^c} psi_{T^c},
 
-one banded Cholesky solve per eigenpair.  It factors A_TT - lambda in the
-band storage that ``matrices._upper_band`` builds at A's bandwidth, the
-builder behind the landscape solve too; each keeps its own LAPACK driver
-(``dpbsv`` here, ``solveh_banded`` there).  The inverse of an M-matrix is
-entrywise non-negative, so constant-sign data meets no cancellation and the
-rebuilt entries keep relative accuracy however deep the decay runs.  The repair
+one banded Cholesky solve per eigenpair, with the right sides of a block
+of eigenpairs from one product of A with their columns.  It factors
+A_TT - lambda in the band storage that ``matrices._upper_band`` builds at
+A's bandwidth, the builder behind the landscape solve too; each keeps its
+own LAPACK driver (``dpbsv`` here, ``solveh_banded`` there).  The inverse of
+an M-matrix is entrywise non-negative, so constant-sign data meets no
+cancellation and the rebuilt entries keep relative accuracy however deep
+the decay runs.  The repair
 applies to Z-matrices whose bandwidth is at most max(1, n // 3); otherwise,
 with no landscape (``L`` None), or for an eigenpair whose solve fails, the
 dense vector stands, and ``EigenDecomposition`` counts the repaired and the
@@ -45,6 +48,7 @@ from .matrices import (
     DENSE_EIGEN_LIMIT,
     SparseSymMatrix,
     _frozen,
+    _blocks,
     _index_mask,
     _submatrix,
     _upper_band,
@@ -127,40 +131,49 @@ def _repair_tails(
     For eigenpair k with T = {vbar > values[k]} neither empty nor everything,
     psi_T is overwritten by the solution of (A_TT - lambda) psi_T =
     -(A psi 1_{T^c})_T in the band storage of ``_upper_band`` and the column
-    is renormalized.  Returns (repaired, failed); a failed column keeps its
-    dense values.
+    is renormalized.  The right sides of a block of eigenpairs (``_blocks``)
+    come from one product of A with the block's columns; each column of it
+    has the bits of its own ``matvec``.  Returns (repaired, failed); a failed
+    column keeps its dense values.
     """
     n = A.n
     bw = A.bandwidth()
     if not A.is_z or bw == 0 or bw > max(1, n // 3):
         return 0, 0
     repaired = failed = 0
-    for k in range(n):
-        lam = float(values[k])
-        barrier = vbar > lam
-        size = int(np.count_nonzero(barrier))
-        if size == 0 or size == n:
-            continue
-        psi = np.where(barrier, 0.0, vectors[:, k])  # psi 1_{T^c}
-        rhs = -A.matvec(psi)[barrier]
-        # banded Cholesky at every bandwidth (solveh_banded hands W = 1 to
-        # ptsv, whose wrapper rejects a one-site T)
-        _, psi[barrier], info = scipy.linalg.lapack.dpbsv(_upper_band(A, barrier, lam), rhs)
-        norm = np.linalg.norm(psi)
-        if info != 0 or not (np.isfinite(norm) and norm > 0.0):
-            failed += 1
-            continue
-        vectors[:, k] = psi / norm
-        repaired += 1
+    for b in _blocks(n, n):
+        # row c of each array is eigenpair b.start + c: its T, psi 1_{T^c} and A psi 1_{T^c}
+        barriers = vbar[None, :] > values[b, None]
+        psis = np.where(barriers, 0.0, vectors[:, b].T)
+        sides = np.ascontiguousarray(A.matvec(psis.T).T)
+        for k, barrier, psi, side in zip(range(b.start, b.stop), barriers, psis, sides):
+            size = int(np.count_nonzero(barrier))
+            if size == 0 or size == n:
+                continue
+            # banded Cholesky at every bandwidth (solveh_banded hands W = 1 to
+            # ptsv, whose wrapper rejects a one-site T)
+            band = _upper_band(A, barrier, float(values[k]))
+            _, psi[barrier], info = scipy.linalg.lapack.dpbsv(band, -side[barrier])
+            norm = np.linalg.norm(psi)
+            if info != 0 or not (np.isfinite(norm) and norm > 0.0):
+                failed += 1
+                continue
+            vectors[:, k] = psi / norm
+            repaired += 1
     return repaired, failed
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
-    """Largest-magnitude component positive, in place; exact ties pick the lowest index."""
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        if col[int(np.argmax(np.abs(col)))] < 0.0:
-            col *= -1.0
+    """Largest-magnitude component positive, in place; exact ties pick the lowest index.
+
+    One ``argmax`` per block of columns; the flipped columns are negated by
+    ``*= -1.0`` (numpy 2.4.6 computes ``np.negative(out=)`` wrongly on a view).
+    """
+    for b in _blocks(vectors.shape[1], vectors.shape[0]):
+        block = vectors[:, b]
+        peaks = np.argmax(np.abs(block), axis=0)
+        flip = block[peaks, np.arange(peaks.size)] < 0.0
+        block[:, flip] *= -1.0
 
 
 def eig_sym(A: SparseSymMatrix, L: LandscapeData | None) -> EigenDecomposition:

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import mlandscape.checks as checks
+import mlandscape.matrices as matrices
 from mlandscape import (
     EigenDecomposition,
     EmptyWellSetError,
@@ -425,6 +427,42 @@ def test_corollary_validation():
         check_dc_corollary(A, landscape_from_vector(A, [1.0, -1.0]), [1.0, 0.0], 0.5, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_batch_corollary_equals_one_call_per_eigenpair(w, monkeypatch):
+    """Blocks stacked as C-contiguous rows give the bits of the one-pair form."""
+    A, _ = generate_band_ensemble(EnsembleConfig(n=64, half_bandwidth=w, seed=40 + w))
+    L = solve_landscape(A)
+    ed = eig_sym(A, L)
+    g = np.random.default_rng(w).standard_normal((A.n, A.n))
+    want = [
+        check_dc_corollary(A, L, ed.vectors[:, j], float(ed.values[j]), g[j]) for j in range(A.n)
+    ]
+    assert any(rhs != 0.0 for _, rhs, _ in want)
+    width = max(A.n, A.off_count)
+    for rows in (7, 1, A.n):  # 7: nine blocks of seven, then a block of one
+        monkeypatch.setattr(matrices, "BLOCK_ENTRIES", rows * width)
+        got = check_dc_corollary(A, L, ed.vectors, ed.values, g)
+        assert repr(got) == repr(want)
+    assert check_dc_corollary(A, L, ed.vectors[:, 5:6], ed.values[5:6], g[5:6]) == [want[5]]
+    assert check_dc_corollary(A, L, ed.vectors[:, :0], ed.values[:0], g[:0]) == []
+
+
+def test_batch_corollary_validation():
+    A = chain(3)
+    L = solve_landscape(A)
+    phi, E, g = np.ones((3, 2)), [0.5, 0.6], np.ones((2, 3))
+    with pytest.raises(ValueError, match=r"phi must have shape \(3, 2\)"):
+        check_dc_corollary(A, L, phi.T, E, g)
+    with pytest.raises(ValueError, match=r"g must have shape \(2, 3\)"):
+        check_dc_corollary(A, L, phi, E, g.T)
+    with pytest.raises(ValueError, match="g must be finite"):
+        check_dc_corollary(A, L, phi, E, np.where(np.eye(2, 3) > 0, math.nan, g))
+    with pytest.raises(ValueError, match="E must be finite"):
+        check_dc_corollary(A, L, phi, [0.5, INF], g)
+    with pytest.raises(ValueError, match="E must be a number or a sequence"):
+        check_dc_corollary(A, L, phi, [[0.5, 0.6]], g)
+
+
 def test_general_localization_rejects_phi_of_the_wrong_length():
     A = chain(3)
     L = landscape_from_vector(A, [1.5, 2.0, 1.5])
@@ -562,6 +600,42 @@ def test_decoupling_block_fixture_is_exact(blocks):
         assert rep.holds
         assert rep.direction == "global_to_local"
         assert rep.residual_norm_sq <= 1e-20
+
+
+def test_decoupling_batches_equal_one_call_per_eigenpair(monkeypatch):
+    """A batch gives the reports of one call per eigenpair; A is restricted once per region."""
+    A, _ = generate_band_ensemble(EnsembleConfig(n=80, half_bandwidth=1, seed=2))
+    L = solve_landscape(A)
+    ed = eig_sym(A, L)
+    part = build_partition(A, build_metric(A, shift_potential(L, 0.5)), 2.0)
+    assert part.axioms_hold and len(part.regions) == 4
+    locals_ = [local_eig(A, reg, region_id=i) for i, reg in enumerate(part.regions)]
+    delta, ebar = 0.05, 0.5
+    restricted = []
+    real_restrict = checks.restrict
+    monkeypatch.setattr(checks, "restrict", lambda *a: restricted.append(a) or real_restrict(*a))
+
+    def same(batch, singles):
+        return [repr(dataclasses.astuple(r)) for r in batch] == [
+            repr(dataclasses.astuple(r)) for r in singles
+        ]
+
+    checked = 0
+    for loc in locals_:
+        ids = np.flatnonzero(loc.values <= ebar - delta) + 1
+        batch = check_decoupling_local(A, part, loc, ed, ids, delta, ebar)
+        assert same(batch, [check_decoupling_local(A, part, loc, ed, j, delta, ebar) for j in ids])
+        checked += ids.size
+    assert checked > 1 and restricted == []
+    ids = (np.flatnonzero(ed.values <= ebar - delta) + 1).tolist()
+    assert len(ids) > 1
+    batch = check_decoupling_global(A, part, ed, locals_, ids, delta, ebar)
+    assert len(restricted) == len(part.regions)
+    singles = [check_decoupling_global(A, part, ed, locals_, j, delta, ebar) for j in ids]
+    assert same(batch, singles)
+    assert check_decoupling_global(A, part, ed, locals_, [], delta, ebar) == []
+    with pytest.raises(ValueError, match="exceeds ebar - delta"):
+        check_decoupling_global(A, part, ed, locals_, ids + [A.n], delta, ebar)
 
 
 def test_decoupling_requires_verified_partition(blocks):

@@ -27,8 +27,8 @@ from mlandscape import (
     shift_potential,
     solve_landscape,
 )
-import mlandscape.checks as checks
 import mlandscape.experiment as experiment
+import mlandscape.matrices as matrices
 from mlandscape.agmon import ThresholdFields
 from mlandscape.checks import LocalizationReport
 from mlandscape.experiment import PER_EIGENVALUE
@@ -306,7 +306,7 @@ def test_verify_localization_equals_the_public_checks_bit_for_bit(w, tmp_path, m
     explicit = (mid, low, mid, float(L.vbar.max()))  # mid twice
     # every E >= min vbar, so an empty well set needs a spectrum moved below it
     lowered = EigenDecomposition(ed.values - (ed.values[2] - low), ed.vectors)
-    monkeypatch.setattr(checks, "BLOCK_ENTRIES", 7 * A.n)
+    monkeypatch.setattr(matrices, "BLOCK_ENTRIES", 7 * A.n)
     read = []
     real_rows = ThresholdFields.rows
 
@@ -417,3 +417,65 @@ def test_verify_solves_the_landscape_once(tmp_path, monkeypatch):
     summary = run_verification(A, ExperimentConfig(ensemble=ens, n_plot=0), tmp_path)
     assert summary["tails_repaired"] > 0
     assert sizes.count(100) == 1
+
+
+def test_verify_draws_the_corollary_weights_of_one_eigenpair_after_another(tmp_path, monkeypatch):
+    """Each block's weights are the rows the per-eigenpair draws of n would give, bit for bit."""
+    ens = EnsembleConfig(n=60, half_bandwidth=2, seed=7)
+    A, _ = generate_band_ensemble(ens)
+    real = experiment.check_dc_corollary
+    seen = []
+
+    def recorded(A, L, phi, E, g):
+        seen.append((L, np.array(phi), np.array(E), np.array(g), real(A, L, phi, E, g)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(experiment, "check_dc_corollary", recorded)
+    monkeypatch.setattr(matrices, "BLOCK_ENTRIES", 8 * max(A.n, A.off_count))
+    run_verification(A, ExperimentConfig(ensemble=ens, n_plot=0), tmp_path)
+    assert [len(E) for _, _, E, _, _ in seen] == [8] * 7 + [4]
+    rng = np.random.default_rng(np.random.SeedSequence(ens.seed, spawn_key=(2**31,)))
+    rng.standard_normal(8 * 3 * A.n)  # the identity checks draw first
+    for L, phi, E, g, triples in seen:
+        for c in range(len(E)):
+            row = rng.standard_normal(A.n)
+            assert np.array_equal(g[c], row)
+            assert real(A, L, phi[:, c], float(E[c]), row) == triples[c]
+
+
+def test_a_region_of_every_site_reuses_the_spectrum_before_the_hook(tmp_path, monkeypatch):
+    """A one-region partition takes A's own spectrum, not local_eig's repeat of it.
+
+    A faulted spectrum from the hook is still compared against the true local
+    one: every artifact equals that of a run that calls local_eig.
+    """
+    ens = EnsembleConfig(n=80, half_bandwidth=1, seed=1)
+    A, _ = generate_band_ensemble(ens)
+    cfg = ExperimentConfig(ensemble=ens, thresholds=(0.5,), s_requested=2.0, n_plot=0)
+    domains = []
+    real_local_eig = experiment.local_eig
+
+    def local_eig(A, domain, region_id=0):
+        domains.append(len(domain))
+        return real_local_eig(A, domain, region_id=region_id)
+
+    def scramble(ed):
+        return EigenDecomposition(values=ed.values, vectors=ed.vectors[:, ::-1].copy())
+
+    monkeypatch.setattr(experiment, "local_eig", local_eig)
+    monkeypatch.setattr(experiment, "_SPECTRUM_HOOK", scramble)
+    summary = run_verification(A, cfg, tmp_path / "reused")
+    assert summary["checks"]["partition"]["regions"] == 1
+    assert domains == []
+    assert not summary["checks"]["decoupling"]["pass"]
+
+    monkeypatch.setattr(
+        experiment, "_region_spectrum", lambda A, ed, region, i: local_eig(A, region, region_id=i)
+    )
+    run_verification(A, cfg, tmp_path / "solved")
+    assert domains == [A.n]
+    names = sorted(p.name for p in (tmp_path / "reused").iterdir())
+    assert "decoupling.json" in names and "counting.json" in names
+    for name in names:
+        reused, solved = (tmp_path / d / name for d in ("reused", "solved"))
+        assert reused.read_bytes() == solved.read_bytes()

@@ -1,5 +1,8 @@
 """Sparse symmetric storage, classification, ensemble, and Matrix Market IO."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,8 @@ from mlandscape import (
     smallest_eigenvalue,
     write_matrix,
 )
+from mlandscape import matrices
+from mlandscape.checks import DecouplingReport, LocalizationReport, ScatterData
 from mlandscape.matrices import _upper_band
 
 
@@ -354,13 +359,68 @@ def test_reader_skips_comments_and_blank_lines(tmp_path):
 
 def test_json_writer_joins_tokens_into_few_writes(tmp_path, monkeypatch):
     """Joined batches of tokens give the bytes of json.dumps at any batch size."""
-    import json
-
-    from mlandscape import matrices
-
     data = {"b": [1.5, float("inf"), {"z": -0.0, "a": [1, 2, 3]}], "a": "x", "n": None}
     want = json.dumps(matrices._json_value(data), indent=2, sort_keys=True, allow_nan=False)
     for per_write in (1, 3, matrices.JSON_TOKENS_PER_WRITE):
         monkeypatch.setattr(matrices, "JSON_TOKENS_PER_WRITE", per_write)
         matrices._write_json(tmp_path / "out.json", data)
         assert (tmp_path / "out.json").read_text(encoding="ascii") == want + "\n"
+
+
+# Scalars as the check reports may hold them, the awkward ones included.
+report_floats = st.one_of(
+    st.floats(),  # nan and both infinities among them
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+)
+report_ints = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=2**32 - 1).map(np.uint32),
+)
+localization_reports = st.builds(
+    LocalizationReport,
+    st.one_of(st.none(), report_ints),
+    *[report_floats] * 6,
+    st.booleans(),
+    report_floats,
+)
+decoupling_reports = st.builds(
+    DecouplingReport,
+    st.one_of(st.text(), st.sampled_from(["local_to_global", "global_to_local", "Grenze ≤ λ"])),
+    report_ints,
+    st.one_of(st.none(), report_ints),
+    *[report_floats] * 6,
+    st.booleans(),
+)
+
+
+def _json_reference(data) -> str:
+    return json.dumps(matrices._json_value(data), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@given(
+    st.one_of(st.lists(localization_reports, min_size=1), st.lists(decoupling_reports, min_size=1))
+)
+@settings(max_examples=200, deadline=None)
+def test_report_lists_are_written_as_json_would_write_them(tmp_path_factory, reports):
+    assert matrices._json_records(reports) is not None  # the record path, not the json encoder
+    path = tmp_path_factory.getbasetemp() / "reports.json"
+    matrices._write_json(path, reports)
+    assert path.read_text(encoding="ascii") == _json_reference(reports)
+
+
+def test_other_lists_take_the_json_encoder(tmp_path):
+    loc = LocalizationReport(None, 0.5, 0.5, 0.7, 0.0, -0.0, float("inf"), True, float("nan"))
+    dec = DecouplingReport("global_to_local", 3, None, 0.1, 0.05, 2.0, 1e-30, 0.0, 0.0, True)
+    arrays = [ScatterData(1, 2, 1e-17, np.zeros((2, 2)), 0.5, 0.9)]
+    one_field = [dataclasses.make_dataclass("One", ["x"])(0.1)]
+    for data in ([], [loc, dec], [dec, loc], arrays, (loc, loc), one_field):
+        assert matrices._json_records(data) is None
+        matrices._write_json(tmp_path / "out.json", data)
+        assert (tmp_path / "out.json").read_text(encoding="ascii") == _json_reference(data)
+    fake = dataclasses.replace(loc, holds=np.True_)  # json has no spelling for it
+    assert matrices._json_records([fake]) is None
+    with pytest.raises(TypeError):
+        matrices._write_json(tmp_path / "out.json", [fake])

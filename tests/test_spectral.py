@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import mlandscape.matrices as matrices
+import mlandscape.spectral as spectral
 from mlandscape import (
     EigenDecomposition,
     EnsembleConfig,
@@ -25,6 +27,7 @@ from mlandscape import (
     solve_landscape,
     write_eigenvalues_csv,
 )
+from mlandscape.matrices import _upper_band
 
 
 def tridiag(n, d=2.0):
@@ -212,6 +215,56 @@ def test_any_positive_u_repairs_a_z_matrix_that_is_not_an_m_matrix():
     d = A.to_dense()
     assert np.abs(d @ ed.vectors - ed.vectors * ed.values).max() <= 1e-13
     assert np.abs(ed.vectors.T @ ed.vectors - np.eye(n)).max() <= 1e-13
+
+
+def _repair_one_at_a_time(A, vbar, values, vectors):
+    """The tail repair written out per eigenpair: its own barrier, matvec and solve."""
+    repaired = failed = 0
+    for k in range(A.n):
+        barrier = vbar > values[k]
+        if not 0 < np.count_nonzero(barrier) < A.n:
+            continue
+        psi = np.where(barrier, 0.0, vectors[:, k])
+        rhs = -A.matvec(psi)[barrier]
+        _, psi[barrier], info = scipy.linalg.lapack.dpbsv(_upper_band(A, barrier, values[k]), rhs)
+        norm = np.linalg.norm(psi)
+        if info != 0 or not (np.isfinite(norm) and norm > 0.0):
+            failed += 1
+            continue
+        vectors[:, k] = psi / norm
+        repaired += 1
+    return repaired, failed
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_blocked_tail_repair_equals_the_repair_one_eigenpair_at_a_time(w, monkeypatch):
+    """One product of A with a block's columns gives each column the bits of its own matvec."""
+    A, _ = generate_band_ensemble(EnsembleConfig(n=90, half_bandwidth=w, seed=30 + w))
+    L = solve_landscape(A)
+    values, dense = np.linalg.eigh(A.to_dense())
+    want = dense.copy()
+    counts = _repair_one_at_a_time(A, L.vbar, values, want)
+    assert counts[0] > 0
+    for rows in (7, 64, A.n):  # 7: twelve blocks of seven, then one of six
+        monkeypatch.setattr(matrices, "BLOCK_ENTRIES", rows * A.n)
+        got = dense.copy()
+        assert spectral._repair_tails(A, L.vbar, values, got) == counts
+        assert np.array_equal(got, want)
+
+
+def test_signs_are_fixed_per_column_in_blocks(monkeypatch):
+    rng = np.random.default_rng(5)
+    vectors = rng.standard_normal((12, 30))
+    vectors[3, 4], vectors[7, 4] = -9.0, 9.0  # an exact tie: the lower index (negative) wins
+    want = vectors.copy()
+    for k in range(30):
+        col = want[:, k]
+        if col[np.argmax(np.abs(col))] < 0.0:
+            col *= -1.0
+    monkeypatch.setattr(matrices, "BLOCK_ENTRIES", 4 * 12)
+    spectral._fix_signs(vectors)
+    assert np.array_equal(vectors, want)
+    assert vectors[3, 4] == 9.0
 
 
 @pytest.mark.parametrize("info, fill", [(1, 0.0), (0, float("nan"))])
