@@ -36,7 +36,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .landscape import ShiftedPotential, _shift
-from .matrices import CsrPattern, SparseSymMatrix, _frozen, _index_mask, _write_csv
+from .matrices import CsrPattern, SparseSymMatrix, _frozen, _index_mask, _is_integer, _write_csv
 
 __all__ = [
     "AgmonMetric",
@@ -319,7 +319,7 @@ def band_lower_bound(w: int, i1: int, iq: int, v_min: float, a_max: float) -> fl
     floor((iq - i1 + 1 - w)/w) edges of weight >= ln(1 + sqrt(v_min/a_max)),
     so rho(i1 - 1, iq + 1) is at least that multiple.  Clamped below at 0.
     """
-    if not isinstance(w, (int, np.integer)) or w < 1:
+    if not _is_integer(w) or w < 1:
         raise ValueError(f"half-bandwidth must be a positive integer, got {w!r}")
     if iq < i1:
         raise ValueError(f"empty interval [{i1}, {iq}]")

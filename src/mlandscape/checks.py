@@ -204,6 +204,13 @@ def _checked_alpha(alpha, wc: int) -> float:
     return alpha
 
 
+def _checked_floor(floor) -> float:
+    """The scatter amplitude floor; ValueError unless it is positive and finite."""
+    if not (0.0 < float(floor) < math.inf):
+        raise ValueError(f"scatter floor must be positive and finite, got {floor}")
+    return float(floor)
+
+
 def _eigen_ids(j, count: int) -> np.ndarray:
     """j as 1-based eigen indices (int64); ValueError unless each is an integer in [1, count]."""
     ids = np.asarray(j)
@@ -671,6 +678,7 @@ def agmon_scatter(
     |psi_i| > floor and finite distance; slope and Pearson r come from
     ordinary least squares of -ln |psi_i| against rho.
     """
+    floor = _checked_floor(floor)
     j = int(_eigen_ids(j, ed.n))
     E = float(ed.values[j - 1])
     psi = ed.vectors[:, j - 1]

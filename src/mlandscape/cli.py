@@ -22,8 +22,8 @@ from .experiment import (
     load_config,
     partition_stage,
     run_verification,
+    scatter_stage,
 )
-from .checks import agmon_scatter, write_scatter_csv
 from .figures import (
     render_lines_svg,
     render_partition_svg,
@@ -213,10 +213,8 @@ def _cmd_scatter(args) -> int:
     L = solve_landscape(A)
     ed = eig_sym(A, L)
     out = _outdir(cfg)
-    for j in range(1, min(cfg.n_plot, ed.n) + 1):
-        sd = agmon_scatter(A, L, ed, j, floor=cfg.scatter_floor)
-        path = os.path.join(out, f"scatter_{j}.csv")
-        write_scatter_csv(path, sd)
+    for sd in scatter_stage(A, L, ed, out, cfg.n_plot, cfg.scatter_floor):
+        path = os.path.join(out, f"scatter_{sd.eigen_id}.csv")
         print(f"wrote {path} (slope {sd.fitted_slope:.4g}, r {sd.pearson_r:.4g})")
     return 0
 
@@ -238,10 +236,8 @@ def _cmd_figures(args) -> int:
         potential_csv, os.path.join(out, "potential.svg"), "reciprocal landscape baselines"
     )
 
-    sd = agmon_scatter(A, L, ed, 1, floor=cfg.scatter_floor)
-    scatter_csv = os.path.join(out, "scatter_1.csv")
-    write_scatter_csv(scatter_csv, sd)
-    render_scatter_svg(scatter_csv, os.path.join(out, "scatter_1.svg"))
+    scatter_stage(A, L, ed, out, 1, cfg.scatter_floor)
+    render_scatter_svg(os.path.join(out, "scatter_1.csv"), os.path.join(out, "scatter_1.svg"))
 
     ebar = cfg.partition_threshold()
     part = None if ebar is None else partition_stage(A, L, ebar, cfg.s_requested)

@@ -18,6 +18,7 @@ import numpy as np
 from .agmon import build_metric, threshold_fields
 from .checks import (
     _checked_alpha,
+    _checked_floor,
     _corollary_blocks,
     _wc,
     agmon_scatter,
@@ -48,6 +49,7 @@ __all__ = [
     "load_config",
     "dump_config",
     "partition_stage",
+    "scatter_stage",
     "run_verification",
 ]
 
@@ -105,10 +107,7 @@ class ExperimentConfig:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.n_plot < 0:
             raise ValueError(f"n_plot must be >= 0, got {self.n_plot}")
-        if not (self.scatter_floor > 0.0):
-            raise ValueError(f"scatter floor must be positive, got {self.scatter_floor}")
-        if not math.isfinite(self.scatter_floor):
-            raise ValueError(f"scatter floor must be finite, got {self.scatter_floor}")
+        _checked_floor(self.scatter_floor)
 
     def partition_threshold(self) -> float | None:
         if isinstance(self.thresholds, str):
@@ -164,6 +163,14 @@ def partition_stage(
     if not sp.wells:
         return None
     return build_partition(A, build_metric(A, sp), s_requested)
+
+
+def scatter_stage(A: SparseSymMatrix, L, ed, out: str, count: int, floor: float) -> list:
+    """ScatterData of eigenpairs 1..min(count, n), each written to out/scatter_{j}.csv."""
+    scatters = [agmon_scatter(A, L, ed, j, floor=floor) for j in range(1, min(count, A.n) + 1)]
+    for sd in scatters:
+        write_scatter_csv(os.path.join(out, f"scatter_{sd.eigen_id}.csv"), sd)
+    return scatters
 
 
 def _preflight(A: SparseSymMatrix, cfg: ExperimentConfig) -> tuple[int, float]:
@@ -329,11 +336,7 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
         _write_json(os.path.join(out, "counting.json"), cr)
 
     # scatter data for the first few eigenvectors
-    written = 0
-    for j in range(1, min(cfg.n_plot, A.n) + 1):
-        sd = agmon_scatter(A, L, ed, j, floor=cfg.scatter_floor)
-        write_scatter_csv(os.path.join(out, f"scatter_{j}.csv"), sd)
-        written += 1
+    written = len(scatter_stage(A, L, ed, out, cfg.n_plot, cfg.scatter_floor))
     checks["scatter"] = {"written": written, "floor": cfg.scatter_floor}
 
     proved = [

@@ -130,6 +130,8 @@ def shift_potential(L, threshold: float) -> ShiftedPotential:
     """
     vbar = L.vbar if isinstance(L, LandscapeData) else np.asarray(L, dtype=float)
     threshold = float(threshold)
+    if np.isnan(threshold):  # +-inf are fine: no wells, or every site a well
+        raise ValueError("thresholds must not be NaN")
     v, in_wells = _shift(vbar, threshold)
     wells = frozenset((np.flatnonzero(in_wells) + 1).tolist())
     return ShiftedPotential(threshold=threshold, v=v, wells=wells)

@@ -20,9 +20,9 @@ pairs with both ends in a mask from ``_pairs_inside``.
 
 Every CSV and JSON artifact of the package is written by ``_write_csv`` and
 ``_write_json`` below, so the artifact format is decided in this module alone.
-``_write_json`` spells a list of reports through one string template per
-report type and everything else through ``json``; both give the bytes of
-``json.dumps(..., indent=2, sort_keys=True)``.
+``_write_json`` spells every document with ``_json_text``, one recursive
+speller that gives the bytes of ``json.dumps(..., indent=2, sort_keys=True)``;
+a report is one string template per report type and indent.
 
 ``BLOCK_ENTRIES`` and ``_blocks`` size every array pass over eigenpairs, in
 ``checks`` and ``spectral`` alike.
@@ -35,8 +35,6 @@ only build, read or write matrices never use.
 from __future__ import annotations
 
 import csv
-import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass, fields, is_dataclass
@@ -127,9 +125,9 @@ def _json_value(x):
     if isinstance(x, (np.integer,)):
         return int(x)
     if isinstance(x, np.ndarray):
-        return [_json_value(v) for v in x.tolist()]
+        return _json_value(x.tolist())
     if isinstance(x, (frozenset, set)):
-        return sorted(x)
+        return [_json_value(v) for v in sorted(x)]
     if isinstance(x, (list, tuple)):
         return [_json_value(v) for v in x]
     if isinstance(x, dict):
@@ -137,12 +135,6 @@ def _json_value(x):
     if is_dataclass(x) and not isinstance(x, type):
         return {f.name: _json_value(getattr(x, f.name)) for f in fields(x)}
     return x
-
-
-# Encoded JSON tokens joined into one write.  ``json.dump`` writes token by
-# token (about 13k writes for a 500-report file); writing the whole text at
-# once holds every token together, about 0.9 MB for that file.
-JSON_TOKENS_PER_WRITE = 2048
 
 
 # Exact scalar types and their JSON text, spelled as ``json`` spells them:
@@ -157,63 +149,59 @@ _JSON_SCALARS = {
     str: encode_basestring_ascii,
 }
 
-
-def _json_scalar(x) -> str | None:
-    """The JSON text of ``_json_value(x)`` when that is a scalar; None otherwise."""
-    encode = _JSON_SCALARS.get(type(x))
-    if encode is None:
-        x = _json_value(x)  # numpy scalars as Python ones
-        encode = _JSON_SCALARS.get(type(x))
-    return None if encode is None else encode(x)
+# (dataclass type, indent) -> (getter of its field values by sorted name, %-template)
+_JSON_TEMPLATES: dict = {}
 
 
-def _json_records(data) -> list[str] | None:
-    """The items of ``data`` as ``_write_json`` spells them, one string each, when
-    data is a non-empty list of one dataclass type with at least two fields,
-    all holding scalars (the check reports); None otherwise.
-
-    One ``%``-template per type holds the sorted keys, so each record is one
-    string format instead of a walk of ``json``'s pure-Python indent encoder.
-    """
-    if not (isinstance(data, list) and data):
-        return None
-    cls = type(data[0])
-    if not is_dataclass(cls) or any(type(x) is not cls for x in data):
-        return None
+def _json_template(cls, indent: str) -> tuple:
     names = sorted(f.name for f in fields(cls))
-    if len(names) < 2:  # the reports have more; attrgetter of one name returns no tuple
-        return None
-    lines = ",\n".join(f"    {encode_basestring_ascii(k)}: %s" for k in names)
-    template = "  {\n" + lines + "\n  }"
-    get = operator.attrgetter(*names)
-    records = []
-    for x in data:
-        text = tuple([_json_scalar(v) for v in get(x)])
-        if None in text:
-            return None
-        records.append(template % text)
-    return records
+    lines = ",".join(f"{indent}  {encode_basestring_ascii(k)}: %s" for k in names)
+    template = "{" + lines + indent + "}" if names else "{}"
+    # attrgetter of one name gives the bare value, not a tuple, and of none fails
+    many = len(names) > 1
+    get = operator.attrgetter(*names) if many else lambda x: tuple(getattr(x, k) for k in names)
+    return _JSON_TEMPLATES.setdefault((cls, indent), (get, template))
+
+
+def _json_text(x, indent: str = "\n") -> str:
+    """The bytes ``json.dumps(_json_value(x), indent=2, sort_keys=True,
+    allow_nan=False)`` spells, lines continued with ``indent``; TypeError for
+    what that cannot spell (a numpy bool, say) and for keys that are not str.
+    A dataclass (a report) is one ``%``-format of its cached template."""
+    encode = _JSON_SCALARS.get(type(x))
+    if encode is not None:
+        return encode(x)
+    inner = indent + "  "
+    cached = _JSON_TEMPLATES.get((type(x), indent))
+    if cached is None and is_dataclass(x) and not isinstance(x, type):
+        cached = _json_template(type(x), indent)
+    if cached is not None:
+        get, template = cached
+        text = []
+        for v in get(x):
+            encode = _JSON_SCALARS.get(type(v))
+            text.append(encode(v) if encode is not None else _json_text(v, inner))
+        return template % tuple(text)
+    if isinstance(x, dict):
+        key = encode_basestring_ascii  # TypeError for a key that is not str
+        items = [f"{key(k)}: {_json_text(x[k], inner)}" for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(x, (set, frozenset, np.ndarray)):  # a 0-d array as its scalar
+        x = sorted(x) if isinstance(x, (set, frozenset)) else x.tolist()
+    if isinstance(x, (list, tuple)):
+        items = [_json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    value = _json_value(x)  # numpy scalars as Python ones
+    if type(value) not in _JSON_SCALARS:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return _json_text(value)
 
 
 def _write_json(path, data) -> None:
-    """The one JSON artifact writer: strict JSON, sorted keys, two-space indent.
-
-    Lists of reports take ``_json_records``; everything else goes through the
-    ``json`` encoder.  Both spell the bytes ``json.dumps(_json_value(data),
-    indent=2, sort_keys=True, allow_nan=False)`` would, then a newline.
-    """
-    records = _json_records(data)
+    """The one JSON artifact writer: ``_json_text`` of ``data`` and a newline."""
+    text = _json_text(data)  # first, so a document it cannot spell leaves no file
     with open(path, "w", encoding="ascii") as fh:
-        if records is not None:
-            fh.write("[\n")
-            fh.write(",\n".join(records))
-            fh.write("\n]\n")
-            return
-        encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
-        tokens = encoder.iterencode(_json_value(data))
-        while text := "".join(itertools.islice(tokens, JSON_TOKENS_PER_WRITE)):
-            fh.write(text)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path, header, *columns) -> None:
@@ -320,7 +308,7 @@ class SparseSymMatrix:
     )
 
     def __init__(self, n: int, diag, off_entries: Iterable[tuple] = ()):
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if not _is_integer(n) or n < 1:
             raise ValueError(f"matrix dimension must be a positive integer, got {n!r}")
         diag = np.array(diag, dtype=float)
         if diag.shape != (n,):

@@ -418,6 +418,9 @@ def test_band_bound_validation():
         band_lower_bound(1, 1, 3, 0.0, 1.0)
     with pytest.raises(ValueError):
         band_lower_bound(1, 1, 3, 1.0, -1.0)
+    for w in (True, np.True_, 1.0):
+        with pytest.raises(ValueError, match="half-bandwidth"):
+            band_lower_bound(w, 1, 5, 1.0, 1.0)
 
 
 def test_band_bound_certifies_dijkstra_distance():

@@ -13,6 +13,7 @@ from mlandscape import (
     EigenDecomposition,
     EmptyWellSetError,
     EnsembleConfig,
+    ExperimentConfig,
     NonPositiveLandscapeError,
     SparseSymMatrix,
     agmon_scatter,
@@ -753,6 +754,16 @@ def test_scatter_floor_filters_amplitudes():
     loose = agmon_scatter(A, L, ed, 1, floor=1e-17)
     assert tight.points.shape[0] < loose.points.shape[0]
     assert np.all(np.isfinite(loose.points))
+
+
+@pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf])
+def test_scatter_floor_must_be_positive_and_finite(floor):
+    A = SparseSymMatrix(2, [1.0, 2.0])
+    L = solve_landscape(A)
+    with pytest.raises(ValueError, match="scatter floor must be positive and finite"):
+        agmon_scatter(A, L, eig_sym(A, L), 1, floor=floor)
+    with pytest.raises(ValueError, match="scatter floor must be positive and finite"):
+        ExperimentConfig(scatter_floor=floor)
 
 
 def test_scatter_fit_on_a_draw():

@@ -235,6 +235,19 @@ def test_scatter_writes_one_file_per_vector(mat, tmp_path, capsys):
     assert not (tmp_path / "scatter_6.csv").exists()
 
 
+@pytest.mark.parametrize("command, count", [("scatter", 5), ("figures", 1)])
+def test_scatter_files_come_from_the_experiment_stage(mat, tmp_path, monkeypatch, command, count):
+    """Both subcommands scatter and write through experiment's attributes, as verify does."""
+    path, _ = mat
+    seen = []
+    write = experiment.write_scatter_csv
+    monkeypatch.setattr(
+        experiment, "write_scatter_csv", lambda p, sd: seen.append(p) or write(p, sd)
+    )
+    assert main([command, path, "--out", str(tmp_path)]) == 0
+    assert seen == [str(tmp_path / f"scatter_{j}.csv") for j in range(1, count + 1)]
+
+
 def test_figures_without_threshold(mat, tmp_path):
     path, _ = mat
     assert main(["figures", path, "--out", str(tmp_path)]) == 0

@@ -126,6 +126,14 @@ def test_shift_membership_is_exact():
     assert sp.wells == frozenset({1})
 
 
+def test_shift_rejects_nan_and_keeps_infinite_thresholds():
+    vbar = np.array([3.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="thresholds must not be NaN"):
+        shift_potential(vbar, float("nan"))
+    assert shift_potential(vbar, float("-inf")).wells == frozenset()
+    assert shift_potential(vbar, float("inf")).wells == frozenset({1, 2, 3})
+
+
 def test_shift_extremes():
     vbar = np.array([3.0, 1.0, 2.0])
     assert shift_potential(vbar, 0.5).wells == frozenset()

@@ -5,8 +5,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mlandscape import (
     EnsembleConfig,
@@ -22,7 +23,7 @@ from mlandscape import (
     write_matrix,
 )
 from mlandscape import matrices
-from mlandscape.checks import DecouplingReport, LocalizationReport, ScatterData
+from mlandscape.checks import CountingReport, DecouplingReport, LocalizationReport, ScatterData
 from mlandscape.matrices import _upper_band
 
 
@@ -66,6 +67,9 @@ def test_storage_rejects_duplicates_and_bad_indices():
         SparseSymMatrix(2, [0, 0], [(1, 2, float("nan"))])
     with pytest.raises(ValueError):
         SparseSymMatrix(0, [])
+    for n in (True, np.True_, 1.0):
+        with pytest.raises(ValueError, match="matrix dimension must be a positive integer"):
+            SparseSymMatrix(n, [2.0])
 
 
 def test_from_dense_requires_symmetry():
@@ -357,16 +361,6 @@ def test_reader_skips_comments_and_blank_lines(tmp_path):
     assert np.array_equal(A.diag, [1.5, 2.5])
 
 
-def test_json_writer_joins_tokens_into_few_writes(tmp_path, monkeypatch):
-    """Joined batches of tokens give the bytes of json.dumps at any batch size."""
-    data = {"b": [1.5, float("inf"), {"z": -0.0, "a": [1, 2, 3]}], "a": "x", "n": None}
-    want = json.dumps(matrices._json_value(data), indent=2, sort_keys=True, allow_nan=False)
-    for per_write in (1, 3, matrices.JSON_TOKENS_PER_WRITE):
-        monkeypatch.setattr(matrices, "JSON_TOKENS_PER_WRITE", per_write)
-        matrices._write_json(tmp_path / "out.json", data)
-        assert (tmp_path / "out.json").read_text(encoding="ascii") == want + "\n"
-
-
 # Scalars as the check reports may hold them, the awkward ones included.
 report_floats = st.one_of(
     st.floats(),  # nan and both infinities among them
@@ -405,22 +399,80 @@ def _json_reference(data) -> str:
 )
 @settings(max_examples=200, deadline=None)
 def test_report_lists_are_written_as_json_would_write_them(tmp_path_factory, reports):
-    assert matrices._json_records(reports) is not None  # the record path, not the json encoder
     path = tmp_path_factory.getbasetemp() / "reports.json"
     matrices._write_json(path, reports)
     assert path.read_text(encoding="ascii") == _json_reference(reports)
 
 
-def test_other_lists_take_the_json_encoder(tmp_path):
-    loc = LocalizationReport(None, 0.5, 0.5, 0.7, 0.0, -0.0, float("inf"), True, float("nan"))
-    dec = DecouplingReport("global_to_local", 3, None, 0.1, 0.05, 2.0, 1e-30, 0.0, 0.0, True)
-    arrays = [ScatterData(1, 2, 1e-17, np.zeros((2, 2)), 0.5, 0.9)]
-    one_field = [dataclasses.make_dataclass("One", ["x"])(0.1)]
-    for data in ([], [loc, dec], [dec, loc], arrays, (loc, loc), one_field):
-        assert matrices._json_records(data) is None
-        matrices._write_json(tmp_path / "out.json", data)
-        assert (tmp_path / "out.json").read_text(encoding="ascii") == _json_reference(data)
-    fake = dataclasses.replace(loc, holds=np.True_)  # json has no spelling for it
-    assert matrices._json_records([fake]) is None
+report_arrays = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64]),
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+)
+counting_reports = st.builds(
+    CountingReport,
+    report_arrays,
+    report_floats,
+    report_ints,
+    *[report_arrays] * 4,
+    st.booleans(),
+)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    report_floats,
+    report_ints,
+    st.text(),  # non-ASCII among it
+    report_arrays,
+    st.sets(st.integers()),
+    st.frozensets(st.text()),
+    localization_reports,
+    decoupling_reports,
+    counting_reports,
+)
+json_documents = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.dictionaries(st.text(), inner),
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+    ),
+    max_leaves=20,
+)
+
+LOC = LocalizationReport(None, 0.5, 0.5, 0.7, 0.0, -0.0, float("inf"), True, float("nan"))
+DEC = DecouplingReport("global_to_local", 3, None, 0.1, 0.05, 2.0, 1e-30, 0.0, 0.0, True)
+
+
+@given(json_documents)
+@example({"b": [1.5, float("inf"), {"z": -0.0, "a": [1, 2, 3]}], "a": "x", "n": None})
+@example([])
+@example({})
+@example([LOC, DEC])
+@example([DEC, LOC])
+@example((LOC, LOC))
+@example([ScatterData(1, 2, 1e-17, np.zeros((2, 2)), 0.5, 0.9)])
+@example([dataclasses.make_dataclass("One", ["x"])(0.1)])
+@example(dataclasses.make_dataclass("NoFields", [])())
+@settings(max_examples=300, deadline=None)
+def test_json_writer_spells_what_json_would(tmp_path_factory, data):
+    """Every document, nested or not, gets the bytes of json.dumps of its JSON value."""
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    matrices._write_json(path, data)
+    assert path.read_text(encoding="ascii") == _json_reference(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.True_,
+        [dataclasses.replace(LOC, holds=np.True_)],  # json has no spelling for it
+        {"a": [1, {"b": np.bool_(False)}]},
+        {1: "non-str key"},
+        {"a": 1, 2: "mixed keys"},
+        object(),
+    ],
+)
+def test_json_writer_refuses_what_it_cannot_spell(tmp_path, data):
     with pytest.raises(TypeError):
-        matrices._write_json(tmp_path / "out.json", [fake])
+        matrices._write_json(tmp_path / "out.json", data)
+    assert not (tmp_path / "out.json").exists()  # nothing half written
