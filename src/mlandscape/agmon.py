@@ -321,6 +321,9 @@ def band_lower_bound(w: int, i1: int, iq: int, v_min: float, a_max: float) -> fl
     """
     if not _is_integer(w) or w < 1:
         raise ValueError(f"half-bandwidth must be a positive integer, got {w!r}")
+    for name, end in (("i1", i1), ("iq", iq)):
+        if not _is_integer(end):
+            raise ValueError(f"interval end {name} must be an integer, got {end!r}")
     if iq < i1:
         raise ValueError(f"empty interval [{i1}, {iq}]")
     if not (float(v_min) > 0.0):

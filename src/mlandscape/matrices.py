@@ -16,7 +16,8 @@ on it.  Instances are immutable after construction.
 This module alone turns a matrix into a derived structure: the CSR layout,
 ``restrict``, the relabelled principal submatrix ``_submatrix`` and the LAPACK
 band storage ``_upper_band`` of a masked, shifted A.  The last three take the
-pairs with both ends in a mask from ``_pairs_inside``.
+pairs with both ends in a mask from ``_pairs_inside``.  Its spectrum comes
+from ``_eigh``, which hands a tridiagonal A to LAPACK as its two diagonals.
 
 Every CSV and JSON artifact of the package is written by ``_write_csv`` and
 ``_write_json`` below, so the artifact format is decided in this module alone.
@@ -43,6 +44,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 import numpy as np
+from scipy.linalg import lapack
 
 __all__ = [
     "SparseSymMatrix",
@@ -61,8 +63,10 @@ __all__ = [
     "write_matrix",
 ]
 
-# Everything here goes through dense symmetric eigensolves at some point;
-# beyond this order the quadratic storage and cubic solves are out of scope.
+# Largest order ``_eigh`` accepts.  A verify keeps every eigenvector (n^2
+# doubles), and a band wider than 1 costs a dense O(n^3) solve; a chain skips
+# the cubic reduction, but past this order even its lambda_1 alone would want
+# bisection, not the whole spectrum.
 DENSE_EIGEN_LIMIT = 5000
 
 # |lambda_min| at or below this is treated as numerically singular.
@@ -556,9 +560,35 @@ def classify(A: SparseSymMatrix, compute_spectrum: bool = True) -> MatrixClass:
 
 
 def smallest_eigenvalue(A: SparseSymMatrix) -> float:
+    """lambda_min of A: the first of ``_eigh``'s values, computed without vectors."""
+    return float(_eigh(A, vectors=False)[0])
+
+
+def _eigh(A: SparseSymMatrix, vectors: bool = True):
+    """The bits of ``np.linalg.eigh(A.to_dense())``, or of ``eigvalsh`` without ``vectors``.
+
+    At bandwidth <= 1 the diagonals go straight to LAPACK's tridiagonal
+    divide and conquer ``dstevd`` and no n x n input is formed.  ``eigh``
+    calls ``dsyevd``, whose Householder reduction ``dsytrd`` has tau = 0 at
+    every step of a tridiagonal input, so it hands the same diagonals to the
+    same ``dstedc`` (``dsterf`` without vectors, after the same scaling) and
+    back-transforms by the identity.  Wider bands keep the dense solve, and so
+    does a diagonal holding -0.0: the blocked ``dsytrd`` update subtracts
+    signed zeros from it and can return +0.0.  The vectors come back
+    C-contiguous, as ``eigh`` gives them: products with a Fortran-ordered copy
+    may round differently.  ``np.linalg.LinAlgError`` when LAPACK fails.
+    """
     if A.n > DENSE_EIGEN_LIMIT:
         raise ValueError(f"dense eigensolve limited to n <= {DENSE_EIGEN_LIMIT}, got n = {A.n}")
-    return float(np.linalg.eigvalsh(A.to_dense())[0])
+    if A.bandwidth() > 1 or np.any(np.signbit(A.diag) & (A.diag == 0.0)):
+        dense = A.to_dense()
+        return np.linalg.eigh(dense) if vectors else np.linalg.eigvalsh(dense)
+    sub = np.zeros(max(A.n - 1, 1))  # the wrapper wants length >= 1, even at n = 1
+    sub[A._off_i - 1] = A._off_v  # pair (i, i + 1) is subdiagonal entry i
+    values, z, info = lapack.dstevd(A.diag, sub, compute_v=vectors)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (dstevd info = {info})")
+    return (values, np.ascontiguousarray(z)) if vectors else values
 
 
 def _substreams(seed: int, count: int) -> list[np.random.Generator]:

@@ -1,10 +1,14 @@
-"""Dense symmetric eigendecompositions, local spectra, and spectral projectors.
+"""Full symmetric eigendecompositions, local spectra, and spectral projectors.
+
+``eig_sym`` takes its spectrum from ``matrices._eigh``: LAPACK's tridiagonal
+divide and conquer on the stored diagonals at bandwidth <= 1, the dense
+``np.linalg.eigh`` on wider bands, with the bits of the dense solve on both.
 
 Eigenvectors get a deterministic sign: the largest-magnitude component is made
 positive, ties resolved toward the lowest index (one ``argmax`` per block of
 columns).
 
-The dense solver leaves every entry with an absolute error of ~1e-16, so the
+Either solver leaves every entry with an absolute error of ~1e-16, so the
 exponentially small tails of localized eigenvectors drown in that floor.
 ``eig_sym(A, L)`` rebuilds them from the caller's landscape: for any positive
 u with vbar = (A u) / u (u = A^{-1} 1 is only the M-matrix case), the barrier
@@ -24,10 +28,10 @@ cancellation and the rebuilt entries keep relative accuracy however deep
 the decay runs.  The repair
 applies to Z-matrices whose bandwidth is at most max(1, n // 3); otherwise,
 with no landscape (``L`` None), or for an eigenpair whose solve fails, the
-dense vector stands, and ``EigenDecomposition`` counts the repaired and the
+solver's vector stands, and ``EigenDecomposition`` counts the repaired and the
 failed eigenpairs.
 
-Its one limit: entries of T^c keep the dense solver's absolute accuracy
+Its one limit: entries of T^c keep the solver's absolute accuracy
 (or its exact zeros), so where psi is tiny on T^c, far from its own well,
 the T entries beyond them follow that data.  Verifiers that weight tail
 entries by exp(2 alpha rho) rely on the repair.
@@ -45,10 +49,10 @@ import scipy.linalg
 
 from .landscape import LandscapeData, _require_landscape_of, solve_landscape
 from .matrices import (
-    DENSE_EIGEN_LIMIT,
     SparseSymMatrix,
     _frozen,
     _blocks,
+    _eigh,
     _index_mask,
     _submatrix,
     _upper_band,
@@ -76,7 +80,7 @@ class EigenDecomposition:
 
     ``tails_repaired`` counts the eigenvectors whose tails were rebuilt by the
     Dirichlet solve on their barrier set; ``tails_failed`` counts those whose
-    solve failed or gave non-finite values and that kept the dense vector.
+    solve failed or gave non-finite values and that kept the solver's vector.
     """
 
     values: np.ndarray
@@ -134,7 +138,7 @@ def _repair_tails(
     is renormalized.  The right sides of a block of eigenpairs (``_blocks``)
     come from one product of A with the block's columns; each column of it
     has the bits of its own ``matvec``.  Returns (repaired, failed); a failed
-    column keeps its dense values.
+    column keeps the solver's values.
     """
     n = A.n
     bw = A.bandwidth()
@@ -178,11 +182,9 @@ def _fix_signs(vectors: np.ndarray) -> None:
 
 def eig_sym(A: SparseSymMatrix, L: LandscapeData | None) -> EigenDecomposition:
     """Full eigendecomposition with deterministic signs, tails repaired from ``L`` unless None."""
-    if A.n > DENSE_EIGEN_LIMIT:
-        raise ValueError(f"dense eigensolve limited to n <= {DENSE_EIGEN_LIMIT}, got n = {A.n}")
     if L is not None:
         _require_landscape_of(A, L)
-    values, vectors = np.linalg.eigh(A.to_dense())
+    values, vectors = _eigh(A)
     repaired, failed = _repair_tails(A, L.vbar, values, vectors) if L is not None else (0, 0)
     _fix_signs(vectors)
     return EigenDecomposition(values, vectors, tails_repaired=repaired, tails_failed=failed)

@@ -421,6 +421,9 @@ def test_band_bound_validation():
     for w in (True, np.True_, 1.0):
         with pytest.raises(ValueError, match="half-bandwidth"):
             band_lower_bound(w, 1, 5, 1.0, 1.0)
+    for w, i1, iq in ((1, 1.5, 5), (2, 1, 6.7), (1, True, 5), (1, 1, np.True_), (1, np.float64(1.0), 5)):
+        with pytest.raises(ValueError, match="interval end"):
+            band_lower_bound(w, i1, iq, 1.0, 1.0)
 
 
 def test_band_bound_certifies_dijkstra_distance():

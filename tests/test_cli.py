@@ -6,6 +6,7 @@ import json
 import pytest
 
 import mlandscape.experiment as experiment
+import mlandscape.matrices as matrices
 from mlandscape.cli import main
 from mlandscape.experiment import EnsembleConfig, ExperimentConfig, dump_config
 from mlandscape.spectral import EigenDecomposition
@@ -295,6 +296,13 @@ def test_indefinite_matrix_exits_3(tmp_path, capsys):
     bad = tmp_path / "indefinite.mtx"
     bad.write_text(INDEFINITE_MTX)
     rc = main(["landscape", str(bad), "--out", str(tmp_path)])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_failed_tridiagonal_eigensolve_exits_3(mat, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(matrices.lapack, "dstevd", lambda d, e, compute_v=1: (d, None, 1))
+    rc = main(["verify", mat[0], "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
 

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +209,92 @@ def test_ensemble_config_validation():
         EnsembleConfig(n=5, half_bandwidth=1, epsilon=0.0)
     with pytest.raises(ValueError):
         EnsembleConfig(n=5, half_bandwidth=1, seed=-1)
+
+
+# ---------------------------------------------------------------- eigensolve
+
+
+def _tridiagonal(diag, sub):
+    """The symmetric tridiagonal matrix of ``diag`` and ``sub``; zero couplings leave gaps."""
+    return SparseSymMatrix(len(diag), diag, [(k + 1, k + 2, v) for k, v in enumerate(sub)])
+
+
+def _assert_dense_bits(A):
+    """``_eigh`` gives the exact bits (and layout) of numpy's dense solvers on A."""
+    values, vectors = matrices._eigh(A)
+    want_values, want_vectors = np.linalg.eigh(A.to_dense())
+    assert values.shape == want_values.shape and values.tobytes() == want_values.tobytes()
+    assert vectors.shape == want_vectors.shape and vectors.tobytes() == want_vectors.tobytes()
+    assert vectors.flags.c_contiguous
+    only = matrices._eigh(A, vectors=False)
+    want_only = np.linalg.eigvalsh(A.to_dense())
+    assert only.shape == want_only.shape and only.tobytes() == want_only.tobytes()
+
+
+@st.composite
+def tridiagonals(draw, max_n=40):
+    """Symmetric tridiagonals with small-integer ties, zero couplings and scales 1e+-160."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    entry = st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0, 2.0]),
+        st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False),
+    )
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e160]))
+    diag = [scale * x for x in draw(st.lists(entry, min_size=n, max_size=n))]
+    sub = [scale * x for x in draw(st.lists(entry, min_size=n - 1, max_size=n - 1))]
+    return _tridiagonal(diag, sub)
+
+
+@given(tridiagonals())
+@example(_tridiagonal([3.0], []))
+@example(_tridiagonal([2.0, 2.0], [-1.0]))
+@example(_tridiagonal([1.0, 1.0], [0.0]))  # diagonal, tied
+@example(_tridiagonal([0.0, 5.0, 0.0, 5.0], [0.0, 0.0, 0.0]))
+@example(_tridiagonal([1e160, -1e160, 3e160], [-2e160, 0.0]))
+@example(_tridiagonal([1e-160, 2e-160, 1e-160, 4e-160], [-1e-160, -1e-160, 0.0]))
+@example(_tridiagonal([2.0] * 6, [-1.0, -1.0, 0.0, -1.0, -1.0]))  # two equal blocks: every value twice
+@example(_tridiagonal([-0.0, 1.0] * 20, [0.0] * 39))  # -0.0 keeps the dense path
+@settings(max_examples=300, deadline=None)
+def test_tridiagonal_eigensolve_gives_the_dense_bits(A):
+    _assert_dense_bits(A)
+
+
+ENSEMBLE_DRAWS_CHILD = """
+import sys
+import numpy as np
+from mlandscape import EnsembleConfig, generate_band_ensemble, matrices
+sizes = (2, 3, 4, 7, 16, 33, 60, 100, 150, 250, 500, 750, 1000)
+bad = []
+for n, seed in [(n, seed) for n in sizes for seed in (1, 2, 3, 4)] + [(2000, 1)]:
+    A = generate_band_ensemble(EnsembleConfig(n=n, half_bandwidth=1, seed=seed))[0]
+    got = (*matrices._eigh(A), matrices._eigh(A, vectors=False))
+    want = (*np.linalg.eigh(A.to_dense()), np.linalg.eigvalsh(A.to_dense()))
+    if not got[1].flags.c_contiguous or any(
+        g.shape != w.shape or g.tobytes() != w.tobytes() for g, w in zip(got, want)
+    ):
+        bad.append((n, seed))
+print(bad)
+sys.exit(1 if bad else 0)
+"""
+
+
+def test_tridiagonal_eigensolve_gives_the_dense_bits_on_ensemble_draws():
+    """53 W = 1 draws, n = 2..2000, in a child pinned to one BLAS thread, the
+    documented setting: with two threads, from n ~ 600 the dense solver's own
+    bits differ from its one-thread bits."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(matrices.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    child = subprocess.run(
+        [sys.executable, "-c", ENSEMBLE_DRAWS_CHILD], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
+
+
+def test_eigensolve_is_capped():
+    A = SparseSymMatrix(matrices.DENSE_EIGEN_LIMIT + 1, np.ones(matrices.DENSE_EIGEN_LIMIT + 1))
+    for solve in (matrices._eigh, smallest_eigenvalue):
+        with pytest.raises(ValueError, match="limited to n <= 5000"):
+            solve(A)
 
 
 # ---------------------------------------------------------------- restriction

@@ -342,6 +342,53 @@ def test_local_eig_never_densifies_the_full_matrix(monkeypatch):
     assert np.abs(sub @ loc.vectors[10:30] - loc.vectors[10:30] * loc.values).max() <= 1e-13
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("dense eigensolve")
+
+
+@pytest.mark.parametrize("w", [0, 1])
+def test_tridiagonal_spectra_form_no_dense_matrix(w, monkeypatch):
+    if w:
+        A, _ = generate_band_ensemble(EnsembleConfig(n=60, half_bandwidth=1, seed=4))
+    else:
+        A = SparseSymMatrix(60, np.linspace(0.5, 2.0, 60))
+    L = solve_landscape(A)
+    dense = A.to_dense()
+    values, vectors = np.linalg.eigh(dense)
+    sub_values = np.linalg.eigh(dense[10:30, 10:30])[0]
+    lam1 = float(np.linalg.eigvalsh(dense)[0])
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, _refuse)
+    monkeypatch.setattr(SparseSymMatrix, "to_dense", _refuse)
+    assert np.array_equal(eig_sym(A, None).values, values)
+    assert (eig_sym(A, L).tails_repaired > 0) == bool(w)  # the repair runs at W = 1 only
+    assert np.array_equal(local_eig(A, range(11, 31)).values, sub_values)
+    assert smallest_eigenvalue(A) == matrices.classify(A).min_eigenvalue == lam1
+    assert eig_sym(SparseSymMatrix(1, [2.0]), None).vectors.tolist() == [[1.0]]
+
+
+def test_wider_bands_and_negative_zeros_take_the_dense_path(monkeypatch):
+    A, _ = generate_band_ensemble(EnsembleConfig(n=40, half_bandwidth=2, seed=6))
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, solve=solve, name=name: calls.append(name) or solve(a))
+    eig_sym(A, solve_landscape(A))
+    smallest_eigenvalue(A)
+    assert calls == ["eigh", "eigvalsh"]
+    # -0.0 on the diagonal: dsytrd's blocked update may return it as +0.0
+    eig_sym(SparseSymMatrix(3, [-0.0, 1.0, 2.0], [(2, 3, -1.0)]), None)
+    assert calls == ["eigh", "eigvalsh", "eigh"]
+
+
+def test_a_failed_tridiagonal_solve_raises(monkeypatch):
+    monkeypatch.setattr(matrices.lapack, "dstevd", lambda d, e, compute_v=1: (d, None, 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        eig_sym(tridiag(5), None)
+    with pytest.raises(np.linalg.LinAlgError):
+        smallest_eigenvalue(tridiag(5))
+
+
 def test_local_eig_raises_on_an_indefinite_domain():
     # the submatrix on {1, 2} is the Z-matrix [[1, -2], [-2, 1]], eigenvalues -1 and 3
     A = SparseSymMatrix(3, [1.0, 1.0, 5.0], [(1, 2, -2.0)])
