@@ -32,17 +32,12 @@ from .agmon import (
     build_metric,
     distance_from_set,
     inner_boundary,
-    outer_boundary,
     pairwise_distance,
-    set_distance,
     threshold_fields,
-    write_distance_csv,
-    write_edges_csv,
 )
 from .spectral import (
     EigenDecomposition,
     LocalEigenData,
-    SpectralProjector,
     counting_global,
     counting_local,
     eig_sym,

@@ -16,27 +16,18 @@ source set); explicit zero weights stay edges.
 once.  An edge at a well weighs exactly 0, so each field is decided on the
 barrier sites {vbar > t}; the sweep copies those sites and their edges once
 per threshold and runs one Dijkstra per block of consecutive thresholds.
-
-Witness paths follow canonical predecessors, derived from the final distances
-only when a path is asked for.  An edge u -> k is tight when
-dist[u] + w(u, k) == dist[k]; hop counts are taken from the source set in the
-subgraph of tight edges, and the predecessor of k is its smallest-index tight
-neighbour with one hop fewer.  Hops fall by one per step, so a witness path
-reaches a source in at most n - 1 steps and its weights, added from the
-source, give the distance exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .landscape import ShiftedPotential, _shift
-from .matrices import CsrPattern, SparseSymMatrix, _frozen, _index_mask, _is_integer, _write_csv
+from .matrices import CsrPattern, SparseSymMatrix, _frozen, _index_mask, _is_integer
 
 __all__ = [
     "AgmonMetric",
@@ -46,12 +37,8 @@ __all__ = [
     "distance_from_set",
     "threshold_fields",
     "pairwise_distance",
-    "set_distance",
     "inner_boundary",
-    "outer_boundary",
     "band_lower_bound",
-    "write_distance_csv",
-    "write_edges_csv",
 ]
 
 INF = float("inf")
@@ -81,56 +68,16 @@ class AgmonMetric:
         for i, j, w in zip(off_i, off_j, self.edge_w):
             yield int(i), int(j), float(w)
 
-    def edge_weight(self, i: int, j: int) -> float:
-        k = self.matrix.pattern.slot(i, j) if i != j else -1
-        if k < 0:
-            raise KeyError(f"no edge between {i} and {j}")
-        return float(self._graph.data[k])
-
 
 @dataclass(frozen=True, eq=False)
 class DistanceField:
-    """Distances from a source set; dist[k] is the distance of index k+1.
-
-    ``witness_path(i)`` reconstructs a realizing shortest path (source first)
-    from the canonical predecessors (module docstring).
-    """
+    """Distances from a source set; dist[k] is the distance of index k+1."""
 
     source: frozenset[int]
     dist: np.ndarray
-    metric: AgmonMetric = field(repr=False)
 
     def __post_init__(self):
         _frozen(self.dist)
-
-    @cached_property
-    def predecessor(self) -> np.ndarray:
-        """0-based canonical predecessor of each index; -1 at sources and unreachable ones."""
-        g, dist, n = self.metric._graph, self.dist, self.dist.size
-        tail = self.metric.matrix.pattern.rows
-        head = g.indices
-        tight = (tail != head) & np.isfinite(dist[tail]) & (dist[tail] + g.data == dist[head])
-        hop_graph = g.copy()
-        hop_graph.data = np.where(tight, 1.0, INF)  # hop counts along tight edges only
-        hops = _dijkstra(hop_graph, _index_mask(n, self.source))
-        step = tight & (hops[tail] + 1 == hops[head])
-        pred = np.full(n, n, dtype=np.int64)
-        np.minimum.at(pred, head[step], tail[step])
-        pred[pred == n] = -1
-        return _frozen(pred)
-
-    def witness_path(self, i: int) -> list[int]:
-        k = i - 1
-        if not (0 <= k < self.dist.size):
-            raise ValueError(f"index {i} outside [1, {self.dist.size}]")
-        if not math.isfinite(self.dist[k]):
-            raise ValueError(f"index {i} is unreachable from the source set")
-        path = [i]
-        while self.predecessor[k] >= 0:
-            k = int(self.predecessor[k])
-            path.append(k + 1)
-        path.reverse()
-        return path
 
 
 def _weight(v_i: np.ndarray, v_j: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -165,7 +112,7 @@ def distance_from_set(m: AgmonMetric, sources: Iterable[int]) -> DistanceField:
     """Multi-source shortest-path distances; an empty source set gives all +inf."""
     in_source = _index_mask(m.matrix.n, sources)
     src = frozenset((np.flatnonzero(in_source) + 1).tolist())
-    return DistanceField(source=src, dist=_dijkstra(m._graph, in_source), metric=m)
+    return DistanceField(source=src, dist=_dijkstra(m._graph, in_source))
 
 
 # Most graph nodes one Dijkstra of a threshold sweep runs on: consecutive
@@ -277,38 +224,17 @@ def threshold_fields(
 
 def pairwise_distance(m: AgmonMetric, i: int, j: int) -> float:
     """rho(i, j); 0 on the diagonal, +inf when j is unreachable from i."""
-    _index_mask(m.matrix.n, [i, j])
-    return float(distance_from_set(m, [i]).dist[j - 1])
-
-
-def set_distance(m: AgmonMetric, K: Iterable[int], M: Iterable[int]) -> float:
-    """rho(K, M) = inf over pairs; +inf when either set is empty."""
-    in_k = _index_mask(m.matrix.n, K)
-    in_m = _index_mask(m.matrix.n, M)
-    if not in_k.any() or not in_m.any():
-        return INF
-    return float(distance_from_set(m, np.flatnonzero(in_m) + 1).dist[in_k].min())
-
-
-def _crossing(A: SparseSymMatrix, omega: Iterable[int]):
-    """Mask of omega, both ends of every edge, and which of them lie on an edge leaving omega."""
-    inside = _index_mask(A.n, omega)
-    off_i, off_j, _ = A.off_arrays()
-    ends = np.concatenate([off_i, off_j])
-    crossing = np.tile(inside[off_i - 1] != inside[off_j - 1], 2)
-    return inside, ends, crossing
+    at_j = _index_mask(m.matrix.n, [j])
+    return float(distance_from_set(m, [i]).dist[at_j][0])
 
 
 def inner_boundary(A: SparseSymMatrix, omega: Iterable[int]) -> frozenset[int]:
     """Members of omega with at least one neighbor outside omega."""
-    inside, ends, crossing = _crossing(A, omega)
+    inside = _index_mask(A.n, omega)
+    off_i, off_j, _ = A.off_arrays()
+    ends = np.concatenate([off_i, off_j])
+    crossing = np.tile(inside[off_i - 1] != inside[off_j - 1], 2)
     return frozenset(ends[crossing & inside[ends - 1]].tolist())
-
-
-def outer_boundary(A: SparseSymMatrix, omega: Iterable[int]) -> frozenset[int]:
-    """Non-members of omega with at least one neighbor inside omega."""
-    inside, ends, crossing = _crossing(A, omega)
-    return frozenset(ends[crossing & ~inside[ends - 1]].tolist())
 
 
 def band_lower_bound(w: int, i1: int, iq: int, v_min: float, a_max: float) -> float:
@@ -335,13 +261,3 @@ def band_lower_bound(w: int, i1: int, iq: int, v_min: float, a_max: float) -> fl
         return 0.0
     return steps * math.log1p(math.sqrt(float(v_min) / float(a_max)))
 
-
-def write_distance_csv(path, field_: DistanceField) -> None:
-    """CSV with header index,dist; infinite distances serialize as 'inf'."""
-    _write_csv(path, ["index", "dist"], np.arange(1, field_.dist.size + 1), field_.dist)
-
-
-def write_edges_csv(path, m: AgmonMetric) -> None:
-    """CSV with header i,j,weight listing each edge once (i < j)."""
-    off_i, off_j, _ = m.matrix.off_arrays()
-    _write_csv(path, ["i", "j", "weight"], off_i, off_j, m.edge_w)

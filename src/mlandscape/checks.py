@@ -37,6 +37,7 @@ from .matrices import (
     SparseSymMatrix,
     _blocks,
     _index_mask,
+    _indices,
     _write_csv,
     classify,
     connectivity,
@@ -213,13 +214,7 @@ def _checked_floor(floor) -> float:
 
 def _eigen_ids(j, count: int) -> np.ndarray:
     """j as 1-based eigen indices (int64); ValueError unless each is an integer in [1, count]."""
-    ids = np.asarray(j)
-    bad = np.ones(ids.shape, dtype=bool)  # bools, strings and the like name no column
-    if ids.dtype.kind in "iuf":
-        bad = (ids < 1) | (ids > count) | (ids != np.trunc(ids))
-    if bad.any():
-        raise ValueError(f"eigen index {ids[bad][0].item()!r} outside the columns in [1, {count}]")
-    return ids.astype(np.int64)
+    return _indices(j, count, "eigen index", "columns")
 
 
 def _report(eigen_id, E, ebar, alpha, lhs_first, lhs_second, rhs) -> LocalizationReport:

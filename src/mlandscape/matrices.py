@@ -58,6 +58,7 @@ __all__ = [
     "classify",
     "generate_band_ensemble",
     "shift_to_epsilon",
+    "smallest_eigenvalue",
     "restrict",
     "read_matrix",
     "write_matrix",
@@ -117,7 +118,7 @@ def _is_integer(x) -> bool:
 
 def _is_real(x) -> bool:
     """Whether ``x`` is a Python or numpy integer or float (a bool is not)."""
-    return _is_integer(x) or isinstance(x, (float, np.floating))
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
 def _json_value(x):
@@ -226,17 +227,27 @@ def _blocks(m: int, width: int) -> Iterator[slice]:
     return (slice(s, min(s + step, m)) for s in range(0, m, step))
 
 
-def _index_mask(n: int, indices: Iterable[int]) -> np.ndarray:
-    """Boolean mask over 0-based positions of the 1-based ``indices``.
+def _indices(values, n: int, what: str = "index", within: str = "integers") -> np.ndarray:
+    """``values`` (one index or an array-like of them) as 1-based int64 indices.
 
-    Raises ValueError naming the first index outside [1, n].
+    Raises ValueError naming the first value that is not an integer in [1, n]:
+    a bool, a string, a NaN, a non-integral or an out-of-range value (integral
+    floats and numpy integers pass). ``what`` and ``within`` word the message.
     """
-    idx = np.array(list(indices), dtype=np.int64)
-    bad = (idx < 1) | (idx > n)
-    if np.any(bad):
-        raise ValueError(f"index {idx[bad][0]} outside [1, {n}]")
+    raw = np.asarray(values, dtype=object)  # keeps True a bool: np.asarray([2, True]) is [2, 1]
+    idx = np.array([x if _is_real(x) else math.nan for x in raw.flat], dtype=float)
+    bad = (idx < 1) | (idx > n) | (idx != np.trunc(idx))  # NaN fails the last
+    if bad.any():
+        first = raw.flat[int(np.argmax(bad))]
+        first = first.item() if isinstance(first, np.generic) else first
+        raise ValueError(f"{what} {first!r} outside the {within} in [1, {n}]")
+    return idx.astype(np.int64).reshape(raw.shape)
+
+
+def _index_mask(n: int, indices: Iterable[int]) -> np.ndarray:
+    """Boolean mask over 0-based positions of the 1-based ``indices`` (checked by ``_indices``)."""
     mask = np.zeros(n, dtype=bool)
-    mask[idx - 1] = True
+    mask[_indices(list(indices), n) - 1] = True
     return mask
 
 
@@ -277,12 +288,6 @@ class CsrPattern:
     def rows(self) -> np.ndarray:
         """The 0-based row of each slot (the companion of ``indices``)."""
         return _frozen(np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr)))
-
-    def slot(self, i: int, j: int) -> int:
-        """Slot of the 1-based entry (i, j), or -1 when the pattern lacks it."""
-        lo, hi = self.indptr[i - 1], self.indptr[i]
-        hits = np.flatnonzero(self.indices[lo:hi] == j - 1)
-        return int(lo + hits[0]) if hits.size else -1
 
     def values(self, pair_values: np.ndarray, diag_values=0.0) -> "scipy.sparse.csr_array":
         """CSR matrix with ``pair_values[k]`` on both slots of pair k."""
@@ -411,21 +416,6 @@ class SparseSymMatrix:
             # each row of the pattern also holds its diagonal
             self._connectivity = int(np.diff(self.pattern.indptr).max()) - 1
         return self._connectivity
-
-    def value_at(self, i: int, j: int) -> float:
-        """Entry a_ij; unstored off-diagonal pairs read as 0."""
-        if not (1 <= i <= self._n and 1 <= j <= self._n):
-            raise ValueError(f"index ({i}, {j}) outside [1, {self._n}]")
-        if i == j:
-            return float(self._diag[i - 1])
-        k = self.pattern.slot(i, j)
-        return float(self._off_v[self.pattern.pair[k]]) if k >= 0 else 0.0
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        """Indices j != i with a_ij != 0, ascending."""
-        p = self.pattern
-        row = p.indices[p.indptr[i - 1] + 1 : p.indptr[i]]
-        return tuple((np.sort(row) + 1).tolist())
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self._n, self._n), dtype=float)

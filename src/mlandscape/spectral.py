@@ -1,4 +1,4 @@
-"""Full symmetric eigendecompositions, local spectra, and spectral projectors.
+"""Full symmetric eigendecompositions, local spectra, and window bases.
 
 ``eig_sym`` takes its spectrum from ``matrices._eigh``: LAPACK's tridiagonal
 divide and conquer on the stored diagonals at bandwidth <= 1, the dense
@@ -62,7 +62,6 @@ from .matrices import (
 __all__ = [
     "EigenDecomposition",
     "LocalEigenData",
-    "SpectralProjector",
     "eig_sym",
     "local_eig",
     "global_projector",
@@ -113,18 +112,6 @@ class LocalEigenData:
     def __post_init__(self):
         _frozen(self.values)
         _frozen(self.vectors)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralProjector:
-    """Orthogonal projector onto eigenvectors with eigenvalue in an open interval."""
-
-    basis: np.ndarray
-    interval: tuple[float, float]
-    kind: str
-
-    def __post_init__(self):
-        _frozen(self.basis)
 
 
 def _repair_tails(
@@ -196,34 +183,28 @@ def local_eig(A: SparseSymMatrix, domain, region_id: int = 0) -> LocalEigenData:
     The submatrix goes through ``eig_sym`` with its own ``solve_landscape``,
     which raises if it is not positive definite or its landscape is not positive.
     """
-    dom = sorted({int(i) for i in domain})
-    if not dom:
+    keep = _index_mask(A.n, domain)
+    if not keep.any():
         raise ValueError("empty domain")
-    keep = _index_mask(A.n, dom)
     A_dom = _submatrix(A, keep)
     sub = eig_sym(A_dom, solve_landscape(A_dom))
     vectors = np.zeros((A.n, sub.n), dtype=float)
     vectors[keep, :] = sub.vectors
     return LocalEigenData(
         region_id=int(region_id),
-        domain=frozenset(dom),
+        domain=frozenset((np.flatnonzero(keep) + 1).tolist()),
         values=sub.values,
         vectors=vectors,
     )
 
 
-def global_projector(ed: EigenDecomposition, lo: float, hi: float) -> SpectralProjector:
-    """Projector onto global eigenvectors with eigenvalue in the open (lo, hi)."""
-    mask = (ed.values > lo) & (ed.values < hi)
-    return SpectralProjector(
-        basis=np.array(ed.vectors[:, mask]),
-        interval=(float(lo), float(hi)),
-        kind="global",
-    )
+def global_projector(ed: EigenDecomposition, lo: float, hi: float) -> np.ndarray:
+    """Orthonormal basis of the global eigenvectors with eigenvalue in the open (lo, hi)."""
+    return ed.vectors[:, (ed.values > lo) & (ed.values < hi)]
 
 
-def local_projector(locals_: list[LocalEigenData], lo: float, hi: float) -> SpectralProjector:
-    """Projector onto local eigenvectors (all regions) with eigenvalue in (lo, hi).
+def local_projector(locals_: list[LocalEigenData], lo: float, hi: float) -> np.ndarray:
+    """Basis of the local eigenvectors (all regions) with eigenvalue in (lo, hi).
 
     Columns from different regions have disjoint supports, so the combined
     basis is orthonormal whenever each region's is.
@@ -236,18 +217,16 @@ def local_projector(locals_: list[LocalEigenData], lo: float, hi: float) -> Spec
         if np.any(mask):
             cols.append(loc.vectors[:, mask])
     if cols:
-        basis = np.hstack(cols)
-    else:
-        basis = np.zeros((width or 0, 0), dtype=float)
-    return SpectralProjector(basis=basis, interval=(float(lo), float(hi)), kind="local")
+        return np.hstack(cols)
+    return np.zeros((width or 0, 0), dtype=float)
 
 
-def project(P: SpectralProjector, x) -> np.ndarray:
-    """Apply the projector: basis @ (basis.T @ x)."""
+def project(basis: np.ndarray, x) -> np.ndarray:
+    """The orthogonal projection of x onto the span of the basis: basis @ (basis.T @ x)."""
     x = np.asarray(x, dtype=float)
-    if P.basis.shape[1] == 0:
+    if basis.shape[1] == 0:
         return np.zeros_like(x)
-    return P.basis @ (P.basis.T @ x)
+    return basis @ (basis.T @ x)
 
 
 def _count_at_most(values: np.ndarray, lam):

@@ -35,6 +35,7 @@ from mlandscape import (
     generate_band_ensemble,
     landscape_from_vector,
     local_eig,
+    pairwise_distance,
     shift_potential,
     solve_landscape,
     threshold_fields,
@@ -675,8 +676,43 @@ def test_eigen_indices_must_name_a_column(blocks):
     for ids in ([1.9], [True], ["1"]):
         with pytest.raises(ValueError, match="outside"):
             check_general_localization(A, L, ed.vectors, E, E, (), 0.5, eigen_id=ids)
+    E = ed.values[:2]  # np.asarray([2, True]) reads True as column 1
+    with pytest.raises(ValueError, match="eigen index True outside the columns"):
+        check_general_localization(A, L, ed.vectors, E, E, (), 0.5, eigen_id=[2, True])
+    with pytest.raises(ValueError, match="eigen index True outside the columns"):
+        check_landscape_localization(A, L, ed, [2, True])
     assert check_landscape_localization(A, L, ed, [np.int64(2)])[0].eigen_id == 2
     assert check_decoupling_local(A, part, locals_[0], ed, 2.0, 0.3, 10.0).eigen_id == 2
+
+
+def test_site_indices_must_name_a_site(blocks):
+    """Site sets follow the eigen index rule: bools, strings and fractions are refused.
+
+    None of them is truncated to a site or read as one.
+    """
+    A, L, ed, part, locals_ = blocks
+    m = build_metric(A, shift_potential(L, 10.0))
+    refused = ([1.7, True], [2, True], [np.True_], ["3"], [1.5, 2.2], [2.9], [0], [9], [math.nan])
+    for sites in refused:
+        with pytest.raises(ValueError, match="outside the integers in"):
+            matrices._index_mask(A.n, sites)
+        with pytest.raises(ValueError, match="outside the integers in"):
+            distance_from_set(m, sites)
+        with pytest.raises(ValueError, match="outside the integers in"):
+            matrices.restrict(A, sites)
+        with pytest.raises(ValueError, match="outside the integers in"):
+            local_eig(A, sites)
+        E = ed.values[:1]
+        with pytest.raises(ValueError, match="outside the integers in"):
+            check_general_localization(A, L, ed.vectors, E, E, sites, 0.5, eigen_id=[1])
+    for j in (2.5, True):
+        with pytest.raises(ValueError, match="outside the integers in"):
+            pairwise_distance(m, 1, j)
+    # integral values of any numeric type name their site
+    assert np.flatnonzero(matrices._index_mask(A.n, [np.int64(3), 2.0])).tolist() == [1, 2]
+    assert distance_from_set(m, [2.0]).source == {2}
+    assert pairwise_distance(m, 1, 2.0) == pairwise_distance(m, 1, 2)
+    assert local_eig(A, [1.0, np.int64(2)]).domain == {1, 2}
 
 
 # ---------------------------------------------------------------- counting

@@ -1,4 +1,4 @@
-"""Eigendecomposition, local spectra, projectors, and counting functions."""
+"""Eigendecomposition, local spectra, window bases, and counting functions."""
 
 import csv
 import math
@@ -409,9 +409,9 @@ def test_local_eig_rejects_bad_domains():
 
 def test_projector_interval_is_open():
     ed = eig_sym(SparseSymMatrix(3, [1.0, 2.0, 3.0]), None)
-    assert global_projector(ed, 1.0, 3.0).basis.shape == (3, 1)
-    assert global_projector(ed, 1.0, 2.0).basis.shape == (3, 0)
-    assert global_projector(ed, 0.5, 3.5).basis.shape == (3, 3)
+    assert global_projector(ed, 1.0, 3.0).shape == (3, 1)
+    assert global_projector(ed, 1.0, 2.0).shape == (3, 0)
+    assert global_projector(ed, 0.5, 3.5).shape == (3, 3)
 
 
 def test_projector_idempotent_and_contractive():
@@ -439,10 +439,9 @@ def test_local_projector_combines_disjoint_supports():
     )
     la = local_eig(A, [1, 2], region_id=0)
     lb = local_eig(A, [3, 4], region_id=1)
-    P = local_projector([la, lb], 0.5, 3.5)
-    assert P.kind == "local"
-    assert P.basis.shape == (4, 3)
-    assert np.abs(P.basis.T @ P.basis - np.eye(3)).max() <= 1e-12
+    basis = local_projector([la, lb], 0.5, 3.5)
+    assert basis.shape == (4, 3)
+    assert np.abs(basis.T @ basis - np.eye(3)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- counting
