@@ -637,7 +637,9 @@ def check_counting(
             nbar -= 1
         nbar = max(0, min(nbar, n))
 
-    lo = float(min(ed.values.min(), min((loc.values.min() for loc in locals_), default=np.inf)))
+    # an empty local spectrum contributes no eigenvalue
+    local_lows = (loc.values.min() for loc in locals_ if loc.values.size)
+    lo = float(min(ed.values.min(), min(local_lows, default=np.inf)))
     mu_grid = np.linspace(lo - delta, float(ebar), grid_points)
     lhs_from_local = np.minimum(nbar, counting_local(locals_, mu_grid - delta))
     rhs_global = counting_global(ed, mu_grid)

@@ -42,7 +42,7 @@ from .matrices import (
     _write_json,
 )
 from .partition import WellPartition, build_partition, write_partition_json
-from .spectral import LocalEigenData, eig_sym, local_eig, write_eigenvalues_csv
+from .spectral import LocalEigenData, _kept, eig_sym, local_eig, write_eigenvalues_csv
 
 __all__ = [
     "ExperimentConfig",
@@ -183,11 +183,15 @@ def _preflight(A: SparseSymMatrix, cfg: ExperimentConfig) -> tuple[int, float]:
     return wc, alpha
 
 
-def _region_spectrum(A: SparseSymMatrix, ed, region, region_id: int) -> LocalEigenData:
-    """``local_eig`` of a region; a region of all n sites is A itself, whose spectrum is ``ed``."""
+def _region_spectrum(A: SparseSymMatrix, ed, region, region_id: int, emax: float) -> LocalEigenData:
+    """``local_eig`` of a region up to ``emax``.
+
+    A region of all n sites is A itself, whose spectrum is ``ed``, cut the same way.
+    """
     if len(region) == A.n:
-        return LocalEigenData(int(region_id), frozenset(region), ed.values, ed.vectors)
-    return local_eig(A, region, region_id=region_id)
+        k = _kept(ed.values, emax)
+        return LocalEigenData(int(region_id), frozenset(region), ed.values[:k], ed.vectors[:, :k])
+    return local_eig(A, region, region_id=region_id, emax=emax)
 
 
 def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -307,7 +311,10 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
             }
 
     if part is not None and part.axioms_hold:
-        locals_ = [_region_spectrum(A, own, reg, i) for i, reg in enumerate(part.regions)]
+        # counting and decoupling read local eigenvalues <= ebar only
+        locals_ = [
+            _region_spectrum(A, own, reg, i, part_ebar) for i, reg in enumerate(part.regions)
+        ]
         cut = part_ebar - cfg.delta
         dec_reports = []
         for loc in locals_:

@@ -74,7 +74,7 @@ class ShiftedPotential:
 
 def _solve_spd(A: SparseSymMatrix, rhs: np.ndarray) -> np.ndarray:
     """Banded Cholesky solve at the matrix's own bandwidth."""
-    band = _upper_band(A, np.ones(A.n, dtype=bool), 0.0)
+    band = _upper_band(A, np.ones((1, A.n), dtype=bool), np.zeros(1))
     try:
         return scipy.linalg.solveh_banded(band, rhs, lower=False)
     except scipy.linalg.LinAlgError as exc:

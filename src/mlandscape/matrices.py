@@ -15,9 +15,11 @@ on it.  Instances are immutable after construction.
 
 This module alone turns a matrix into a derived structure: the CSR layout,
 ``restrict``, the relabelled principal submatrix ``_submatrix`` and the LAPACK
-band storage ``_upper_band`` of a masked, shifted A.  The last three take the
-pairs with both ends in a mask from ``_pairs_inside``.  Its spectrum comes
-from ``_eigh``, which hands a tridiagonal A to LAPACK as its two diagonals.
+band storage ``_upper_band`` of masked, shifted copies of A stacked along the
+diagonal.  ``restrict`` and ``_submatrix`` take the pairs with both ends in a
+mask from ``_pairs_inside``; ``_upper_band`` reads the couplings of kept sites
+from A's own band.  Its spectrum comes from ``_eigh``, which hands a
+tridiagonal A to LAPACK as its two diagonals.
 
 Every CSV and JSON artifact of the package is written by ``_write_csv`` and
 ``_write_json`` below, so the artifact format is decided in this module alone.
@@ -668,19 +670,40 @@ def _submatrix(A: SparseSymMatrix, keep: np.ndarray) -> SparseSymMatrix:
     return SparseSymMatrix(int(local[-1]), A.diag[keep], off)
 
 
-def _upper_band(A: SparseSymMatrix, keep: np.ndarray, shift: float) -> np.ndarray:
-    """A_keep,keep - shift I in LAPACK upper band storage at A's bandwidth.
+def _stack_columns(keep: np.ndarray, bw: int) -> tuple[np.ndarray, ...]:
+    """(row, site, column) of every True of a k x n mask in a stack of its rows' blocks.
 
-    Entry (r, c), r <= c, of the kept block sits at row bw + r - c, column c.
-    Dropping positions never widens the band, so the block fits.
+    Row i's positions come in ascending order after those of the rows before
+    it and bw spacer columns behind each of them.
+    """
+    k, n = keep.shape
+    flat = np.flatnonzero(keep)
+    rows = np.repeat(np.arange(k), np.count_nonzero(keep, axis=1))
+    return rows, flat - n * rows, np.arange(flat.size) + bw * rows
+
+
+def _upper_band(A: SparseSymMatrix, keep: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Blocks A_keep[i],keep[i] - shifts[i] I of a k x n mask, stacked in LAPACK upper band storage.
+
+    The blocks sit along the diagonal in the columns of ``_stack_columns`` at
+    A's bandwidth bw, with spacer columns (diagonal 1, no coupling) between
+    them; entry (r, c), r <= c, of the stack sits at row bw + r - c, column c.
+    Dropping positions never widens the band, so every block fits.  One row
+    gives A_keep,keep - shift I alone.
     """
     bw = A.bandwidth()
-    rank = np.cumsum(keep) - 1  # 0-based position in the block of every kept position
-    lo, hi, v = _pairs_inside(A, keep)
-    band = np.zeros((bw + 1, int(rank[-1]) + 1), dtype=float)
-    band[bw] = A.diag[keep] - shift
-    r, c = rank[lo], rank[hi]
-    band[bw + r - c, c] = v
+    rows, sites, cols = _stack_columns(keep, bw)
+    band = np.zeros((bw + 1, int(cols[-1]) + 1), dtype=float)
+    band[bw] = 1.0
+    band[bw, cols] = A.diag[sites] - shifts[rows]
+    lo, hi = A._ends
+    coupling = np.zeros((bw + 1, A.n), dtype=float)  # A's own upper band, diagonal row empty
+    coupling[bw + lo - hi, hi] = A._off_v
+    for d in range(1, bw + 1):
+        # kept positions d columns apart couple when one block holds them bw sites apart or less
+        gap = sites[d:] - sites[:-d]
+        near = (gap <= bw) & (rows[d:] == rows[:-d])
+        band[bw - d, cols[d:][near]] = coupling[bw - gap[near], sites[d:][near]]
     return band
 
 

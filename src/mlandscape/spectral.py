@@ -18,18 +18,23 @@ nonsingular M-matrix and the eigen equation restricted to T gives
 
     psi_T = -(A_TT - lambda)^{-1} A_{T,T^c} psi_{T^c},
 
-one banded Cholesky solve per eigenpair, with the right sides of a block
-of eigenpairs from one product of A with their columns.  It factors
-A_TT - lambda in the band storage that ``matrices._upper_band`` builds at
-A's bandwidth, the builder behind the landscape solve too; each keeps its
-own LAPACK driver (``dpbsv`` here, ``solveh_banded`` there).  The inverse of
-an M-matrix is entrywise non-negative, so constant-sign data meets no
-cancellation and the rebuilt entries keep relative accuracy however deep
-the decay runs.  The repair
-applies to Z-matrices whose bandwidth is at most max(1, n // 3); otherwise,
-with no landscape (``L`` None), or for an eigenpair whose solve fails, the
-solver's vector stands, and ``EigenDecomposition`` counts the repaired and the
-failed eigenpairs.
+one banded Cholesky solve per eigenpair.  Only eigenpairs with
+min vbar <= lambda < max vbar have a T that is neither empty nor everything.
+A block of them gets its right sides from one product of A with their
+columns, and its systems go to one ``dpbsv`` call: ``matrices._upper_band``
+stacks the A_TT - lambda along the diagonal of one band at A's bandwidth W
+(which also gives the landscape solve its band, for ``solveh_banded``),
+with W spacer columns between two systems: diagonal 1, no coupling, right
+side +0.0.  With W of them every system's solution has the bits of its own
+``dpbsv``, signed zeros included.  When ``dpbsv`` stops at a column, the
+eigenpair that owns it fails alone: the systems before it are solved again
+as a stack, with the same bits, and those after it go on in a new one.  The
+inverse of an M-matrix is entrywise non-negative, so constant-sign data
+meets no cancellation and the rebuilt entries keep relative accuracy
+however deep the decay runs.  The repair applies to Z-matrices whose
+bandwidth is at most max(1, n // 3); otherwise, with no landscape (``L``
+None), or for an eigenpair whose solve fails, the solver's vector stands,
+and ``EigenDecomposition`` counts the repaired and the failed eigenpairs.
 
 Its one limit: entries of T^c keep the solver's absolute accuracy
 (or its exact zeros), so where psi is tiny on T^c, far from its own well,
@@ -38,6 +43,9 @@ entries by exp(2 alpha rho) rely on the repair.
 
 ``local_eig`` decomposes the relabelled principal submatrix
 (``matrices._submatrix``) of its domain the same way, with its own landscape.
+With ``emax`` it keeps and repairs only the eigenpairs with value <= emax,
+and always the lowest one, as the leading columns of the full spectrum's
+array, so every product with them has the full spectrum's bits.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from .matrices import (
     _blocks,
     _eigh,
     _index_mask,
+    _stack_columns,
     _submatrix,
     _upper_band,
     _write_csv,
@@ -119,39 +128,78 @@ def _repair_tails(
 ) -> tuple[int, int]:
     """Rebuild each column of ``vectors`` on its barrier set T, in place.
 
-    For eigenpair k with T = {vbar > values[k]} neither empty nor everything,
-    psi_T is overwritten by the solution of (A_TT - lambda) psi_T =
-    -(A psi 1_{T^c})_T in the band storage of ``_upper_band`` and the column
-    is renormalized.  The right sides of a block of eigenpairs (``_blocks``)
-    come from one product of A with the block's columns; each column of it
-    has the bits of its own ``matvec``.  Returns (repaired, failed); a failed
-    column keeps the solver's values.
+    For eigenpair k with T = {vbar > values[k]} neither empty nor everything
+    (``values`` ascending, so these are one run of them), psi_T is
+    overwritten by the solution of (A_TT - lambda) psi_T = -(A psi 1_{T^c})_T
+    and the column is renormalized.  The right sides of a block of them
+    (``_blocks``) come from one product of A with the block's columns, and the
+    block's systems are solved as one stack (``_solve_stack``); each column
+    gets the bits of its own ``matvec`` and its own ``dpbsv``.  Returns
+    (repaired, failed); a failed column keeps the solver's values.
     """
     n = A.n
     bw = A.bandwidth()
     if not A.is_z or bw == 0 or bw > max(1, n // 3):
         return 0, 0
+    # T is everything below min vbar and empty from max vbar up
+    first, stop = np.searchsorted(values, [vbar.min(), vbar.max()])
     repaired = failed = 0
-    for b in _blocks(n, n):
-        # row c of each array is eigenpair b.start + c: its T, psi 1_{T^c} and A psi 1_{T^c}
-        barriers = vbar[None, :] > values[b, None]
-        psis = np.where(barriers, 0.0, vectors[:, b].T)
+    # at most BLOCK_ENTRIES // (n bw) eigenpairs a block, so a stack's band
+    # stays near BLOCK_ENTRIES entries at any bandwidth
+    for b in _blocks(stop - first, n * bw):
+        ks = slice(first + b.start, first + b.stop)
+        # row c of each array is eigenpair ks.start + c: its T, psi 1_{T^c} and A psi 1_{T^c}
+        barriers = vbar[None, :] > values[ks, None]
+        psis = np.where(barriers, 0.0, vectors[:, ks].T)
         sides = np.ascontiguousarray(A.matvec(psis.T).T)
-        for k, barrier, psi, side in zip(range(b.start, b.stop), barriers, psis, sides):
-            size = int(np.count_nonzero(barrier))
-            if size == 0 or size == n:
-                continue
-            # banded Cholesky at every bandwidth (solveh_banded hands W = 1 to
-            # ptsv, whose wrapper rejects a one-site T)
-            band = _upper_band(A, barrier, float(values[k]))
-            _, psi[barrier], info = scipy.linalg.lapack.dpbsv(band, -side[barrier])
-            norm = np.linalg.norm(psi)
-            if info != 0 or not (np.isfinite(norm) and norm > 0.0):
-                failed += 1
-                continue
-            vectors[:, k] = psi / norm
-            repaired += 1
+        solved, lost = _solve_stack(A, barriers, values[ks], sides, psis)
+        norms = np.ones(len(psis))
+        norms[solved] = np.sqrt([psi.dot(psi) for psi in psis[solved]])  # np.linalg.norm's bits
+        ok = solved & np.isfinite(norms) & (norms > 0.0)
+        psis /= np.where(ok, norms, 1.0)[:, None]
+        psis[~ok] = vectors[:, ks].T[~ok]
+        vectors[:, ks] = psis.T
+        repaired += int(np.count_nonzero(ok))
+        failed += lost + int(np.count_nonzero(solved & ~ok))
     return repaired, failed
+
+
+def _solve_stack(A, barriers, values, sides, psis):
+    """Solve the systems of a block of eigenpairs as one stack of bands, writing ``psis``.
+
+    ``sides`` and ``psis`` are C-contiguous, one row per eigenpair.  Row c's
+    system (A_TT - values[c]) x = -sides[c]_T, T = barriers[c], is block c of
+    ``_upper_band``.  Its bw unit spacer columns, with right side +0.0, keep
+    each block's bits those of its own ``dpbsv``, signed zeros included.  When
+    ``dpbsv`` stops at a column (info > 0), the row that owns the column
+    fails; the rows before it are solved again as a stack and the rows after
+    it go on in a new one.  Returns (the rows solved as a mask, the count of
+    failed ones).
+    """
+    bw = A.bandwidth()
+    solved = np.zeros(len(barriers), dtype=bool)
+    lost = 0
+    pending = [np.arange(len(barriers))]
+    while pending:
+        stack = pending.pop()
+        if stack.size == 0:
+            continue
+        keep = barriers[stack]
+        owner, sites, cols = _stack_columns(keep, bw)
+        at = stack[owner] * keep.shape[1] + sites  # flat positions in sides and psis
+        rhs = np.zeros(int(cols[-1]) + 1)
+        rhs[cols] = -sides.ravel()[at]
+        # banded Cholesky at every bandwidth (solveh_banded hands W = 1 to
+        # ptsv, whose wrapper rejects a one-site T)
+        _, x, info = scipy.linalg.lapack.dpbsv(_upper_band(A, keep, values[stack]), rhs)
+        if info > 0:  # spacers never fail: column info is a system's
+            bad = int(owner[np.searchsorted(cols, info - 1)])
+            lost += 1
+            pending += [stack[bad + 1 :], stack[:bad]]
+            continue
+        psis.reshape(-1)[at] = x[cols]
+        solved[stack] = True
+    return solved, lost
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
@@ -167,6 +215,13 @@ def _fix_signs(vectors: np.ndarray) -> None:
         block[:, flip] *= -1.0
 
 
+def _kept(values: np.ndarray, emax: float | None) -> int:
+    """How many of the ascending ``values`` are <= emax, at least one; all of them for None."""
+    if emax is None:
+        return int(values.size)
+    return max(1, int(np.count_nonzero(values <= emax)))
+
+
 def eig_sym(A: SparseSymMatrix, L: LandscapeData | None) -> EigenDecomposition:
     """Full eigendecomposition with deterministic signs, tails repaired from ``L`` unless None."""
     if L is not None:
@@ -177,24 +232,34 @@ def eig_sym(A: SparseSymMatrix, L: LandscapeData | None) -> EigenDecomposition:
     return EigenDecomposition(values, vectors, tails_repaired=repaired, tails_failed=failed)
 
 
-def local_eig(A: SparseSymMatrix, domain, region_id: int = 0) -> LocalEigenData:
+def local_eig(
+    A: SparseSymMatrix, domain, region_id: int = 0, *, emax: float | None = None
+) -> LocalEigenData:
     """Spectrum of the principal submatrix on ``domain`` (1-based indices).
 
-    The submatrix goes through ``eig_sym`` with its own ``solve_landscape``,
-    which raises if it is not positive definite or its landscape is not positive.
+    The submatrix gets its own ``solve_landscape``, which raises if it is not
+    positive definite or its landscape is not positive, and then the
+    decomposition of ``eig_sym``, for the eigenpairs it keeps: those with value
+    <= ``emax`` and always the lowest one, or all of them for None.  The kept
+    vectors are the leading columns of an n x m array (m the domain size), the
+    layout of the full spectrum, so every product with them has its bits.
     """
     keep = _index_mask(A.n, domain)
     if not keep.any():
         raise ValueError("empty domain")
     A_dom = _submatrix(A, keep)
-    sub = eig_sym(A_dom, solve_landscape(A_dom))
-    vectors = np.zeros((A.n, sub.n), dtype=float)
-    vectors[keep, :] = sub.vectors
+    L_dom = solve_landscape(A_dom)
+    values, vectors = _eigh(A_dom)
+    k = _kept(values, emax)
+    _repair_tails(A_dom, L_dom.vbar, values[:k], vectors[:, :k])
+    _fix_signs(vectors[:, :k])
+    embedded = np.zeros((A.n, values.size), dtype=float)
+    embedded[keep, :k] = vectors[:, :k]
     return LocalEigenData(
         region_id=int(region_id),
         domain=frozenset((np.flatnonzero(keep) + 1).tolist()),
-        values=sub.values,
-        vectors=vectors,
+        values=values[:k],
+        vectors=embedded[:, :k],
     )
 
 

@@ -14,6 +14,7 @@ from mlandscape import (
     EmptyWellSetError,
     EnsembleConfig,
     ExperimentConfig,
+    LocalEigenData,
     NonPositiveLandscapeError,
     SparseSymMatrix,
     agmon_scatter,
@@ -726,6 +727,15 @@ def test_counting_block_fixture(blocks):
     assert cr.nbar == 8  # infinite separation lifts the cap to the matrix order
     assert cr.all_hold
     assert cr.mu_grid.size == 50
+
+
+def test_counting_skips_a_local_spectrum_with_no_eigenpairs(blocks):
+    A, L, ed, part, locals_ = blocks
+    empty = LocalEigenData(7, frozenset({1}), np.empty(0), np.zeros((A.n, 0)))
+    want = check_counting(ed, locals_, 0.3, 10.0, INF, 2, A.max_abs_entry())
+    got = check_counting(ed, [empty, *locals_], 0.3, 10.0, INF, 2, A.max_abs_entry())
+    for f in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
 
 
 def test_counting_cap_respects_strict_inequality(blocks):

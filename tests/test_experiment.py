@@ -455,9 +455,9 @@ def test_a_region_of_every_site_reuses_the_spectrum_before_the_hook(tmp_path, mo
     domains = []
     real_local_eig = experiment.local_eig
 
-    def local_eig(A, domain, region_id=0):
+    def local_eig(A, domain, region_id=0, *, emax=None):
         domains.append(len(domain))
-        return real_local_eig(A, domain, region_id=region_id)
+        return real_local_eig(A, domain, region_id=region_id, emax=emax)
 
     def scramble(ed):
         return EigenDecomposition(values=ed.values, vectors=ed.vectors[:, ::-1].copy())
@@ -470,7 +470,9 @@ def test_a_region_of_every_site_reuses_the_spectrum_before_the_hook(tmp_path, mo
     assert not summary["checks"]["decoupling"]["pass"]
 
     monkeypatch.setattr(
-        experiment, "_region_spectrum", lambda A, ed, region, i: local_eig(A, region, region_id=i)
+        experiment,
+        "_region_spectrum",
+        lambda A, ed, region, i, emax: local_eig(A, region, region_id=i, emax=emax),
     )
     run_verification(A, cfg, tmp_path / "solved")
     assert domains == [A.n]
@@ -479,3 +481,38 @@ def test_a_region_of_every_site_reuses_the_spectrum_before_the_hook(tmp_path, mo
     for name in names:
         reused, solved = (tmp_path / d / name for d in ("reused", "solved"))
         assert reused.read_bytes() == solved.read_bytes()
+
+
+@pytest.mark.parametrize("w, seed", [(1, 9), (2, 3)])
+def test_local_spectra_cut_at_the_partition_threshold_write_the_bytes_of_full_ones(
+    w, seed, tmp_path, monkeypatch
+):
+    """Decoupling and counting read local eigenvalues <= ebar only, so every artifact of
+    a multi-region verify is the same with each region's spectrum cut there."""
+    ens = EnsembleConfig(n=120, half_bandwidth=w, seed=seed)
+    A, _ = generate_band_ensemble(ens)
+    cfg = ExperimentConfig(ensemble=ens, thresholds=(0.5,), s_requested=2.0, n_plot=0)
+    kept = []
+    real_local_eig = experiment.local_eig
+
+    def local_eig(A, domain, region_id=0, *, emax=None):
+        loc = real_local_eig(A, domain, region_id=region_id, emax=emax)
+        kept.append((loc.values.size, len(domain)))
+        return loc
+
+    monkeypatch.setattr(experiment, "local_eig", local_eig)
+    summary = run_verification(A, cfg, tmp_path / "cut")
+    assert summary["checks"]["partition"]["regions"] == len(kept) > 1
+    assert all(k < m for k, m in kept)
+    assert summary["checks"]["decoupling"]["count"] > 0
+
+    monkeypatch.setattr(
+        experiment,
+        "_region_spectrum",
+        lambda A, ed, region, i, emax: real_local_eig(A, region, region_id=i),
+    )
+    run_verification(A, cfg, tmp_path / "full")
+    names = sorted(p.name for p in (tmp_path / "cut").iterdir())
+    assert "decoupling.json" in names and "counting.json" in names
+    for name in names:
+        assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()

@@ -27,7 +27,7 @@ from mlandscape import (
 )
 from mlandscape import matrices
 from mlandscape.checks import CountingReport, DecouplingReport, LocalizationReport, ScatterData
-from mlandscape.matrices import _upper_band
+from mlandscape.matrices import _stack_columns, _upper_band
 
 
 def tridiag(n, d=2.0, off=-1.0):
@@ -315,24 +315,63 @@ def test_restrict_edge_cases():
         restrict(A, [5])
 
 
+def _unbanded(band, w, m):
+    """The symmetric m x m matrix whose upper band storage is ``band``."""
+    got = np.zeros((m, m))
+    for c in range(m):
+        # slots left of the first column are unused and stay zero
+        assert not band[: max(0, w - c), c].any()
+        for r in range(max(0, c - w), c + 1):
+            got[r, c] = got[c, r] = band[w + r - c, c]
+    return got
+
+
 @pytest.mark.parametrize("w", [1, 2, 3])
 def test_upper_band_is_the_masked_shifted_block(w):
     A, _ = generate_band_ensemble(EnsembleConfig(n=12, half_bandwidth=w, seed=w))
     shift = 0.375
     for sites in ([1, 2, 3, 5, 8, 9, 12], [2, 4, 6, 7, 11], [7], list(range(1, 13))):
         keep = np.isin(np.arange(1, 13), sites)
-        band = _upper_band(A, keep, shift)
+        band = _upper_band(A, keep[None, :], np.array([shift]))
         m = len(sites)
         assert band.shape == (w + 1, m)
-        # entry (r, c), r <= c, sits at band[w + r - c, c]; slots left of the
-        # first column are unused and stay zero
-        got = np.zeros((m, m))
-        for c in range(m):
-            assert not band[: max(0, w - c), c].any()
-            for r in range(max(0, c - w), c + 1):
-                got[r, c] = got[c, r] = band[w + r - c, c]
+        # entry (r, c), r <= c, sits at band[w + r - c, c]
         want = A.to_dense()[np.ix_(keep, keep)] - shift * np.eye(m)
-        assert np.array_equal(got, want)
+        assert np.array_equal(_unbanded(band, w, m), want)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_stacked_blocks_are_the_one_row_bands_apart_by_unit_spacers(w):
+    """Row i's block, then w columns of diagonal 1 and no coupling, then row i + 1's block."""
+    n = 14
+    rng = np.random.default_rng(w)
+    # a pattern with gaps inside the band: only some pairs at distance <= w are stored
+    pairs = {
+        (i, j): -rng.random() - 0.5
+        for i in range(1, n + 1)
+        for j in range(i + 1, min(n, i + w) + 1)
+        if rng.random() < 0.6
+    }
+    pairs[1, 1 + w] = -1.0
+    A = SparseSymMatrix(n, 3.0 + rng.random(n), [(i, j, v) for (i, j), v in pairs.items()])
+    assert A.bandwidth() == w
+    keep = rng.random((5, n)) < 0.7
+    keep[:, 0] = True
+    shifts = rng.random(5)
+    band = _upper_band(A, keep, shifts)
+    parts = []
+    for row, shift in zip(keep, shifts):
+        one = _upper_band(A, row[None, :], shift[None])
+        m = int(row.sum())
+        want = A.to_dense()[np.ix_(row, row)] - shift * np.eye(m)
+        assert np.array_equal(_unbanded(one, w, m), want)
+        spacer = np.zeros((w + 1, w))
+        spacer[w] = 1.0
+        parts += [one, spacer]
+    assert np.array_equal(band, np.hstack(parts[:-1]))
+    rows, sites, cols = _stack_columns(keep, w)
+    assert np.array_equal(band[w, cols], A.diag[sites] - shifts[rows])
+    assert np.array_equal(np.diff(cols)[np.diff(rows) == 0], np.ones(keep.sum() - 5, dtype=int))
 
 
 # ---------------------------------------------------------------- matrix market

@@ -220,13 +220,14 @@ def test_any_positive_u_repairs_a_z_matrix_that_is_not_an_m_matrix():
 def _repair_one_at_a_time(A, vbar, values, vectors):
     """The tail repair written out per eigenpair: its own barrier, matvec and solve."""
     repaired = failed = 0
-    for k in range(A.n):
+    for k in range(values.size):
         barrier = vbar > values[k]
         if not 0 < np.count_nonzero(barrier) < A.n:
             continue
         psi = np.where(barrier, 0.0, vectors[:, k])
         rhs = -A.matvec(psi)[barrier]
-        _, psi[barrier], info = scipy.linalg.lapack.dpbsv(_upper_band(A, barrier, values[k]), rhs)
+        band = _upper_band(A, barrier[None, :], values[k : k + 1])
+        _, psi[barrier], info = scipy.linalg.lapack.dpbsv(band, rhs)
         norm = np.linalg.norm(psi)
         if info != 0 or not (np.isfinite(norm) and norm > 0.0):
             failed += 1
@@ -236,20 +237,60 @@ def _repair_one_at_a_time(A, vbar, values, vectors):
     return repaired, failed
 
 
-@pytest.mark.parametrize("w", [1, 2, 3])
-def test_blocked_tail_repair_equals_the_repair_one_eigenpair_at_a_time(w, monkeypatch):
-    """One product of A with a block's columns gives each column the bits of its own matvec."""
-    A, _ = generate_band_ensemble(EnsembleConfig(n=90, half_bandwidth=w, seed=30 + w))
+@pytest.mark.parametrize("w, n, seed", [(1, 90, 31), (2, 200, 3), (3, 400, 1), (33, 120, 63)])
+def test_stacked_tail_repair_has_the_bytes_of_the_repair_one_eigenpair_at_a_time(
+    w, n, seed, monkeypatch
+):
+    """One product of A with a block's columns gives each column the bits of its own
+    matvec, and one dpbsv of the block's stacked systems each system the bits of its
+    own, signed zeros included.  Each of the first three draws tells W spacer columns
+    from W - 1; W >= 32 takes dpbtrf's blocked path."""
+    A, _ = generate_band_ensemble(EnsembleConfig(n=n, half_bandwidth=w, seed=seed))
     L = solve_landscape(A)
     values, dense = np.linalg.eigh(A.to_dense())
     want = dense.copy()
     counts = _repair_one_at_a_time(A, L.vbar, values, want)
     assert counts[0] > 0
-    for rows in (7, 64, A.n):  # 7: twelve blocks of seven, then one of six
-        monkeypatch.setattr(matrices, "BLOCK_ENTRIES", rows * A.n)
+    for rows in (7, 64, A.n):  # 7: blocks of seven eigenpairs, then the rest
+        monkeypatch.setattr(matrices, "BLOCK_ENTRIES", rows * A.n * w)
         got = dense.copy()
         assert spectral._repair_tails(A, L.vbar, values, got) == counts
-        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_failed_system_in_the_middle_of_a_stack_fails_alone(monkeypatch):
+    """dpbsv stops inside the third of seven stacked systems: that eigenpair keeps its
+    dense vector, and the others, solved again before it and anew after it, get the
+    bytes of their own solves."""
+    w = 2
+    A, _ = generate_band_ensemble(EnsembleConfig(n=90, half_bandwidth=w, seed=32))
+    L = solve_landscape(A)
+    values, dense = np.linalg.eigh(A.to_dense())
+    want = dense.copy()
+    repaired, failed = _repair_one_at_a_time(A, L.vbar, values, want)
+    sizes = np.count_nonzero(L.vbar[None, :] > values[:, None], axis=1)
+    active = np.flatnonzero((sizes > 0) & (sizes < A.n))
+    assert active.size > 14
+    victim = active[2]  # the first block is active[:7]
+    column = int(sizes[active[:2]].sum()) + 2 * w + sizes[victim] // 2  # 1-based, spacers too
+    real = scipy.linalg.lapack.dpbsv
+    calls = []
+
+    def stops_once(band, rhs):
+        calls.append(rhs.size)
+        if len(calls) == 1:
+            assert rhs.size == sizes[active[:7]].sum() + 6 * w
+            return band, rhs, column
+        return real(band, rhs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbsv", stops_once)
+    monkeypatch.setattr(matrices, "BLOCK_ENTRIES", 7 * A.n * w)
+    got = dense.copy()
+    assert spectral._repair_tails(A, L.vbar, values, got) == (repaired - 1, failed + 1)
+    assert calls[1:3] == [sizes[active[:2]].sum() + w, sizes[active[3:7]].sum() + 3 * w]
+    assert got[:, victim].tobytes() == dense[:, victim].tobytes()
+    others = np.arange(A.n) != victim
+    assert got[:, others].tobytes() == want[:, others].tobytes()
 
 
 def test_signs_are_fixed_per_column_in_blocks(monkeypatch):
@@ -340,6 +381,31 @@ def test_local_eig_never_densifies_the_full_matrix(monkeypatch):
     sub = A.to_dense()[10:30, 10:30]
     assert np.array_equal(loc.values, np.linalg.eigh(sub)[0])
     assert np.abs(sub @ loc.vectors[10:30] - loc.vectors[10:30] * loc.values).max() <= 1e-13
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_local_spectra_cut_at_emax_are_the_leading_columns_of_the_full_ones(w, monkeypatch):
+    A, _ = generate_band_ensemble(EnsembleConfig(n=120, half_bandwidth=w, seed=3))
+    domain = range(21, 101)
+    full = local_eig(A, domain, region_id=2)
+    repaired = []
+    real = spectral._repair_tails
+
+    def counted(A, vbar, values, vectors):
+        repaired.append(values.size)
+        return real(A, vbar, values, vectors)
+
+    monkeypatch.setattr(spectral, "_repair_tails", counted)
+    v = full.values.tolist()
+    # below the spectrum the lowest eigenpair stays; an eigenvalue itself is kept
+    for emax, k in ((v[0] - 1.0, 1), (v[4], 5), ((v[40] + v[41]) / 2, 41), (math.inf, 80)):
+        cut = local_eig(A, domain, region_id=2, emax=emax)
+        assert repaired.pop() == k  # only the kept eigenpairs are repaired
+        assert (cut.region_id, cut.domain) == (2, full.domain)
+        assert cut.values.tobytes() == full.values[:k].tobytes()
+        assert cut.vectors.shape == (A.n, k)
+        assert cut.vectors.strides == full.vectors.strides
+        assert cut.vectors.tobytes() == full.vectors[:, :k].tobytes()
 
 
 def _refuse(*args, **kwargs):
