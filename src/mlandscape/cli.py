@@ -92,36 +92,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each option given overrides one field: of the ensemble, or of the run config
+_ENSEMBLE_OPTIONS = {"n": "n", "bandwidth": "half_bandwidth", "epsilon": "epsilon", "seed": "seed"}
+_RUN_OPTIONS = {"delta": "delta", "s": "s_requested", "alpha": "alpha", "floor": "scatter_floor"}
+
+
 def _build_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if args.config is not None:
-        cfg = load_config(args.config)
-    ens = cfg.ensemble
-    ens_over = {}
-    if args.n is not None:
-        ens_over["n"] = args.n
-    if args.bandwidth is not None:
-        ens_over["half_bandwidth"] = args.bandwidth
-    if args.epsilon is not None:
-        ens_over["epsilon"] = args.epsilon
-    if args.seed is not None:
-        ens_over["seed"] = args.seed
-    if ens_over:
-        ens = dataclasses.replace(ens, **ens_over)
-    over = {"ensemble": ens}
+    cfg = ExperimentConfig() if args.config is None else load_config(args.config)
+
+    def given(options: dict) -> dict:
+        return {f: getattr(args, o) for o, f in options.items() if getattr(args, o) is not None}
+
+    over = {"ensemble": dataclasses.replace(cfg.ensemble, **given(_ENSEMBLE_OPTIONS))}
     if args.ebar is not None:
         over["thresholds"] = (args.ebar,)
-    if args.delta is not None:
-        over["delta"] = args.delta
-    if args.s is not None:
-        over["s_requested"] = args.s
-    if args.alpha is not None:
-        over["alpha"] = args.alpha
-    if args.floor is not None:
-        over["scatter_floor"] = args.floor
     if args.out is not None:
         over["out_dir"] = args.out
-    return dataclasses.replace(cfg, **over)
+    return dataclasses.replace(cfg, **over, **given(_RUN_OPTIONS))
 
 
 def _outdir(cfg: ExperimentConfig) -> str:
@@ -300,7 +287,7 @@ def main(argv=None) -> int:
     except MatrixFormatError as exc:
         print(f"bad matrix file: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -194,19 +195,26 @@ def _region_spectrum(A: SparseSymMatrix, ed, region, region_id: int, emax: float
     return local_eig(A, region, region_id=region_id, emax=emax)
 
 
+def _report_family(checks: dict, out: str, name: str, reports: list, keys: tuple, **extra) -> None:
+    """checks[name] and out/{name}.json of a report family; a failure is listed by ``keys``."""
+    key = operator.attrgetter(*keys)
+    failures = [key(r) for r in reports if not r.holds]
+    checks[name] = {"pass": not failures, "count": len(reports), "failures": failures, **extra}
+    _write_json(os.path.join(out, f"{name}.json"), reports)
+
+
 def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) -> dict:
     """Full verifier sweep over one matrix; returns the summary dict.
 
     Writes one JSON per check family plus summary.json into out_dir (defaults
-    to cfg.out_dir).  The summary's "exit_code" is 0 when every proved
-    inequality holds and 2 otherwise; numerical failures raise instead.
+    to cfg.out_dir; made at the first artifact).  "all_proved_hold" is the
+    conjunction of every pass flag in the summary's checks, and "exit_code"
+    is 0 when it holds and 2 otherwise; numerical failures raise instead.
     """
     out = str(out_dir if out_dir is not None else cfg.out_dir)
     wc, alpha = _preflight(A, cfg)
-    os.makedirs(out, exist_ok=True)
-    summary: dict = {"n": A.n, "connectivity_floor": wc}
     checks: dict = {}
-    summary["checks"] = checks
+    summary: dict = {"n": A.n, "connectivity_floor": wc, "checks": checks}
 
     L = solve_landscape(A)
     tol = _residual_tolerance(A)
@@ -221,6 +229,7 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     summary["tails_failed"] = ed.tails_failed
     if _SPECTRUM_HOOK is not None:
         ed = _SPECTRUM_HOOK(ed)
+    os.makedirs(out, exist_ok=True)
     write_eigenvalues_csv(os.path.join(out, "eigenvalues.csv"), ed)
 
     part_ebar = cfg.partition_threshold()
@@ -248,23 +257,11 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     gen_reports = check_general_localization(
         A, L, ed.vectors, ed.values[ids - 1], ebars, (), alpha, eigen_id=ids, fields=sweep
     )
-    failures = [r.eigen_id for r in reports if not r.holds]
-    checks["landscape_localization"] = {
-        "pass": not failures,
-        "count": len(reports),
-        "failures": failures,
-    }
-    _write_json(os.path.join(out, "landscape_localization.json"), reports)
-
-    gen_failures = [(r.eigen_id, r.threshold) for r in gen_reports if not r.holds]
-    checks["general_localization"] = {
-        "pass": not gen_failures,
-        "count": len(gen_reports),
-        "skipped_empty_wells": skipped,
-        "failures": gen_failures,
-        "alpha": alpha,
-    }
-    _write_json(os.path.join(out, "general_localization.json"), gen_reports)
+    _report_family(checks, out, "landscape_localization", reports, ("eigen_id",))
+    _report_family(
+        checks, out, "general_localization", gen_reports, ("eigen_id", "threshold"),
+        skipped_empty_wells=skipped, alpha=alpha,
+    )
 
     # identity spot checks with seed-derived randomness
     rng = np.random.default_rng(np.random.SeedSequence(cfg.ensemble.seed, spawn_key=(2**31,)))
@@ -322,19 +319,12 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
             dec_reports += check_decoupling_local(A, part, loc, ed, ids, cfg.delta, part_ebar)
         ids = np.flatnonzero(ed.values <= cut) + 1
         dec_reports += check_decoupling_global(A, part, ed, locals_, ids, cfg.delta, part_ebar)
-        spectral_step_ok = all(
-            r.residual_norm_sq >= cfg.delta**2 * r.defect_sq - 1e-25 for r in dec_reports
+        _report_family(
+            checks, out, "decoupling", dec_reports, ("direction", "region_id", "eigen_id"),
+            spectral_step_pass=all(
+                r.residual_norm_sq >= cfg.delta**2 * r.defect_sq - 1e-25 for r in dec_reports
+            ),
         )
-        dec_failures = [
-            (r.direction, r.region_id, r.eigen_id) for r in dec_reports if not r.holds
-        ]
-        checks["decoupling"] = {
-            "pass": not dec_failures,
-            "count": len(dec_reports),
-            "failures": dec_failures,
-            "spectral_step_pass": spectral_step_ok,
-        }
-        _write_json(os.path.join(out, "decoupling.json"), dec_reports)
 
         cr = check_counting(
             ed, locals_, cfg.delta, part_ebar, part.s_achieved, wc, A.max_abs_entry()
@@ -346,19 +336,8 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     written = len(scatter_stage(A, L, ed, out, cfg.n_plot, cfg.scatter_floor))
     checks["scatter"] = {"written": written, "floor": cfg.scatter_floor}
 
-    proved = [
-        checks["landscape_residual"]["pass"],
-        checks["landscape_localization"]["pass"],
-        checks["general_localization"]["pass"],
-        checks["identities"]["pass"],
-        checks["dc_corollary"]["pass"],
-    ]
-    if "decoupling" in checks:
-        proved.append(checks["decoupling"]["pass"])
-        proved.append(checks["decoupling"]["spectral_step_pass"])
-    if "counting" in checks:
-        proved.append(checks["counting"]["pass"])
-    summary["all_proved_hold"] = bool(all(proved))
+    flags = [e[f] for e in checks.values() for f in ("pass", "spectral_step_pass") if f in e]
+    summary["all_proved_hold"] = all(flags)
     summary["exit_code"] = 0 if summary["all_proved_hold"] else 2
     _write_json(os.path.join(out, "summary.json"), summary)
     return summary

@@ -6,6 +6,14 @@ diagonal is stored explicitly for every index (zeros included); off-diagonal
 entries are stored once per unordered pair {i, j} and must be non-zero, as
 three arrays (i, j, value) with i < j in lexicographic order.
 
+A matrix file is checked in two layers, each rule once.  ``read_matrix``
+checks the file's own rules: the header, the size line, the entry count, the
+syntax of each line, the index range, a diagonal entry listed twice and the
+symmetry of a general file.  ``SparseSymMatrix`` judges the entries: finite
+values, a pair listed twice (zero or not, in either orientation), zeros
+dropped.  The reader re-raises its ValueError as a ``MatrixFormatError``
+naming the file.
+
 Every graph routine, Agmon metric and the matrix-vector product run on one CSR
 layout of that pattern, built once per matrix and cached (``CsrPattern``).  Row
 r of the layout holds r itself, then its upper neighbours (j > r) ascending,
@@ -309,8 +317,8 @@ class SparseSymMatrix:
     Construct with the full diagonal (length n) and an iterable of
     off-diagonal triples ``(i, j, value)`` with 1 <= i, j <= n, i != j
     (an (m, 3) array works too).  Triples may come in either orientation;
-    they are normalized to i < j.  Zero off-diagonal values are dropped as
-    structural zeros.
+    they are normalized to i < j.  A pair given twice is an error, whatever
+    its values; zero off-diagonal values are then dropped as structural zeros.
     """
 
     __slots__ = (
@@ -325,7 +333,8 @@ class SparseSymMatrix:
         if diag.shape != (n,):
             raise ValueError(f"diagonal must have length {n}, got shape {diag.shape}")
         if not np.all(np.isfinite(diag)):
-            raise ValueError("diagonal entries must be finite")
+            k = int(np.argmin(np.isfinite(diag))) + 1
+            raise ValueError(f"diagonal entry ({k}, {k}) is not finite")
 
         if not isinstance(off_entries, np.ndarray):
             off_entries = list(off_entries)
@@ -340,14 +349,15 @@ class SparseSymMatrix:
             if np.any(bad):
                 k = int(np.argmax(bad))
                 raise ValueError(message.format(i=i[k], j=j[k], n=n))
-        keep = v != 0.0
-        lo, hi, v = np.minimum(i, j)[keep], np.maximum(i, j)[keep], v[keep]
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
         order = np.lexsort((hi, lo))
         lo, hi, v = lo[order], hi[order], v[order]
         dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-        if np.any(dup):
+        if np.any(dup):  # a zero listed twice too
             k = int(np.argmax(dup))
             raise ValueError(f"duplicate off-diagonal entry for pair {(int(lo[k]), int(hi[k]))}")
+        keep = v != 0.0
+        lo, hi, v = lo[keep], hi[keep], v[keep]
 
         self._n = int(n)
         self._diag = _frozen(diag)
@@ -713,16 +723,10 @@ def write_matrix(path, A: SparseSymMatrix) -> None:
     Values are written with shortest round-tripping decimal repr, so a
     read-back reproduces every finite double bit for bit.
     """
-    lines = [MM_HEADER]
-    entries: list[tuple[int, int, float]] = []
-    for i in range(1, A.n + 1):
-        entries.append((i, i, float(A.diag[i - 1])))
-    for i, j, v in A.off_entries():
-        entries.append((j, i, v))  # lower triangle: row >= column
-    entries.sort()
-    lines.append(f"{A.n} {A.n} {len(entries)}")
-    for i, j, v in entries:
-        lines.append(f"{i} {j} {v!r}")
+    entries = [(i, i, v) for i, v in enumerate(A.diag.tolist(), 1)]
+    entries += [(j, i, v) for i, j, v in A.off_entries()]  # lower triangle: row >= column
+    lines = [MM_HEADER, f"{A.n} {A.n} {len(entries)}"]
+    lines += [f"{i} {j} {v!r}" for i, j, v in sorted(entries)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -745,82 +749,56 @@ def read_matrix(path) -> SparseSymMatrix:
     """Read a Matrix Market coordinate file as a SparseSymMatrix.
 
     Accepts 'symmetric' files (one entry per unordered pair, either
-    orientation) and 'general' files whose entries happen to be symmetric;
-    a general file with asymmetric content is an error.
+    orientation) and 'general' files whose two triangles give the same
+    matrix.  The module docstring says which rules it checks itself.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        raw = fh.read()
-    lines = raw.splitlines()
+        lines = fh.read().splitlines()
     if not lines:
         raise MatrixFormatError(f"{path}: empty file")
     symmetry = _parse_mm_header(lines[0], path)
-
     body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
     if not body:
         raise MatrixFormatError(f"{path}: missing size line")
-    size_parts = body[0].split()
-    if len(size_parts) != 3:
-        raise MatrixFormatError(f"{path}: malformed size line: {body[0]!r}")
     try:
-        rows, cols, nnz = (int(p) for p in size_parts)
+        rows, cols, nnz = map(int, body[0].split())
     except ValueError as exc:
         raise MatrixFormatError(f"{path}: malformed size line: {body[0]!r}") from exc
     if rows != cols:
         raise MatrixFormatError(f"{path}: dimension mismatch: {rows} x {cols} is not square")
     if rows < 1:
         raise MatrixFormatError(f"{path}: dimension must be positive, got {rows}")
-    entry_lines = body[1:]
-    if len(entry_lines) != nnz:
+    if len(body) - 1 != nnz:
         raise MatrixFormatError(
-            f"{path}: size line promises {nnz} entries, file has {len(entry_lines)}"
+            f"{path}: size line promises {nnz} entries, file has {len(body) - 1}"
         )
-
-    triples: list[tuple[int, int, float]] = []
-    for ln in entry_lines:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise MatrixFormatError(f"{path}: malformed entry line: {ln!r}")
+    diag = np.zeros(rows)  # first: an order that fits in memory holds every index as a float
+    entries = []
+    for ln in body[1:]:
         try:
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            a, b, c = ln.split()
+            i, j, v = int(a), int(b), float(c)
         except ValueError as exc:
             raise MatrixFormatError(f"{path}: malformed entry line: {ln!r}") from exc
         if not (1 <= i <= rows and 1 <= j <= rows):
             raise MatrixFormatError(f"{path}: entry ({i}, {j}) outside [1, {rows}]")
-        if not math.isfinite(v):
-            raise MatrixFormatError(f"{path}: entry ({i}, {j}) is not finite")
-        triples.append((i, j, v))
+        entries.append((i, j, v))
 
-    diag = np.zeros(rows, dtype=float)
-    seen_diag: set[int] = set()
-    off: dict[tuple[int, int], float] = {}
-
-    if symmetry == "general":
-        # Entries must pair up into an exactly symmetric matrix.
-        by_pos: dict[tuple[int, int], float] = {}
-        for i, j, v in triples:
-            if (i, j) in by_pos:
-                raise MatrixFormatError(f"{path}: duplicate entry ({i}, {j})")
-            by_pos[(i, j)] = v
-        for (i, j), v in by_pos.items():
-            if i == j:
-                continue
-            if by_pos.get((j, i), 0.0) != v:
-                raise MatrixFormatError(
-                    f"{path}: general file is not symmetric at ({i}, {j})"
-                )
-        triples = [(i, j, v) for (i, j), v in sorted(by_pos.items()) if i >= j]
-
-    for i, j, v in triples:
-        if i == j:
-            if i in seen_diag:
-                raise MatrixFormatError(f"{path}: duplicate diagonal entry {i}")
-            seen_diag.add(i)
-            diag[i - 1] = v
-        else:
-            key = (min(i, j), max(i, j))
-            if key in off:
-                raise MatrixFormatError(f"{path}: duplicate entry for pair {key}")
-            if v != 0.0:
-                off[key] = v
-
-    return SparseSymMatrix(rows, diag, [(i, j, v) for (i, j), v in off.items()])
+    off = np.array(entries, dtype=float).reshape(-1, 3)
+    i, j = off[:, 0], off[:, 1]
+    on = i == j
+    sites = np.sort(i[on])
+    repeated = sites[1:] == sites[:-1]
+    if repeated.any():
+        raise MatrixFormatError(f"{path}: duplicate diagonal entry {int(sites[1:][repeated][0])}")
+    diag[i[on].astype(np.int64) - 1] = off[on, 2]
+    general = symmetry == "general"
+    try:  # a general file lists each pair twice: its lower triangle is the matrix
+        A = SparseSymMatrix(rows, diag, off[i > j] if general else off[i != j])
+        upper = SparseSymMatrix(rows, diag, off[i < j]) if general else A
+    except ValueError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from exc
+    if upper != A:
+        i, j, _ = min(set(A.off_entries()) ^ set(upper.off_entries()))
+        raise MatrixFormatError(f"{path}: general file is not symmetric at ({i}, {j})")
+    return A

@@ -3,11 +3,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 import mlandscape.experiment as experiment
 import mlandscape.matrices as matrices
 from mlandscape.cli import main
+from mlandscape.matrices import SparseSymMatrix
 from mlandscape.experiment import EnsembleConfig, ExperimentConfig, dump_config
 from mlandscape.spectral import EigenDecomposition
 
@@ -206,6 +208,48 @@ def test_verify_rejects_non_z_matrix_before_any_work(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_of_an_indefinite_z_matrix_leaves_no_directory(tmp_path, capsys):
+    path = tmp_path / "indefinite.mtx"
+    path.write_text(INDEFINITE_MTX)
+    out = tmp_path / "out"
+    rc = main(["verify", str(path), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_past_the_eigensolve_cap_leaves_no_directory(tmp_path, capsys):
+    n = matrices.DENSE_EIGEN_LIMIT + 1
+    sites = np.arange(1, n)
+    chain = SparseSymMatrix(n, np.full(n, 3.0), np.column_stack((sites, sites + 1, -np.ones(n - 1))))
+    path = tmp_path / "chain.mtx"
+    matrices.write_matrix(path, chain)
+    out = tmp_path / "out"
+    rc = main(["verify", str(path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dense eigensolve limited to n <= 5000")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_an_order_too_large_for_memory_is_one_error_line(tmp_path, capsys):
+    # 10^15 doubles (7 PiB) exceed any address space, so the allocation fails at once
+    path = tmp_path / "huge.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n1000000000000000 1000000000000000 0\n"
+    )
+    out = tmp_path / "out"
+    rc = main(["verify", str(path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_rejects_empty_threshold_list_before_any_work(mat, tmp_path, capsys):
     path, _ = mat
     cfg_path = tmp_path / "exp.json"
@@ -305,6 +349,7 @@ def test_failed_tridiagonal_eigensolve_exits_3(mat, tmp_path, monkeypatch, capsy
     rc = main(["verify", mat[0], "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_injected_spectral_fault_exits_2(tmp_path, monkeypatch, capsys):

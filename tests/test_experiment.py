@@ -224,6 +224,42 @@ def test_sweep_flags_a_faulty_spectrum(tmp_path, monkeypatch):
     assert summary["exit_code"] == 2
 
 
+@pytest.mark.parametrize("faulty", [False, True])
+def test_the_verdict_is_every_pass_flag_of_the_summary(tmp_path, monkeypatch, faulty):
+    ens = EnsembleConfig(n=500, half_bandwidth=1, seed=5)
+    cfg = ExperimentConfig(ensemble=ens, thresholds=(0.5,), s_requested=2.0, n_plot=0)
+    if faulty:  # a spectrum whose vectors no longer match their values
+        monkeypatch.setattr(
+            experiment,
+            "_SPECTRUM_HOOK",
+            lambda ed: EigenDecomposition(values=ed.values, vectors=ed.vectors[:, ::-1].copy()),
+        )
+    A, _ = generate_band_ensemble(ens)
+    summary = run_verification(A, cfg, tmp_path)
+    checks = summary["checks"]
+    flags = {
+        (name, flag): entry[flag]
+        for name, entry in checks.items()
+        for flag in ("pass", "spectral_step_pass")
+        if flag in entry
+    }
+    proved = (
+        "landscape_residual",
+        "landscape_localization",
+        "general_localization",
+        "identities",
+        "dc_corollary",
+        "decoupling",
+        "counting",
+    )
+    assert set(flags) == {(name, "pass") for name in proved} | {("decoupling", "spectral_step_pass")}
+    assert summary["all_proved_hold"] is all(flags.values())
+    assert summary["all_proved_hold"] is not faulty
+    assert summary["exit_code"] == (2 if faulty else 0)
+    on_disk = json.loads((tmp_path / "summary.json").read_text())
+    assert (on_disk["all_proved_hold"], on_disk["exit_code"]) == (not faulty, summary["exit_code"])
+
+
 def _one_check_at_a_time(A, L, ed, thresholds, alpha):
     """Every localization check on its own, with no distance field shared."""
     landscape = [check_landscape_localization(A, L, ed, j) for j in range(1, ed.n + 1)]

@@ -63,6 +63,8 @@ def test_storage_normalizes_orientation_and_drops_zeros():
 def test_storage_rejects_duplicates_and_bad_indices():
     with pytest.raises(ValueError, match="duplicate"):
         SparseSymMatrix(3, [0, 0, 0], [(1, 2, 1.0), (2, 1, 2.0)])
+    with pytest.raises(ValueError, match="duplicate"):  # a zero is a value too
+        SparseSymMatrix(3, [0, 0, 0], [(2, 1, 0.0), (1, 2, -1.0)])
     with pytest.raises(ValueError, match="outside"):
         SparseSymMatrix(3, [0, 0, 0], [(1, 4, 1.0)])
     with pytest.raises(ValueError, match="off-diagonal"):
@@ -399,12 +401,24 @@ def test_write_read_round_trip_bit_exact(tmp_path):
     assert (tmp_path / "again.mtx").read_bytes() == p.read_bytes()
 
 
-@given(sym_matrices())
+@given(sym_matrices(), st.randoms(use_true_random=False))
 @settings(max_examples=50, deadline=None)
-def test_round_trip_any_matrix(tmp_path_factory, A):
+def test_round_trip_any_matrix(tmp_path_factory, A, rnd):
     p = tmp_path_factory.mktemp("mm") / "a.mtx"
     write_matrix(p, A)
     assert read_matrix(p) == A
+    # a general copy: both triangles of every pair, the lines in any order
+    lines = [f"{i} {i} {float(d)!r}" for i, d in enumerate(A.diag, 1)]
+    for i, j, v in A.off_entries():
+        lines += [f"{i} {j} {v!r}", f"{j} {i} {v!r}"]
+    rnd.shuffle(lines)
+    general = p.with_name("general.mtx")
+    general.write_text(
+        f"%%MatrixMarket matrix coordinate real general\n{A.n} {A.n} {len(lines)}\n"
+        + "\n".join(lines)
+        + "\n"
+    )
+    assert read_matrix(general) == A
 
 
 def test_writer_emits_lower_triangle(tmp_path):
@@ -475,6 +489,38 @@ def test_reader_rejects_malformed_files(tmp_path, body, match):
     p.write_text(body)
     with pytest.raises(MatrixFormatError, match=match):
         read_matrix(p)
+
+
+@pytest.mark.parametrize(
+    "symmetry, first, second",
+    [
+        ("symmetric", "1 2 -1.0", "2 1 -1.0"),
+        ("symmetric", "2 1 0.0", "1 2 -1.0"),  # a zero is an entry too
+        ("symmetric", "2 1 0.0", "2 1 0.0"),
+        ("symmetric", "1 1 2.0", "1 1 2.0"),
+        ("general", "2 1 -1.0", "2 1 -1.0"),
+        ("general", "1 2 0.0", "1 2 0.0"),
+        ("general", "1 1 2.0", "1 1 2.0"),
+    ],
+)
+def test_reader_rejects_an_entry_listed_twice_in_either_order(tmp_path, symmetry, first, second):
+    for a, b in ((first, second), (second, first)):
+        p = tmp_path / "twice.mtx"
+        p.write_text(
+            f"%%MatrixMarket matrix coordinate real {symmetry}\n"
+            f"2 2 3\n2 2 2.0\n{a}\n{b}\n"
+        )
+        with pytest.raises(MatrixFormatError, match="duplicate"):
+            read_matrix(p)
+
+
+def test_reader_names_the_file_and_the_entry_the_storage_rejects(tmp_path):
+    p = tmp_path / "nan.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n2 2 nan\n")
+    with pytest.raises(MatrixFormatError, match=r"nan\.mtx: diagonal entry \(2, 2\) is not finite"):
+        read_matrix(p)
+    with pytest.raises(ValueError, match=r"^diagonal entry \(1, 1\) is not finite$"):
+        SparseSymMatrix(2, [np.inf, np.nan])
 
 
 def test_reader_skips_comments_and_blank_lines(tmp_path):
