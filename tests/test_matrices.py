@@ -220,16 +220,34 @@ def _tridiagonal(diag, sub):
     return SparseSymMatrix(len(diag), diag, [(k + 1, k + 2, v) for k, v in enumerate(sub)])
 
 
+def _dense_or_failure(solve, A):
+    """``solve(A.to_dense())``, or ``None`` where LAPACK does not converge."""
+    try:
+        return solve(A.to_dense())
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _assert_dense_bits(A):
-    """``_eigh`` gives the exact bits (and layout) of numpy's dense solvers on A."""
-    values, vectors = matrices._eigh(A)
-    want_values, want_vectors = np.linalg.eigh(A.to_dense())
-    assert values.shape == want_values.shape and values.tobytes() == want_values.tobytes()
-    assert vectors.shape == want_vectors.shape and vectors.tobytes() == want_vectors.tobytes()
-    assert vectors.flags.c_contiguous
-    only = matrices._eigh(A, vectors=False)
-    want_only = np.linalg.eigvalsh(A.to_dense())
-    assert only.shape == want_only.shape and only.tobytes() == want_only.tobytes()
+    """``_eigh`` gives the exact bits (and layout) of numpy's dense solvers on A,
+    and raises ``LinAlgError`` exactly where they do."""
+    want = _dense_or_failure(np.linalg.eigh, A)
+    if want is None:
+        with pytest.raises(np.linalg.LinAlgError):
+            matrices._eigh(A)
+    else:
+        values, vectors = matrices._eigh(A)
+        want_values, want_vectors = want
+        assert values.shape == want_values.shape and values.tobytes() == want_values.tobytes()
+        assert vectors.shape == want_vectors.shape and vectors.tobytes() == want_vectors.tobytes()
+        assert vectors.flags.c_contiguous
+    want_only = _dense_or_failure(np.linalg.eigvalsh, A)
+    if want_only is None:
+        with pytest.raises(np.linalg.LinAlgError):
+            matrices._eigh(A, vectors=False)
+    else:
+        only = matrices._eigh(A, vectors=False)
+        assert only.shape == want_only.shape and only.tobytes() == want_only.tobytes()
 
 
 @st.composite
@@ -255,6 +273,8 @@ def tridiagonals(draw, max_n=40):
 @example(_tridiagonal([1e-160, 2e-160, 1e-160, 4e-160], [-1e-160, -1e-160, 0.0]))
 @example(_tridiagonal([2.0] * 6, [-1.0, -1.0, 0.0, -1.0, -1.0]))  # two equal blocks: every value twice
 @example(_tridiagonal([-0.0, 1.0] * 20, [0.0] * 39))  # -0.0 keeps the dense path
+# eigh does not converge here (dsteqr), eigvalsh does: the same split for _eigh
+@example(_tridiagonal([0.0] * 18, [0.0] * 14 + [1e160, 4.946814717865133e-87, 1.3179727143040717e-115]))
 @settings(max_examples=300, deadline=None)
 def test_tridiagonal_eigensolve_gives_the_dense_bits(A):
     _assert_dense_bits(A)
