@@ -1,9 +1,11 @@
 """Command-line harness: generate | landscape | spectrum | verify | partition |
 scatter | figures | report.
 
-Exit codes: 0 success, 1 usage or config error, 2 proved-inequality violation,
-3 numerical failure (solver or eigensolver breakdown).  Argparse's default
-exit status for bad usage is overridden to honor that contract.
+Exit codes: 0 success, 1 usage or config error, 2 a proved inequality fails
+(the verdict of a written summary.json), 3 numerical failure (solver or
+eigensolver breakdown, or any arithmetic error that escapes a command).
+Argparse's default exit status for bad usage is overridden to honor that
+contract.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .figures import (
 from .landscape import shift_potential, solve_landscape, write_landscape_csv
 from .matrices import (
     MatrixFormatError,
-    NonPositiveLandscapeError,
-    NotPositiveDefiniteError,
     _json_value,
     _write_json,
     generate_band_ensemble,
@@ -278,12 +278,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (NotPositiveDefiniteError, NonPositiveLandscapeError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ArithmeticError as exc:
-        print(f"proved relation violated: {exc}", file=sys.stderr)
-        return 2
     except MatrixFormatError as exc:
         print(f"bad matrix file: {exc}", file=sys.stderr)
         return 1

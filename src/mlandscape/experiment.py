@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -21,6 +20,7 @@ from .checks import (
     _checked_alpha,
     _checked_floor,
     _corollary_blocks,
+    _spectral_step_holds,
     _wc,
     agmon_scatter,
     check_commutator_identity,
@@ -195,12 +195,20 @@ def _region_spectrum(A: SparseSymMatrix, ed, region, region_id: int, emax: float
     return local_eig(A, region, region_id=region_id, emax=emax)
 
 
-def _report_family(checks: dict, out: str, name: str, reports: list, keys: tuple, **extra) -> None:
-    """checks[name] and out/{name}.json of a report family; a failure is listed by ``keys``."""
-    key = operator.attrgetter(*keys)
-    failures = [key(r) for r in reports if not r.holds]
-    checks[name] = {"pass": not failures, "count": len(reports), "failures": failures, **extra}
-    _write_json(os.path.join(out, f"{name}.json"), reports)
+def _family(checks: dict, name: str, holds, labels=None, out=None, reports=None, **extra) -> None:
+    """checks[name] of a check family, and out/{name}.json of its ``reports`` if ``out`` is given.
+
+    ``holds`` is the family's verdict, or with ``labels`` one flag per labelled
+    item: the entry then counts the items and lists the labels of those that fail.
+    """
+    if labels is None:
+        entry = {"pass": bool(holds)}
+    else:
+        failures = [label for label, ok in zip(labels, holds) if not ok]
+        entry = {"pass": not failures, "count": len(labels), "failures": failures}
+    checks[name] = {**entry, **extra}
+    if out is not None:
+        _write_json(os.path.join(out, f"{name}.json"), reports)
 
 
 def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -218,11 +226,9 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
 
     L = solve_landscape(A)
     tol = _residual_tolerance(A)
-    checks["landscape_residual"] = {
-        "pass": bool(L.residual_inf <= tol),
-        "residual_inf": L.residual_inf,
-        "tol": tol,
-    }
+    _family(
+        checks, "landscape_residual", L.residual_inf <= tol, residual_inf=L.residual_inf, tol=tol
+    )
 
     ed = own = eig_sym(A, L)  # own: A's spectrum even when the hook fakes one
     summary["tails_repaired"] = ed.tails_repaired
@@ -257,38 +263,34 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     gen_reports = check_general_localization(
         A, L, ed.vectors, ed.values[ids - 1], ebars, (), alpha, eigen_id=ids, fields=sweep
     )
-    _report_family(checks, out, "landscape_localization", reports, ("eigen_id",))
-    _report_family(
-        checks, out, "general_localization", gen_reports, ("eigen_id", "threshold"),
+    _family(
+        checks, "landscape_localization", [r.holds for r in reports],
+        [r.eigen_id for r in reports], out, reports,
+    )
+    _family(
+        checks, "general_localization", [r.holds for r in gen_reports],
+        [(r.eigen_id, r.threshold) for r in gen_reports], out, gen_reports,
         skipped_empty_wells=skipped, alpha=alpha,
     )
 
     # identity spot checks with seed-derived randomness
     rng = np.random.default_rng(np.random.SeedSequence(cfg.ensemble.seed, spawn_key=(2**31,)))
-    ident = {"pass": True, "instances": 0, "max_identity_diff": 0.0, "max_lemma_diff": 0.0}
-    try:
-        for _ in range(8):
-            d = rng.standard_normal(A.n)
-            g = rng.standard_normal(A.n)
-            x = rng.standard_normal(A.n)
-            _, _, diff = check_commutator_identity(A, d, x)
-            ident["max_identity_diff"] = max(ident["max_identity_diff"], diff)
-            ident["max_lemma_diff"] = max(
-                ident["max_lemma_diff"], check_double_commutator_lemma(A, d, g, x)
-            )
-            ident["instances"] += 1
-    except ArithmeticError as exc:
-        ident["pass"] = False
-        ident["error"] = str(exc)
-    checks["identities"] = ident
+    identity, lemma = [], []
+    for d, g, x in (rng.standard_normal((3, A.n)) for _ in range(8)):
+        identity.append(check_commutator_identity(A, d, x))
+        lemma.append(check_double_commutator_lemma(A, d, g, x))
+    _family(
+        checks, "identities", all(ok for _, _, ok in identity + lemma), instances=len(identity),
+        max_identity_diff=max([0.0] + [abs(lhs - rhs) for lhs, rhs, _ in identity]),
+        max_lemma_diff=max([0.0] + [abs(lhs - rhs) for lhs, rhs, _ in lemma]),
+    )
 
     # one batch per block, its weights drawn as rows: the stream of one draw per eigenpair
-    corollary_fails = []
+    triples = []
     for b in _corollary_blocks(A, A.n):
         g = rng.standard_normal((b.stop - b.start, A.n))
-        triples = check_dc_corollary(A, L, ed.vectors[:, b], ed.values[b], g)
-        corollary_fails += [j for j, (_, _, ok) in enumerate(triples, b.start + 1) if not ok]
-    checks["dc_corollary"] = {"pass": not corollary_fails, "count": A.n, "failures": corollary_fails}
+        triples += check_dc_corollary(A, L, ed.vectors[:, b], ed.values[b], g)
+    _family(checks, "dc_corollary", [ok for _, _, ok in triples], range(1, A.n + 1))
 
     # partition-based checks need one explicit threshold
     part = None
@@ -319,18 +321,16 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
             dec_reports += check_decoupling_local(A, part, loc, ed, ids, cfg.delta, part_ebar)
         ids = np.flatnonzero(ed.values <= cut) + 1
         dec_reports += check_decoupling_global(A, part, ed, locals_, ids, cfg.delta, part_ebar)
-        _report_family(
-            checks, out, "decoupling", dec_reports, ("direction", "region_id", "eigen_id"),
-            spectral_step_pass=all(
-                r.residual_norm_sq >= cfg.delta**2 * r.defect_sq - 1e-25 for r in dec_reports
-            ),
+        _family(
+            checks, "decoupling", [r.holds for r in dec_reports],
+            [(r.direction, r.region_id, r.eigen_id) for r in dec_reports], out, dec_reports,
+            spectral_step_pass=all(_spectral_step_holds(r) for r in dec_reports),
         )
 
         cr = check_counting(
             ed, locals_, cfg.delta, part_ebar, part.s_achieved, wc, A.max_abs_entry()
         )
-        checks["counting"] = {"pass": cr.all_hold, "nbar": cr.nbar}
-        _write_json(os.path.join(out, "counting.json"), cr)
+        _family(checks, "counting", cr.all_hold, out=out, reports=cr, nbar=cr.nbar)
 
     # scatter data for the first few eigenvectors
     written = len(scatter_stage(A, L, ed, out, cfg.n_plot, cfg.scatter_floor))

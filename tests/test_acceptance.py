@@ -191,12 +191,13 @@ def test_criterion_03_identity_suite():
         a = (a + a.T) / 2.0
         A = SparseSymMatrix.from_dense(a)
         u = rng.normal(size=n)
-        lhs, rhs, diff = check_commutator_identity(A, rng.normal(size=n), u)
-        if diff > 1e-10 * (1.0 + abs(lhs)):
+        lhs, rhs, holds = check_commutator_identity(A, rng.normal(size=n), u)
+        if not holds or abs(lhs - rhs) > 1e-10 * (1.0 + abs(lhs)):
             bad += 1
-        check_double_commutator_lemma(
+        _, _, holds = check_double_commutator_lemma(
             A, rng.normal(size=n), rng.normal(size=n), u
         )
+        bad += not holds
 
     # Z-matrix with constant-sign u: the common value must be non-positive
     for trial in range(200):
@@ -209,8 +210,8 @@ def test_criterion_03_identity_suite():
         u = np.abs(rng.normal(size=n)) + 0.05
         if trial % 2:
             u = -u
-        lhs, _, _ = check_commutator_identity(A, rng.normal(size=n), u)
-        if lhs > 1e-12:
+        lhs, _, holds = check_commutator_identity(A, rng.normal(size=n), u)
+        if lhs > 1e-12 or not holds:
             bad += 1
 
     # weighted eigenvalue bound on every eigenpair of random Z-matrices

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mlandscape.checks as checks
 import mlandscape.matrices as matrices
@@ -270,8 +272,8 @@ def _bits(report) -> list:
 
 def test_identity_vanishes_for_constant_weight():
     A = chain(4)
-    lhs, rhs, diff = check_commutator_identity(A, [3.0] * 4, [1.0, -2.0, 0.5, 1.0])
-    assert lhs == 0.0 and rhs == 0.0 and diff == 0.0
+    lhs, rhs, holds = check_commutator_identity(A, [3.0] * 4, [1.0, -2.0, 0.5, 1.0])
+    assert lhs == 0.0 and rhs == 0.0 and holds
 
 
 def test_identity_vanishes_for_diagonal_matrix():
@@ -286,10 +288,10 @@ def test_identity_two_routes_agree_on_random_instances():
         n = int(rng.integers(2, 21))
         a = rng.standard_normal((n, n))
         A = SparseSymMatrix.from_dense(a + a.T)
-        _, _, diff = check_commutator_identity(
+        lhs, rhs, holds = check_commutator_identity(
             A, rng.standard_normal(n), rng.standard_normal(n)
         )
-        assert diff <= 1e-9
+        assert holds and abs(lhs - rhs) <= 1e-9
 
 
 def test_identity_sign_for_z_matrix_with_signed_vector():
@@ -297,23 +299,25 @@ def test_identity_sign_for_z_matrix_with_signed_vector():
     rng = np.random.default_rng(3)
     for _ in range(20):
         u = np.abs(rng.standard_normal(5))
-        lhs, _, _ = check_commutator_identity(A, rng.standard_normal(5), u)
-        assert lhs <= 1e-12
-        lhs, _, _ = check_commutator_identity(A, rng.standard_normal(5), -u)
-        assert lhs <= 1e-12
+        lhs, _, holds = check_commutator_identity(A, rng.standard_normal(5), u)
+        assert lhs <= 1e-12 and holds
+        lhs, _, holds = check_commutator_identity(A, rng.standard_normal(5), -u)
+        assert lhs <= 1e-12 and holds
 
 
 def test_identity_allows_positive_value_for_mixed_signs():
     A = SparseSymMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
-    lhs, rhs, diff = check_commutator_identity(A, [1.0, 0.0], [1.0, -1.0])
+    lhs, rhs, holds = check_commutator_identity(A, [1.0, 0.0], [1.0, -1.0])
     assert lhs == pytest.approx(2.0, abs=1e-14)
-    assert diff <= 1e-12
+    assert holds and abs(lhs - rhs) <= 1e-12
 
 
 def test_splitting_lemma_trivial_diagonal_weight():
     A = chain(4)
-    diff = check_double_commutator_lemma(A, np.ones(4), [1.0, 2.0, 0.5, -1.0], [1.0, 0.5, 2.0, 1.0])
-    assert diff == pytest.approx(0.0, abs=1e-12)
+    left, right, holds = check_double_commutator_lemma(
+        A, np.ones(4), [1.0, 2.0, 0.5, -1.0], [1.0, 0.5, 2.0, 1.0]
+    )
+    assert holds and left - right == pytest.approx(0.0, abs=1e-12)
 
 
 def test_splitting_lemma_random_instances():
@@ -322,10 +326,10 @@ def test_splitting_lemma_random_instances():
         n = int(rng.integers(2, 21))
         a = rng.standard_normal((n, n))
         A = SparseSymMatrix.from_dense(a + a.T)
-        diff = check_double_commutator_lemma(
+        left, right, holds = check_double_commutator_lemma(
             A, rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n)
         )
-        assert diff <= 1e-9
+        assert holds and abs(left - right) <= 1e-9
 
 
 def _dense_double_commutator_form(A, d, x):
@@ -388,6 +392,87 @@ def test_identity_checks_reject_bad_vectors(bad, message):
     for args in [(bad, ok, ok), (ok, bad, ok), (ok, ok, bad)]:
         with pytest.raises(ValueError, match=message):
             check_double_commutator_lemma(A, *args)
+
+
+# The verdict rules as the parent code stated them: the identity checks raised
+# ArithmeticError where these conditions held, and run_verification computed the
+# spectral step inline.  The checks now return the verdicts; these pin them.
+
+
+def _parent_identity_raised(lhs, rhs, is_z, constant_sign):
+    diff = abs(lhs - rhs)
+    return diff > 1e-10 * (1.0 + abs(lhs)) or (is_z and constant_sign and lhs > 1e-12)
+
+
+def _parent_lemma_raised(left, right):
+    return abs(left - right) > 1e-10 * (1.0 + abs(left))
+
+
+def _parent_spectral_step(residual, defect, delta):
+    return residual >= delta**2 * defect - 1e-25
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@given(st.floats(), st.floats())
+@example(0.0, 1e-10)  # a tie at the slack
+@example(-0.0, 0.0)
+@example(1.0, 1.0 + 2e-10)
+@example(math.inf, math.inf)
+@example(math.nan, 1.0)
+@example(-1e300, 1e300)
+@settings(max_examples=300, deadline=None)
+def test_identity_rule_is_the_parent_rule(left, right):
+    assert checks._agree(left, right) is (not _parent_lemma_raised(left, right))
+
+
+@given(
+    st.floats(),
+    st.sampled_from([[1.0, 2.0, 0.5], [-1.0, -2.0, 0.0], [1.0, -1.0, 0.5]]),
+    st.booleans(),
+)
+@example(1e-12, [1.0, 2.0, 0.5], True)  # a tie at the sign slack
+@example(math.nextafter(1e-12, 1.0), [1.0, 2.0, 0.5], True)
+@example(-0.0, [1.0, 2.0, 0.5], True)
+@example(math.nan, [1.0, 2.0, 0.5], True)
+@example(math.inf, [1.0, -1.0, 0.5], False)
+@settings(max_examples=200, deadline=None)
+def test_commutator_verdict_is_the_parent_rule(lhs, u, z):
+    # lhs is injected; with d = 0 the entrywise route gives rhs = +-0
+    A = chain(3) if z else SparseSymMatrix(3, [2.0] * 3, [(1, 2, 1.0), (2, 3, -1.0)])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(checks, "_quad_double_commutator", lambda A, d, x: lhs)
+        got_lhs, rhs, holds = check_commutator_identity(A, np.zeros(3), u)
+    constant_sign = all(x >= 0.0 for x in u) or all(x <= 0.0 for x in u)
+    assert got_lhs is lhs and rhs == 0.0
+    assert holds is (not _parent_identity_raised(lhs, rhs, z, constant_sign))
+
+
+@given(
+    st.floats(),
+    st.floats(),
+    st.one_of(st.floats(min_value=0.0), st.sampled_from([-0.0, 0.05, 1e154, 1e155])),
+)
+@example(-1e-25, 0.0, 1.0)  # ties at the slack
+@example(0.0, 1e-25, 1.0)
+@example(-0.0, -0.0, -0.0)
+@example(math.nan, 1.0, 1.0)
+@example(math.inf, math.inf, math.inf)
+@example(-1.0, 1.0, math.inf)
+@settings(max_examples=300, deadline=None)
+def test_spectral_step_rule_is_the_parent_rule(residual, defect, delta):
+    report = checks.DecouplingReport(
+        "global_to_local", 1, None, 0.1, delta, 2.0, residual, defect, 0.0, True
+    )
+    assert _outcome(checks._spectral_step_holds, report) == _outcome(
+        _parent_spectral_step, residual, defect, delta
+    )
 
 
 def test_corollary_single_support_is_tight():

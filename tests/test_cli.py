@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+import mlandscape.checks as checks
+import mlandscape.cli as cli
 import mlandscape.experiment as experiment
 import mlandscape.matrices as matrices
 from mlandscape.cli import main
@@ -366,6 +368,27 @@ def test_injected_spectral_fault_exits_2(tmp_path, monkeypatch, capsys):
     rc = main(["verify", str(gen / "matrix.mtx"), "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "verification FAIL" in capsys.readouterr().out
+
+
+def test_a_failing_identity_is_a_written_verdict(mat, tmp_path, monkeypatch):
+    quad = checks._quad_double_commutator
+    monkeypatch.setattr(checks, "_quad_double_commutator", lambda A, d, x: quad(A, d, x) + 1.0)
+    out = tmp_path / "out"
+    assert main(["verify", mat[0], "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    identities = summary["checks"]["identities"]
+    assert identities["pass"] is False and identities["instances"] == 8
+    assert "error" not in identities
+    assert (summary["all_proved_hold"], summary["exit_code"]) == (False, 2)
+
+
+def test_a_stray_arithmetic_error_exits_3(mat, tmp_path, monkeypatch, capsys):
+    def overflow(A, cfg):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "run_verification", overflow)
+    assert main(["verify", mat[0], "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == ["numerical failure: math range error"]
 
 
 # ---- config file plumbing
