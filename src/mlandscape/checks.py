@@ -205,6 +205,17 @@ def _sweep(
     return fields
 
 
+def _decoupling_coefficient(wc: int, a_max: float, delta: float) -> float:
+    """W_c^2 max|a|^3 / delta^3, the factor of the decoupling bound and of nbar.
+
+    +inf where delta^3 overflows or underflows to 0 (or max|a|^3 overflows).
+    """
+    try:
+        return (wc * wc / delta**3) * a_max**3
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def _checked_alpha(alpha, wc: int) -> float:
     alpha = float(alpha)
     if not (0.0 < alpha <= math.sqrt(2.0 / wc) * (1.0 + 1e-12)):
@@ -515,7 +526,7 @@ def _decoupling(A, part, direction, region_id, values, vectors, j, delta, ebar, 
         raise ValueError(f"{kind} {float(values[ids[over][0] - 1])} exceeds ebar - delta = {cut}")
     wc, s = _wc(A), part.s_achieved
     decay = 0.0 if math.isinf(s) else math.exp(-2.0 * s / math.sqrt(wc))
-    coeff = (wc * wc / delta**3) * A.max_abs_entry() ** 3 * decay
+    coeff = _decoupling_coefficient(wc, A.max_abs_entry(), delta) * decay
     reports = []
     for k in ids.tolist():
         value = float(values[k - 1])
@@ -614,8 +625,9 @@ def check_counting(
     """Two-sided counting-function comparison below a threshold.
 
     nbar is the largest integer with (W_c^2/delta^3) a_max^3 nbar <
-    e^{2 S / sqrt(W_c)} (capped at the matrix order; 0 allowed).  On a grid of
-    mu values up to ebar, min(nbar, N0(mu - delta)) <= N(mu) and
+    e^{2 S / sqrt(W_c)} (capped at the matrix order; 0 allowed), in log space
+    where the ratio of the two sides leaves float range.  On a grid of mu
+    values up to ebar, min(nbar, N0(mu - delta)) <= N(mu) and
     min(nbar, N(mu - delta)) <= N0(mu) must both hold.
     """
     delta = float(delta)
@@ -624,14 +636,20 @@ def check_counting(
     if grid_points < 1:
         raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     n = ed.n
-    coeff = (wc * wc / delta**3) * a_max**3
+    coeff = _decoupling_coefficient(wc, a_max, delta)
     if math.isinf(s):
         nbar = n
     else:
-        threshold = math.exp(2.0 * s / math.sqrt(wc))
-        nbar = int(math.floor(threshold / coeff))
-        if nbar * coeff >= threshold:
-            nbar -= 1
+        x = 2.0 * s / math.sqrt(wc)
+        try:
+            threshold = math.exp(x)
+            nbar = int(math.floor(threshold / coeff))
+        except OverflowError:  # e^x or e^x / coeff past float range
+            log_ratio = x - math.log(coeff)
+            nbar = n if log_ratio > math.log(n + 1) else math.ceil(math.exp(log_ratio)) - 1
+        else:
+            if nbar * coeff >= threshold:
+                nbar -= 1
         nbar = max(0, min(nbar, n))
 
     # an empty local spectrum contributes no eigenvalue

@@ -20,6 +20,7 @@ from .checks import (
     _checked_alpha,
     _checked_floor,
     _corollary_blocks,
+    _decoupling_coefficient,
     _spectral_step_holds,
     _wc,
     agmon_scatter,
@@ -175,12 +176,23 @@ def scatter_stage(A: SparseSymMatrix, L, ed, out: str, count: int, floor: float)
 
 
 def _preflight(A: SparseSymMatrix, cfg: ExperimentConfig) -> tuple[int, float]:
-    """(W_c, alpha) of a run of cfg on A; ValueError for a non-Z A or an alpha out of range."""
+    """(W_c, alpha) of a run of cfg on A.
+
+    ValueError for a non-Z A, an alpha out of range, or, where explicit
+    thresholds make decoupling and counting run, a delta for which
+    W_c^2 max|a|^3 / delta^3 is not a positive float.
+    """
     if not A.is_z:
         raise ValueError("matrix is not a Z-matrix")
     wc = _wc(A)
     alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(1.0 / wc)
     _checked_alpha(alpha, wc)
+    if cfg.partition_threshold() is not None:
+        coeff = _decoupling_coefficient(wc, A.max_abs_entry(), cfg.delta)
+        if not (0.0 < coeff < math.inf):
+            raise ValueError(
+                f"delta {cfg.delta} is out of range: W_c^2 max|a|^3 / delta^3 = {coeff}"
+            )
     return wc, alpha
 
 

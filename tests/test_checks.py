@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -836,6 +837,40 @@ def test_counting_zero_budget_is_vacuous(blocks):
     cr = check_counting(ed, locals_, 2.0, 10.0, 0.0, 2, 100.0)
     assert cr.nbar == 0
     assert cr.all_hold
+
+
+def test_counting_past_float_range(blocks):
+    A, L, ed, part, locals_ = blocks
+    # e^{2 S / sqrt(W_c)} = e^{1131.4} is past float range: the cap still holds
+    cr = check_counting(ed, locals_, 0.3, 10.0, 800.0, 2, 1.0)
+    assert cr.nbar == ed.n
+    assert cr.all_hold
+
+
+@pytest.mark.parametrize(
+    "s, a_max",
+    [
+        (502.046, 2.9e102),  # e^x overflows, e^x / coeff = 2.3
+        (502.5, 2.9e102),  # e^x / coeff = 4.3
+        (505.0, 2.9e102),  # e^x / coeff = 150: the cap
+        (800.0, 1e-5),
+        (501.3, 2.9e-4),  # e^x is a float, e^x / coeff is not
+    ],
+)
+def test_counting_rule_in_log_space_matches_exact_arithmetic(blocks, s, a_max):
+    A, L, ed, part, locals_ = blocks
+    coeff = checks._decoupling_coefficient(2, a_max, 1.0)
+    with mpmath.workdps(60):
+        ratio = mpmath.exp(2 * mpmath.mpf(s) / mpmath.sqrt(2)) / mpmath.mpf(coeff)
+        want = min(ed.n, int(mpmath.ceil(ratio)) - 1)
+    assert check_counting(ed, locals_, 1.0, 10.0, s, 2, a_max).nbar == want
+
+
+def test_decoupling_coefficient_is_inf_past_float_range():
+    assert checks._decoupling_coefficient(2, 1.5, 0.05) == (2 * 2 / 0.05**3) * 1.5**3
+    for delta in (1e300, 1e-110, 1e-300):
+        assert checks._decoupling_coefficient(2, 1.5, delta) == math.inf
+    assert checks._decoupling_coefficient(2, 1e200, 1.0) == math.inf
 
 
 def test_counting_rejects_an_empty_grid(blocks):

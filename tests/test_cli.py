@@ -391,6 +391,41 @@ def test_a_stray_arithmetic_error_exits_3(mat, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == ["numerical failure: math range error"]
 
 
+@pytest.mark.parametrize("delta", ["1e300", "1e-110", "1e-300"])
+def test_verify_refuses_a_delta_past_float_range(tmp_path, capsys, delta):
+    gen = tmp_path / "gen"
+    assert main(["generate", "--n", "200", "--bandwidth", "1", "--seed", "3", "--out", str(gen)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = ["verify", str(gen / "matrix.mtx"), "--ebar", "0.5", "--delta", delta, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: delta {float(delta)} is out of range")
+    assert not out.exists()
+    # per-eigenvalue thresholds run no decoupling, so delta is not read
+    argv = ["verify", str(gen / "matrix.mtx"), "--delta", delta, "--out", str(out)]
+    assert main(argv) == 0
+
+
+def test_report_refuses_a_delta_past_float_range_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["report", "--n", "30", "--seed", "2", "--ebar", "0.5", "--delta", "1e300"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "error: delta 1e+300 is out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_separation_past_float_range_ends_in_a_verdict(tmp_path):
+    # S = 707 gives e^{2 S / sqrt(W_c)} = e^{1000}, past float range
+    out = tmp_path / "out"
+    argv = ["report", "--n", "1500", "--bandwidth", "1", "--seed", "2", "--ebar", "0.1016"]
+    rc = main([*argv, "--s", "1.0", "--out", str(out)])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"]["partition"]["s_achieved"] > 709.8 / 2**0.5
+    assert summary["checks"]["counting"] == {"pass": True, "nbar": 1500}
+    assert rc == summary["exit_code"] == 0
+
+
 # ---- config file plumbing
 
 
