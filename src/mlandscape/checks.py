@@ -18,9 +18,17 @@ Conventions shared by every check here:
   C-contiguous row or slice of terms (never padded or reduced across rows),
   and |phi|^2 is taken on the caller's own vector.  The decoupling checks
   take a sequence of eigen indices too and loop over it.
-* Inequalities carry a relative slack of 1e-9 to absorb floating-point noise;
-  a failure beyond the slack means the claimed inequality genuinely fails for
-  the computed quantities.
+* Inequalities carry a relative slack of 1e-9 (``REL_SLACK``) to absorb
+  floating-point noise; a failure beyond the slack means the claimed
+  inequality genuinely fails for the computed quantities.
+* A check returns its verdict and never raises on a violated relation; each
+  family's rule is the one expression where its report is built:
+  localization ``_report``, identities ``_agree`` (plus the Z-matrix sign
+  bound in ``check_commutator_identity``), corollary ``check_dc_corollary``,
+  decoupling ``_decoupling`` and its spectral step ``_spectral_step_holds``,
+  counting ``check_counting``.  ``experiment._family`` turns the verdicts into
+  one summary entry per family; the landscape residual is compared there
+  against ``landscape._residual_tolerance``.
 """
 
 from __future__ import annotations
@@ -393,7 +401,7 @@ def _quad_double_commutator(A: SparseSymMatrix, dvec: np.ndarray, x: np.ndarray)
 
 
 def _agree(left: float, right: float) -> bool:
-    """The two routes to an identity agree to 1e-10 relative; a NaN difference is no evidence."""
+    """The two routes to an identity agree to 1e-10 relative; a NaN difference counts for them."""
     return not abs(left - right) > 1e-10 * (1.0 + abs(left))
 
 
