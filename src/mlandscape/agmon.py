@@ -14,8 +14,11 @@ source set); explicit zero weights stay edges.
 
 ``threshold_fields`` gives the distances to the wells of many thresholds at
 once.  An edge at a well weighs exactly 0, so each field is decided on the
-barrier sites {vbar > t}; the sweep copies those sites and their edges once
-per threshold and runs one Dijkstra per block of consecutive thresholds.
+barrier sites {vbar > t}; the sweep stores one row per threshold, those
+sites in ascending order with their distances.  On a chain (bandwidth <= 1)
+two sequential passes over each run of coupled barrier sites fill a row,
+exactly as Dijkstra would (see ``ThresholdFields``); wider bands run one
+Dijkstra per block of consecutive thresholds.
 """
 
 from __future__ import annotations
@@ -81,8 +84,20 @@ class DistanceField:
 
 
 def _weight(v_i: np.ndarray, v_j: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """ln(1 + sqrt(sqrt(v_i v_j)/|a|)) elementwise: the one Agmon edge weight formula."""
-    return np.log1p(np.sqrt(np.sqrt(v_i * v_j) / np.abs(a)))
+    """ln(1 + sqrt(sqrt(v_i v_j)/|a|)) elementwise: the one Agmon edge weight formula.
+
+    Where that expression leaves the float range (v_i v_j or the quotient
+    overflows) the weight is ln(1 + e^y) with y = (ln v_i + ln v_j)/4 -
+    ln|a|/2, so every finite v >= 0 and non-zero finite a give a finite
+    weight; every other weight keeps the bits of the expression.
+    """
+    with np.errstate(over="ignore"):
+        w = np.log1p(np.sqrt(np.sqrt(v_i * v_j) / np.abs(a)))
+    far = ~np.isfinite(w)
+    if far.any():
+        v_i, v_j, a = (x[far] for x in np.broadcast_arrays(v_i, v_j, a))
+        w[far] = np.logaddexp(0.0, 0.25 * (np.log(v_i) + np.log(v_j)) - 0.5 * np.log(np.abs(a)))
+    return w
 
 
 def edge_weights(A: SparseSymMatrix, v: np.ndarray) -> np.ndarray:
@@ -115,11 +130,12 @@ def distance_from_set(m: AgmonMetric, sources: Iterable[int]) -> DistanceField:
     return DistanceField(source=src, dist=_dijkstra(m._graph, in_source))
 
 
-# Most graph nodes one Dijkstra of a threshold sweep runs on: consecutive
-# thresholds share a Dijkstra up to this many copy nodes, which bounds the
-# sweep's graph and workspace (a lone threshold has at most n nodes).  Larger
-# blocks are no faster, and at n = 2000, W = 3 a sweep in blocks of 2^18
-# nodes peaks at about 100 MB of temporaries against 8 MB at this size.
+# Most nodes one block of a threshold sweep holds: consecutive thresholds
+# share a block while that many rows as long as the block's first (its
+# longest) fit, which bounds the block's graph or passes and their
+# workspace (a lone threshold has at most n nodes).  Larger blocks are no
+# faster, and at n = 2000, W = 3 a sweep in blocks of 2^18 nodes peaks at
+# about 100 MB of temporaries against 8 MB at this size.
 SWEEP_NODES = 1 << 13
 
 
@@ -130,37 +146,70 @@ class ThresholdFields:
     ``fields[t]`` is the triple (v, well mask, dist) at threshold t: v =
     (vbar - t)_+, the wells vbar <= t and the distances to the wells outside
     the excluded set D, bit for bit those of ``distance_from_set`` on
-    ``build_metric``'s metric.  Site k is a non-source at threshold j when
-    vbar_k > t_j or k is in D; ``copies[k]`` counts those thresholds, which
-    are the first ones, and its distance at j < copies[k] is
-    ``dist[base[k] + j]``.  Fields are assembled on lookup, one threshold by
-    ``fields[t]`` or many as rows by ``rows``; only the copies' distances are
-    kept.
+    ``build_metric``'s metric.  Site k (0-based) is a non-source at threshold
+    j when vbar_k > t_j or k is in D; ``copies[k]`` counts those thresholds,
+    which are the first ones, so the sources at j are the sites with
+    ``copies[k] <= j``.  Row j lists the non-sources at j in ascending order,
+    ``sites[indptr[j]:indptr[j + 1]]``, and the same slice of ``dist`` holds
+    their distances; every source is at distance 0.  ``slices`` reads rows as
+    stored; ``fields[t]`` and ``rows`` spread them into dense n-vectors for
+    lookups.
+
+    On a chain (bandwidth <= 1) a row's distances come from two passes over
+    each run of consecutive coupled non-sources.  The forward pass starts at
+    +0.0 when the site left of the run is a coupled source (the weight of an
+    edge at a source is +0.0) and at +inf otherwise, and adds the run's edge
+    weights left to right; the backward pass does the same from the right end.
+    The distance is the smaller of the two.  A shortest path to a site of the
+    run enters it from one of its two ends, the weights are non-negative and
+    float addition is monotone, so a detour never gives a smaller sum and the
+    two passes are exactly the left-fold path sums Dijkstra returns.  Wider
+    bands run one Dijkstra per block of rows, whose distances do not depend
+    on the numbering of the nodes.
     """
 
     matrix: SparseSymMatrix
     vbar: np.ndarray
     thresholds: np.ndarray
     copies: np.ndarray
-    base: np.ndarray
+    indptr: np.ndarray
+    sites: np.ndarray
     dist: np.ndarray
 
-    def rows(self, thresholds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(v, well mask, dist) at each of ``thresholds``, stacked as rows.
-
-        Row i holds the field at thresholds[i]; any order and repeats are
-        allowed.  KeyError names a threshold the sweep does not hold.
-        """
+    def index(self, thresholds) -> np.ndarray:
+        """The row of each of ``thresholds``; KeyError names one the sweep does not hold."""
         t = np.asarray(thresholds, dtype=float)
         j = np.searchsorted(self.thresholds, t)
         held = j < self.thresholds.size
         held[held] = self.thresholds[j[held]] == t[held]
         if not held.all():
             raise KeyError(f"no field at threshold {float(t[~held][0])!r}")
-        v, in_wells = _shift(self.vbar, t[:, None])
-        copy = self.copies > j[:, None]
-        dist = np.zeros(copy.shape)
-        dist[copy] = self.dist[(self.base + j[:, None])[copy]]
+        return j
+
+    def slices(self, j) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(lengths, sites, v, dist) of rows ``j`` (from ``index``), concatenated in that order.
+
+        Row i takes ``lengths[i]`` consecutive entries: its non-sources in
+        ascending order, v = (vbar - t)_+ there and their distances.
+        """
+        start = self.indptr[j]
+        lengths = self.indptr[j + 1] - start
+        at = np.arange(lengths.sum()) + np.repeat(start - (np.cumsum(lengths) - lengths), lengths)
+        sites = self.sites[at]
+        v, _ = _shift(self.vbar[sites], np.repeat(self.thresholds[j], lengths))
+        return lengths, sites, v, self.dist[at]
+
+    def rows(self, thresholds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(v, well mask, dist) at each of ``thresholds``, stacked as dense rows.
+
+        Row i holds the field at thresholds[i]; any order and repeats are
+        allowed.  KeyError names a threshold the sweep does not hold.
+        """
+        j = self.index(thresholds)
+        v, in_wells = _shift(self.vbar, self.thresholds[j][:, None])
+        lengths, sites, _, d = self.slices(j)
+        dist = np.zeros(v.shape)
+        dist[np.repeat(np.arange(j.size), lengths), sites] = d
         return v, in_wells, dist
 
     def __getitem__(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,12 +224,11 @@ def threshold_fields(
     ``thresholds`` is a sequence or array of numbers, in any order and with
     repeats allowed; ``excluded`` holds 1-based indices.
 
-    Every edge at a source weighs +0.0, so a field is decided on its non-sources
-    alone.  The graph holds a copy of each non-source site and of each pair of
-    them per threshold, with the pair's weight at that threshold; a copy with
-    a source neighbour starts at 0.0.  Float addition is monotone, so the
-    shortest path sums equal those of the whole graph bit for bit.  Copies of
-    consecutive thresholds share one Dijkstra, up to ``SWEEP_NODES`` nodes.
+    Every edge at a source weighs +0.0, so a field is decided on its
+    non-sources alone: a non-source with a coupled source neighbour starts at
+    +0.0.  Rows of consecutive thresholds are filled in blocks of at most
+    ``SWEEP_NODES`` nodes, by two passes per row on a chain and by one
+    Dijkstra per block on wider bands (see ``ThresholdFields``).
     """
     vbar = np.asarray(vbar, dtype=float)
     if vbar.shape != (A.n,):
@@ -191,35 +239,92 @@ def threshold_fields(
     q = t.size
     copies = np.searchsorted(t, vbar)  # the thresholds below vbar_k
     copies[_index_mask(A.n, excluded)] = q
-    base = np.cumsum(copies) - copies
+    row_len = A.n - np.cumsum(np.bincount(copies, minlength=q + 1))[:q]  # non-increasing
+    indptr = np.zeros(q + 1, dtype=np.int64)
+    np.cumsum(row_len, out=indptr[1:])
+    sites = np.empty(indptr[-1], dtype=np.int64)
+    dist = np.empty(indptr[-1])
+    fill = _chain_passes(A, t) if A.bandwidth() <= 1 else _block_dijkstra(A, t, copies)
+    j0 = 0
+    while j0 < q:  # block [j0, j1): the most rows as long as row j0 in SWEEP_NODES, at least one
+        longest = int(row_len[j0])
+        if not longest:  # every later row is empty too
+            break
+        j1 = min(q, j0 + max(1, SWEEP_NODES // longest))
+        cols = np.flatnonzero(copies > j0)
+        row, c = np.nonzero(copies[cols] > np.arange(j0, j1)[:, None])
+        j, site = j0 + row, cols[c]  # the block's nodes, row by row, each row ascending
+        v, _ = _shift(vbar[site], t[j])
+        block = slice(int(indptr[j0]), int(indptr[j1]))
+        sites[block] = site
+        dist[block] = fill(j0, j1, j, site, v)
+        j0 = j1
+    return ThresholdFields(
+        A, vbar, _frozen(t), _frozen(copies), _frozen(indptr), _frozen(sites), _frozen(dist)
+    )
+
+
+def _chain_passes(A: SparseSymMatrix, t: np.ndarray):
+    """The distances of a block of rows of a matrix of bandwidth <= 1, by two passes per run."""
+    off_i, _, off_v = A.off_arrays()
+    a = np.zeros(A.n)  # a[k]: the coupling of sites k and k + 1, 0.0 where there is none
+    a[off_i - 1] = off_v
+    coupled = a != 0.0
+    coupled_left = np.concatenate([[False], coupled[:-1]])
+
+    def fill(j0, j1, j, site, v):
+        n = site.size
+        linked = np.zeros(n, dtype=bool)  # node p continues the run of node p - 1
+        linked[1:] = (np.diff(site) == 1) & coupled[site[:-1]]  # rows shrink: never across rows
+        link = np.flatnonzero(linked)
+        first = np.flatnonzero(~linked)
+        size = np.diff(np.append(first, n))
+        # step k of a pass adds the k-th edge of every run longer than k: in
+        # runs ranked by decreasing size those are the first active[k], and
+        # their sums after step k are rows at[k] to at[k] + active[k] of `sums`
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(-size)] = np.arange(first.size)
+        active = first.size - np.cumsum(np.bincount(size))[:-1]
+        at = np.cumsum(active) - active
+        k = np.arange(n) - np.repeat(first, size)  # node p is at step k of its forward pass
+        r = np.repeat(rank, size)
+        fwd, bwd = at[k] + r, at[np.repeat(size - 1, size) - k] + r
+        sums = np.empty((n, 2))  # column 0 the forward pass, column 1 the backward one
+        sums[rank, 0] = np.where(coupled_left[site[first]], 0.0, INF)
+        sums[rank, 1] = np.where(coupled[site[first + size - 1]], 0.0, INF)
+        w = _weight(v[link - 1], v[link], a[site[link - 1]])
+        sums[fwd[link], 0] = w
+        sums[bwd[link - 1], 1] = w
+        add = np.add
+        for prev, now, count in zip(at.tolist(), at[1:].tolist(), active[1:].tolist()):
+            step = sums[now : now + count]
+            add(sums[prev : prev + count], step, out=step)
+        return np.minimum(sums[fwd, 0], sums[bwd, 1])
+
+    return fill
+
+
+def _block_dijkstra(A: SparseSymMatrix, t: np.ndarray, copies: np.ndarray):
+    """The distances of a block of rows: one Dijkstra on a copy of each row's sites and edges."""
     off_i, off_j, off_v = A.off_arrays()
     lo, hi = off_i - 1, off_j - 1
     pair_copies = np.minimum(copies[lo], copies[hi])
-    seed_from = np.full(A.n, q)  # first threshold at which a neighbour is a source
+    seed_from = np.full(A.n, t.size)  # first threshold at which a neighbour is a source
     np.minimum.at(seed_from, lo, copies[hi])
     np.minimum.at(seed_from, hi, copies[lo])
-    dist = np.empty(int(copies.sum()))
-    nodes_at = A.n - np.cumsum(np.bincount(copies, minlength=q + 1))[:q]  # copies at threshold j
-    nodes_to = np.cumsum(nodes_at)
-    j0 = 0
-    while j0 < q:  # block [j0, j1): the most thresholds within SWEEP_NODES nodes, at least one
-        done = int(nodes_to[j0 - 1]) if j0 else 0
-        j1 = max(int(np.searchsorted(nodes_to, done + SWEEP_NODES, side="right")), j0 + 1)
-        site_copies = np.clip(np.minimum(copies, j1) - j0, 0, None)
-        if site_copies.any():
-            first = np.cumsum(site_copies) - site_copies  # block node of each site's first copy
-            site = np.repeat(np.arange(A.n), site_copies)
-            j = j0 + np.arange(site.size) - first[site]
-            pair_n = np.clip(np.minimum(pair_copies, j1) - j0, 0, None)
-            p = np.repeat(np.arange(lo.size), pair_n)
-            dj = np.arange(p.size) - (np.cumsum(pair_n) - pair_n)[p]  # copy p is at j0 + dj
-            v_lo, _ = _shift(vbar[lo[p]], t[j0 + dj])
-            v_hi, _ = _shift(vbar[hi[p]], t[j0 + dj])
-            pattern = CsrPattern.build(site.size, first[lo[p]] + dj + 1, first[hi[p]] + dj + 1)
-            graph = pattern.values(_weight(v_lo, v_hi, off_v[p]))
-            dist[base[site] + j] = _dijkstra(graph, j >= seed_from[site])
-        j0 = j1
-    return ThresholdFields(A, vbar, _frozen(t), _frozen(copies), _frozen(base), _frozen(dist))
+
+    def fill(j0, j1, j, site, v):
+        key = j * A.n + site  # ascending, so node (j, k) is found by bisection
+        pair_n = np.clip(np.minimum(pair_copies, j1) - j0, 0, None)
+        p = np.repeat(np.arange(lo.size), pair_n)
+        pj = j0 + np.arange(p.size) - np.repeat(np.cumsum(pair_n) - pair_n, pair_n)
+        node_lo = np.searchsorted(key, pj * A.n + lo[p])
+        node_hi = np.searchsorted(key, pj * A.n + hi[p])
+        pattern = CsrPattern.build(site.size, node_lo + 1, node_hi + 1)
+        graph = pattern.values(_weight(v[node_lo], v[node_hi], off_v[p]))
+        return _dijkstra(graph, j >= seed_from[site])
+
+    return fill
 
 
 def pairwise_distance(m: AgmonMetric, i: int, j: int) -> float:

@@ -9,15 +9,18 @@ Conventions shared by every check here:
   vanishing potential factor) are skipped before exponentiating.  That makes
   0 * inf contribute 0, which is the exact value of those terms.
 * Both localization checks and the corollary take one eigenpair or a whole
-  family of them and evaluate it as array passes over blocks of pairs: the
-  block's vectors, shifted potentials, well masks, distances and weights
-  are stacked as rows of at most ``matrices.BLOCK_ENTRIES`` entries in all,
-  the terms of the block are formed once, and the one-pair forms are the
-  batch of one.  A batch gives the bits of its pairs checked one at a time
-  because each pair is summed in ``np.sum``'s pairwise order over its own
-  C-contiguous row or slice of terms (never padded or reduced across rows),
-  and |phi|^2 is taken on the caller's own vector.  The decoupling checks
-  take a sequence of eigen indices too and loop over it.
+  family of them and evaluate it as array passes over blocks of pairs of at
+  most ``matrices.BLOCK_ENTRIES`` entries in all; the terms of a block are
+  formed once, and the one-pair forms are the batch of one.  A localization
+  pair reads its row of a ``threshold_fields`` sweep as stored: phi, v and
+  the distance at the row's non-sources in ascending order (every other
+  site is a well, where v = 0 and the term vanishes).  The corollary stacks
+  its block's vectors and weights as rows.  A batch gives the bits of its
+  pairs checked one at a time because each pair is summed in ``np.sum``'s
+  pairwise order over its own C-contiguous row or slice of terms (never
+  padded or reduced across rows), and |phi|^2 is taken on the caller's own
+  vector.  The decoupling checks take a sequence of eigen indices too and
+  loop over it.
 * Inequalities carry a relative slack of 1e-9 (``REL_SLACK``) to absorb
   floating-point noise; a failure beyond the slack means the claimed
   inequality genuinely fails for the computed quantities.
@@ -174,27 +177,27 @@ def _wc(A: SparseSymMatrix) -> int:
     return max(connectivity(A), 2)
 
 
-def _weighted_sums(P: np.ndarray, V: np.ndarray, R: np.ndarray, alpha: float) -> list:
-    """Per row i, (sum_k P_ik^2 e^{2 alpha R_ik}, the same sum with each term times V_ik).
+def _weighted_terms(P: np.ndarray, V: np.ndarray, R: np.ndarray, alpha: float, lengths):
+    """(P_k^2 e^{2 alpha R_k}, the same terms times V_k, each row's (start, stop) in both).
 
-    Both sums run over the k with P_ik != 0 and V_ik != 0; the others are
-    exactly zero and are skipped before any exponential is formed (the
-    0 * inf convention).  V vanishes exactly on the wells, so the first sum is
-    the one over phi off the wells.  The terms of a block are formed once, in
-    row order, and each row is summed by ``np.sum`` over its own slice, the
-    same pairwise summation as over that row alone.
+    P, V and R are rows of entries laid end to end, row i of ``lengths[i]``
+    entries.  Only the k with P_k != 0 and V_k != 0 give a term; the others
+    are exactly zero and are skipped before any exponential is formed (the
+    0 * inf convention).  V vanishes exactly on the wells, so the first
+    terms are those of phi off the wells.  The terms of a block are formed
+    once, in row order.
     """
     keep = (P != 0.0) & (V != 0.0)
     with np.errstate(over="ignore", divide="ignore"):
         terms = np.exp(2.0 * alpha * R[keep] + 2.0 * np.log(np.abs(P[keep])))
-    weighted = terms * V[keep]
-    counts = np.count_nonzero(keep, axis=1)
-    ends = np.cumsum(counts).tolist()
+    ends = np.concatenate([[0], np.cumsum(keep)])[np.cumsum(lengths)].tolist()
+    return terms, terms * V[keep], list(zip([0] + ends[:-1], ends))
+
+
+def _row_sums(terms: np.ndarray, bounds) -> list:
+    """Each row's sum by ``np.sum`` over its own slice: the pairwise summation of that row alone."""
     add = np.add.reduce  # what np.sum runs on a 1-D array, without its dispatch
-    return [
-        (float(add(terms[e - c : e])), float(add(weighted[e - c : e])))
-        for c, e in zip(counts.tolist(), ends)
-    ]
+    return [float(add(terms[start:stop])) for start, stop in bounds]
 
 
 def _sweep(
@@ -280,9 +283,10 @@ def check_landscape_localization(
     sweep = _sweep(A, L, E, fields)
     reports = []
     for b in _blocks(ids.size, A.n):
-        v, _, rho = sweep.rows(E[b])
-        sums = _weighted_sums(ed.vectors[:, ids[b] - 1].T, v, rho, alpha)
-        for k, e, (_, lhs) in zip(ids[b].tolist(), E[b].tolist(), sums):
+        lengths, sites, v, rho = sweep.slices(sweep.index(E[b]))
+        P = ed.vectors[sites, np.repeat(ids[b] - 1, lengths)]
+        _, weighted, bounds = _weighted_terms(P, v, rho, alpha, lengths)
+        for k, e, lhs in zip(ids[b].tolist(), E[b].tolist(), _row_sums(weighted, bounds)):
             reports.append(_report(k, e, e, alpha, 0.0, lhs, rhs))
     return reports if np.ndim(j) else reports[0]
 
@@ -345,21 +349,27 @@ def check_general_localization(
     in_excluded = _index_mask(A.n, D)
     memo = None if in_excluded.any() else fields  # it holds distances to whole well sets
     sweep = _sweep(A, L, ebar, memo, np.flatnonzero(in_excluded) + 1)
+    # site k is a relative well (a well outside D) at row j when copies[k] <= j,
+    # so a pair crosses the relative wells' boundary at the rows in [in_lo, in_hi)
     off_i, off_j, off_v = A.off_arrays()
-    a_off = np.abs(off_v)
+    ends = np.sort(np.stack([sweep.copies[off_i - 1], sweep.copies[off_j - 1]]), axis=0)
+    crossing = ends[0] < ends[1]
+    in_lo, in_hi, a_off = ends[0, crossing], ends[1, crossing], np.abs(off_v[crossing])
+    first_well = int(sweep.copies.min())
     c_second = 1.0 - alpha * alpha * wc / 2.0
     reports = []
     for b in _blocks(cols.size, A.n):
-        v, in_wells, rho = sweep.rows(ebar[b])
-        in_rel = in_wells & ~in_excluded
-        if not in_rel.any(axis=1).all():
+        j = sweep.index(ebar[b])
+        if (j < first_well).any():
             raise EmptyWellSetError("empty relative well set")
-        P = phi[:, cols[b]].T
-        if not np.all(np.isfinite(P)):
+        if not np.isfinite(phi[:, cols[b]]).all():
             raise ValueError("phi must be finite")
-        crossing = in_rel[:, off_i - 1] ^ in_rel[:, off_j - 1]
-        a_cross = np.where(crossing, a_off, 0.0).max(axis=1, initial=0.0)
-        sums = _weighted_sums(P, v, rho, alpha)
+        at = j[:, None]
+        a_cross = np.where((in_lo <= at) & (at < in_hi), a_off, 0.0).max(axis=1, initial=0.0)
+        lengths, sites, v, rho = sweep.slices(j)
+        P = phi[sites, np.repeat(cols[b], lengths)]
+        terms, weighted, bounds = _weighted_terms(P, v, rho, alpha, lengths)
+        sums = zip(_row_sums(terms, bounds), _row_sums(weighted, bounds))
         for c, label, e, t, a, (s_first, s_second) in zip(
             cols[b].tolist(), labels[b], E[b].tolist(), ebar[b].tolist(), a_cross.tolist(), sums
         ):
@@ -539,7 +549,7 @@ def _decoupling(A, part, direction, region_id, values, vectors, j, delta, ebar, 
     for k in ids.tolist():
         value = float(values[k - 1])
         vec = vectors[:, k - 1]
-        defect = vec - project(window(value - delta, value + delta), vec)
+        defect = vec - project(window(value, delta), vec)
         defect_sq = float(defect @ defect)
         bound = coeff * float(vec @ vec)
         res = residual(vec, value)
@@ -572,15 +582,16 @@ def check_decoupling_local(
     """A local eigenvector is nearly a global spectral-window vector.
 
     For local eigenpair (mu, phi) of a verified partition with mu <= ebar -
-    delta, the defect |phi - Psi_(mu-delta, mu+delta) phi|^2 (global window
-    projector) is bounded by (W_c^2/delta^3) max|a|^3 e^{-2 S / sqrt(W_c)}
-    |phi|^2 with S the achieved separation.  The residual |A phi - mu phi|^2
-    is recorded: it always dominates delta^2 times the defect.  A sequence
-    ``j`` gives the list of reports in its order.
+    delta, the defect |phi - Psi phi|^2 (Psi the projector onto the global
+    eigenvectors with |lambda - mu| < delta) is bounded by (W_c^2/delta^3)
+    max|a|^3 e^{-2 S / sqrt(W_c)} |phi|^2 with S the achieved separation.
+    The residual |A phi - mu phi|^2 is recorded: it always dominates delta^2
+    times the defect.  A sequence ``j`` gives the list of reports in its
+    order.
     """
     return _decoupling(
         A, part, "local_to_global", local.region_id, local.values, local.vectors, j, delta, ebar,
-        window=lambda lo, hi: global_projector(ed, lo, hi),
+        window=lambda center, radius: global_projector(ed, center, radius),
         residual=lambda phi, mu: A.matvec(phi) - mu * phi,
     )
 
@@ -597,11 +608,11 @@ def check_decoupling_global(
     """A global eigenvector is nearly a local spectral-window vector.
 
     Mirror direction: for global eigenpair (lambda, psi) with lambda <= ebar -
-    delta, the defect against the window projector built from all local
-    eigenvectors obeys the same bound.  The recorded residual is the summed
-    block residual |sum_l (A|_l - lambda) psi|_l|^2.  A sequence ``j`` gives
-    the list of reports in its order; each call restricts A to every region
-    once.
+    delta, the defect against the projector onto the local eigenvectors of
+    every region with |mu - lambda| < delta obeys the same bound.  The
+    recorded residual is the summed block residual
+    |sum_l (A|_l - lambda) psi|_l|^2.  A sequence ``j`` gives the list of
+    reports in its order; each call restricts A to every region once.
     """
     restricted = [(_index_mask(A.n, region), restrict(A, region)) for region in part.regions]
 
@@ -614,7 +625,7 @@ def check_decoupling_global(
 
     return _decoupling(
         A, part, "global_to_local", None, ed.values, ed.vectors, j, delta, ebar,
-        window=lambda lo, hi: local_projector(locals_, lo, hi),
+        window=lambda center, radius: local_projector(locals_, center, radius),
         residual=block_residual,
     )
 

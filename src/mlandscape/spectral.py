@@ -263,13 +263,18 @@ def local_eig(
     )
 
 
-def global_projector(ed: EigenDecomposition, lo: float, hi: float) -> np.ndarray:
-    """Orthonormal basis of the global eigenvectors with eigenvalue in the open (lo, hi)."""
-    return ed.vectors[:, (ed.values > lo) & (ed.values < hi)]
+def global_projector(ed: EigenDecomposition, center: float, radius: float) -> np.ndarray:
+    """Orthonormal basis of the global eigenvectors with |lambda - center| < radius.
+
+    The window is measured from its center, so an eigenvalue equal to the
+    center lies in it for every radius > 0, however far below the float
+    spacing at the center the radius is.
+    """
+    return ed.vectors[:, np.abs(ed.values - center) < radius]
 
 
-def local_projector(locals_: list[LocalEigenData], lo: float, hi: float) -> np.ndarray:
-    """Basis of the local eigenvectors (all regions) with eigenvalue in (lo, hi).
+def local_projector(locals_: list[LocalEigenData], center: float, radius: float) -> np.ndarray:
+    """Basis of the local eigenvectors (all regions) with |mu - center| < radius.
 
     Columns from different regions have disjoint supports, so the combined
     basis is orthonormal whenever each region's is.
@@ -278,7 +283,7 @@ def local_projector(locals_: list[LocalEigenData], lo: float, hi: float) -> np.n
     width = None
     for loc in locals_:
         width = loc.vectors.shape[0]
-        mask = (loc.values > lo) & (loc.values < hi)
+        mask = np.abs(loc.values - center) < radius
         if np.any(mask):
             cols.append(loc.vectors[:, mask])
     if cols:

@@ -5,9 +5,13 @@ the small graphs used; the full-size sweep lives in the acceptance suite.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlandscape import (
     AgmonMetric,
@@ -194,6 +198,51 @@ def test_index_validation():
         pairwise_distance(m, 0, 1)
 
 
+def _weight_at_60_digits(v_i, v_j, a):
+    with mpmath.workdps(60):
+        x = mpmath.sqrt(mpmath.sqrt(mpmath.mpf(v_i) * mpmath.mpf(v_j)) / abs(mpmath.mpf(a)))
+        return float(mpmath.log1p(x))
+
+
+def test_edge_weight_stays_finite_past_the_float_range():
+    """v_i v_j or the quotient by |a| past float range: a finite weight, no warning."""
+    v_i = np.array([1e308, 1e200, 1e308, 1e150, 4.0, 0.0])
+    v_j = np.array([1e308, 1e200, 2.5, 1e150, 9.0, 1e308])
+    a = np.array([-1.0, -1e-300, -5e-324, -1e-300, -2.0, -1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = agmon._weight(v_i, v_j, a)
+    assert np.isfinite(w).all()
+    for got, args in zip(w.tolist(), zip(v_i.tolist(), v_j.tolist(), a.tolist())):
+        assert got == pytest.approx(_weight_at_60_digits(*args), rel=1e-13, abs=0.0)
+    # inside the float range the weight keeps the bits of the plain expression
+    assert w[4] == np.log1p(np.sqrt(np.sqrt(4.0 * 9.0) / 2.0))
+    assert w[5] == 0.0
+
+
+_LOG_UNIFORM = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+
+
+@given(
+    st.just(0.0) | _LOG_UNIFORM,
+    st.just(0.0) | _LOG_UNIFORM | st.floats(0.0, 1.7e308),
+    st.sampled_from([-1.0, 1.0]),
+    _LOG_UNIFORM.filter(lambda x: x > 0.0),
+)
+@settings(max_examples=400, deadline=None)
+def test_edge_weight_is_finite_and_keeps_its_bits_in_range(v_i, v_j, sign, a):
+    with np.errstate(all="ignore"):
+        plain = np.log1p(np.sqrt(np.sqrt(np.float64(v_i) * v_j) / abs(sign * a)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = float(agmon._weight(np.array([v_i]), np.array([v_j]), np.array([sign * a]))[0])
+    assert math.isfinite(w)
+    if math.isfinite(plain):
+        assert w == plain
+    else:
+        assert w == pytest.approx(_weight_at_60_digits(v_i, v_j, a), rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------- threshold sweep
 
 
@@ -209,9 +258,10 @@ def _thresholds(vbar):
 
 
 def _sweep_equals_one_dijkstra_per_threshold(A, vbar, thresholds, excluded=frozenset()):
-    """The sweep's triple at each t, alone and as a row of ``rows``.
+    """The sweep's triple at each t, alone, as a row of ``rows`` and as stored.
 
-    Both are compared with shift_potential and distance_from_set.
+    All three are compared with shift_potential and distance_from_set, bit
+    for bit (``tobytes`` tells -0.0 from +0.0).
     """
     fields = threshold_fields(A, vbar, thresholds, excluded)
     rows = fields.rows(thresholds)
@@ -219,9 +269,14 @@ def _sweep_equals_one_dijkstra_per_threshold(A, vbar, thresholds, excluded=froze
         sp = shift_potential(vbar, t)
         ref = distance_from_set(build_metric(A, sp), sp.wells - excluded).dist
         for v, in_wells, dist in (fields[t], [r[i] for r in rows]):
-            assert np.array_equal(v, sp.v)
+            assert v.tobytes() == sp.v.tobytes()
             assert set((np.flatnonzero(in_wells) + 1).tolist()) == sp.wells
-            assert np.array_equal(dist, ref)
+            assert dist.tobytes() == ref.tobytes()
+        _, sites, v, dist = fields.slices(fields.index([t]))
+        sources = sp.wells - excluded
+        assert (sites + 1).tolist() == [k for k in range(1, A.n + 1) if k not in sources]
+        assert v.tobytes() == sp.v[sites].tobytes()
+        assert dist.tobytes() == ref[sites].tobytes()
     return fields
 
 
@@ -268,6 +323,49 @@ def test_sweep_takes_duplicate_and_unsorted_thresholds(w):
     assert fields.thresholds.tolist() == sorted(set(ts))
 
 
+@pytest.mark.parametrize(
+    "n, off",
+    [
+        (12, [(k, k + 1, -0.5 - 0.1 * k) for k in range(1, 12) if k != 5]),  # 5 and 6 uncoupled
+        (12, [(k, k + 1, -1.0) for k in (1, 2, 3, 7, 8, 11)]),  # couplings missing in a row
+        (6, []),  # diagonal: bandwidth 0
+        (1, []),
+        (2, [(1, 2, -0.5)]),
+    ],
+    ids=["missing-coupling", "missing-couplings", "diagonal", "n1", "n2"],
+)
+def test_sweep_of_small_and_broken_chains(n, off):
+    A = SparseSymMatrix(n, np.full(n, 3.0), off)
+    vbar = np.random.default_rng(n + len(off)).uniform(0.5, 2.5, n)
+    ts = _thresholds(vbar) + [-INF, INF]
+    for excluded in (frozenset(), frozenset({1}), frozenset(range(2, n + 1, 3))):
+        _sweep_equals_one_dijkstra_per_threshold(A, vbar, ts, excluded)
+
+
+@st.composite
+def _chain_sweeps(draw):
+    """A chain of 1 to 9 sites, couplings of 1e-150 to 1e150 or none, and a sweep's arguments."""
+    n = draw(st.integers(1, 9))
+    exponents = draw(st.lists(st.none() | st.floats(-150.0, 150.0), min_size=n - 1, max_size=n - 1))
+    off = [(k, k + 1, -(10.0**e)) for k, e in enumerate(exponents, 1) if e is not None]
+    A = SparseSymMatrix(n, np.zeros(n), off)
+    level = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(-3.0, 3.0)
+    vbar = np.array(draw(st.lists(level, min_size=n, max_size=n)))
+    at_vbar = st.integers(0, n - 1).map(lambda k: float(vbar[k]))
+    t = at_vbar | level | st.sampled_from([-INF, INF])
+    thresholds = draw(st.lists(t, min_size=1, max_size=8))
+    excluded = draw(st.sets(st.integers(1, n)))
+    return A, vbar, thresholds, frozenset(excluded)
+
+
+@given(_chain_sweeps())
+@settings(max_examples=300, deadline=None)
+def test_chain_sweep_equals_one_dijkstra_per_threshold(args):
+    A, vbar, thresholds, excluded = args
+    assert A.bandwidth() <= 1
+    _sweep_equals_one_dijkstra_per_threshold(A, vbar, thresholds, excluded)
+
+
 @pytest.mark.parametrize("w", [1, 2, 3])
 def test_sweep_in_blocks_under_a_small_node_budget(w, monkeypatch):
     import scipy.sparse.csgraph as csgraph
@@ -283,11 +381,11 @@ def test_sweep_in_blocks_under_a_small_node_budget(w, monkeypatch):
 
     monkeypatch.setattr(csgraph, "dijkstra", counted)
     threshold_fields(A, vbar, ts)
-    assert len(calls) == 1
+    assert len(calls) == (0 if w == 1 else 1)  # a chain runs two passes per row instead
     monkeypatch.setattr(agmon, "SWEEP_NODES", A.n)
     threshold_fields(A, vbar, ts)
-    blocks = len(calls) - 1
-    assert 1 < blocks < len(ts)
+    blocks = len(calls) - (0 if w == 1 else 1)
+    assert blocks == 0 if w == 1 else 1 < blocks < len(ts)
     _sweep_equals_one_dijkstra_per_threshold(A, vbar, ts)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -424,6 +425,35 @@ def test_a_separation_past_float_range_ends_in_a_verdict(tmp_path):
     assert summary["checks"]["partition"]["s_achieved"] > 709.8 / 2**0.5
     assert summary["checks"]["counting"] == {"pass": True, "nbar": 1500}
     assert rc == summary["exit_code"] == 0
+
+
+@pytest.mark.parametrize("n, seed", [(100, 1), (60, 4), (200, 3)])
+def test_a_delta_below_the_float_spacing_keeps_each_eigenvalue_in_its_window(
+    tmp_path, capsys, n, seed
+):
+    # E - 1e-20 and E + 1e-20 both round to E: a window from those ends is empty
+    out = tmp_path / "out"
+    argv = ["report", "--n", str(n), "--bandwidth", "1", "--seed", str(seed), "--ebar", "0.5"]
+    rc = main([*argv, "--s", "inf", "--delta", "1e-20", "--out", str(out)])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"]["decoupling"]["pass"] is True
+    assert summary["checks"]["decoupling"]["count"] > 0
+    assert "decoupling: pass" in capsys.readouterr().out
+    assert rc == summary["exit_code"] == 0
+
+
+@pytest.mark.parametrize("bandwidth", ["1", "2"])
+def test_verify_far_below_the_potential_warns_nothing(tmp_path, capsys, bandwidth):
+    # at --ebar=-1e308, v = vbar + 1e308 and v_i v_j is past float range
+    gen = tmp_path / "gen"
+    argv = ["generate", "--n", "100", "--bandwidth", bandwidth, "--seed", "1", "--out", str(gen)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["verify", str(gen / "matrix.mtx"), "--ebar=-1e308", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 # ---- config file plumbing

@@ -27,6 +27,7 @@ from mlandscape import (
     shift_potential,
     solve_landscape,
 )
+import mlandscape.checks as checks
 import mlandscape.experiment as experiment
 import mlandscape.matrices as matrices
 from mlandscape.agmon import ThresholdFields
@@ -324,6 +325,26 @@ def _written_out(A, L, ed, thresholds, alpha):
     return landscape, general, skipped
 
 
+def _no_dense_rows(self, thresholds):
+    raise AssertionError("a localization check spread the sweep into dense rows")
+
+
+@pytest.mark.parametrize(
+    "w, thresholds", [(1, PER_EIGENVALUE), (1, (0.5,)), (2, PER_EIGENVALUE)], ids=str
+)
+def test_verify_reads_the_sweep_rows_as_stored(w, thresholds, tmp_path, monkeypatch):
+    """Both localization families sum straight off the sweep's rows: ``rows`` is never called."""
+    ens = EnsembleConfig(n=200, half_bandwidth=w, seed=5)
+    A, _ = generate_band_ensemble(ens)
+    monkeypatch.setattr(ThresholdFields, "rows", _no_dense_rows)
+    cfg = ExperimentConfig(ensemble=ens, thresholds=thresholds, s_requested=2.0, n_plot=0)
+    summary = run_verification(A, cfg, tmp_path)
+    assert summary["checks"]["landscape_localization"]["count"] == A.n
+    assert summary["checks"]["general_localization"]["count"] > 0
+    if thresholds != PER_EIGENVALUE:
+        assert "decoupling" in summary["checks"]
+
+
 @pytest.mark.parametrize("w", [1, 2, 3])
 def test_verify_localization_equals_the_public_checks_bit_for_bit(w, tmp_path, monkeypatch):
     """Verify's blocked batches write the bytes of the one-pair checks and of the definitions.
@@ -344,13 +365,14 @@ def test_verify_localization_equals_the_public_checks_bit_for_bit(w, tmp_path, m
     lowered = EigenDecomposition(ed.values - (ed.values[2] - low), ed.vectors)
     monkeypatch.setattr(matrices, "BLOCK_ENTRIES", 7 * A.n)
     read = []
-    real_rows = ThresholdFields.rows
+    real_terms = checks._weighted_terms
 
-    def rows(self, thresholds):
-        read.append(len(thresholds))
-        return real_rows(self, thresholds)
+    def terms(P, V, R, alpha, lengths):
+        read.append(len(lengths))
+        return real_terms(P, V, R, alpha, lengths)
 
-    monkeypatch.setattr(ThresholdFields, "rows", rows)
+    monkeypatch.setattr(checks, "_weighted_terms", terms)
+    monkeypatch.setattr(ThresholdFields, "rows", _no_dense_rows)
     skips = 0
     for k, (spectrum, thresholds) in enumerate(
         itertools.product((ed, lowered), (PER_EIGENVALUE, explicit))
@@ -400,7 +422,7 @@ def test_calibrated_large_partition():
 
 
 def test_verify_runs_one_dijkstra_for_every_threshold(tmp_path, monkeypatch):
-    """Both localization families read one sweep: a single Dijkstra for all n thresholds."""
+    """Both localization families read one sweep of all n thresholds; a chain's runs no Dijkstra."""
     import scipy.sparse.csgraph as csgraph
 
     real = csgraph.dijkstra
@@ -416,7 +438,7 @@ def test_verify_runs_one_dijkstra_for_every_threshold(tmp_path, monkeypatch):
     summary = run_verification(A, ExperimentConfig(ensemble=ens, n_plot=0), tmp_path)
     assert summary["exit_code"] == 0
     assert summary["checks"]["general_localization"]["count"] == 60
-    assert len(calls) == 1
+    assert len(calls) == 0  # a chain's sweep runs two passes per row, no Dijkstra
 
 
 def test_verify_forms_vbar_once_per_landscape(tmp_path, monkeypatch):

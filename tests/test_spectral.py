@@ -475,16 +475,25 @@ def test_local_eig_rejects_bad_domains():
 
 def test_projector_interval_is_open():
     ed = eig_sym(SparseSymMatrix(3, [1.0, 2.0, 3.0]), None)
-    assert global_projector(ed, 1.0, 3.0).shape == (3, 1)
-    assert global_projector(ed, 1.0, 2.0).shape == (3, 0)
-    assert global_projector(ed, 0.5, 3.5).shape == (3, 3)
+    assert global_projector(ed, 2.0, 1.0).shape == (3, 1)
+    assert global_projector(ed, 1.5, 0.5).shape == (3, 0)
+    assert global_projector(ed, 2.0, 1.5).shape == (3, 3)
+
+
+def test_projector_window_holds_its_center_below_the_float_spacing():
+    """A radius below half the float spacing at the center still keeps the center's eigenvalue."""
+    ed = eig_sym(SparseSymMatrix(3, [1.0, 2.0, 3.0]), None)
+    assert 2.0 - 1e-20 == 2.0 == 2.0 + 1e-20
+    assert global_projector(ed, 2.0, 1e-20).shape == (3, 1)
+    la = local_eig(SparseSymMatrix(2, [1.0, 2.0]), [1, 2], region_id=0)
+    assert local_projector([la], 1.0, 1e-300).shape == (2, 1)
 
 
 def test_projector_idempotent_and_contractive():
     A, _ = generate_band_ensemble(EnsembleConfig(n=40, half_bandwidth=1, seed=13))
     ed = eig_sym(A, None)
     mid = float(np.median(ed.values))
-    P = global_projector(ed, ed.values[0] - 1.0, mid)
+    P = global_projector(ed, ed.values[0], mid - ed.values[0])
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.standard_normal(40)
@@ -495,7 +504,7 @@ def test_projector_idempotent_and_contractive():
 
 def test_empty_projector_maps_to_zero():
     ed = eig_sym(SparseSymMatrix(2, [1.0, 2.0]), None)
-    P = global_projector(ed, 5.0, 6.0)
+    P = global_projector(ed, 5.5, 0.5)
     assert np.array_equal(project(P, [1.0, 1.0]), [0.0, 0.0])
 
 
@@ -505,7 +514,7 @@ def test_local_projector_combines_disjoint_supports():
     )
     la = local_eig(A, [1, 2], region_id=0)
     lb = local_eig(A, [3, 4], region_id=1)
-    basis = local_projector([la, lb], 0.5, 3.5)
+    basis = local_projector([la, lb], 2.0, 1.5)
     assert basis.shape == (4, 3)
     assert np.abs(basis.T @ basis - np.eye(3)).max() <= 1e-12
 
