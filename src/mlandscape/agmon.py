@@ -95,8 +95,8 @@ def _weight(v_i: np.ndarray, v_j: np.ndarray, a: np.ndarray) -> np.ndarray:
         w = np.log1p(np.sqrt(np.sqrt(v_i * v_j) / np.abs(a)))
     far = ~np.isfinite(w)
     if far.any():
-        v_i, v_j, a = (x[far] for x in np.broadcast_arrays(v_i, v_j, a))
-        w[far] = np.logaddexp(0.0, 0.25 * (np.log(v_i) + np.log(v_j)) - 0.5 * np.log(np.abs(a)))
+        y = 0.25 * (np.log(v_i[far]) + np.log(v_j[far])) - 0.5 * np.log(np.abs(a[far]))
+        w[far] = np.logaddexp(0.0, y)
     return w
 
 
@@ -242,7 +242,7 @@ def threshold_fields(
     row_len = A.n - np.cumsum(np.bincount(copies, minlength=q + 1))[:q]  # non-increasing
     indptr = np.zeros(q + 1, dtype=np.int64)
     np.cumsum(row_len, out=indptr[1:])
-    sites = np.empty(indptr[-1], dtype=np.int64)
+    sites = np.empty(indptr[-1], dtype=np.int32)  # half the memory of int64 for a site index
     dist = np.empty(indptr[-1])
     fill = _chain_passes(A, t) if A.bandwidth() <= 1 else _block_dijkstra(A, t, copies)
     j0 = 0
@@ -314,12 +314,16 @@ def _block_dijkstra(A: SparseSymMatrix, t: np.ndarray, copies: np.ndarray):
     np.minimum.at(seed_from, hi, copies[lo])
 
     def fill(j0, j1, j, site, v):
-        key = j * A.n + site  # ascending, so node (j, k) is found by bisection
-        pair_n = np.clip(np.minimum(pair_copies, j1) - j0, 0, None)
-        p = np.repeat(np.arange(lo.size), pair_n)
-        pj = j0 + np.arange(p.size) - np.repeat(np.cumsum(pair_n) - pair_n, pair_n)
-        node_lo = np.searchsorted(key, pj * A.n + lo[p])
-        node_hi = np.searchsorted(key, pj * A.n + hi[p])
+        cols = site[: np.searchsorted(j, j0, side="right")]  # row j0 holds every site of the block
+        column = np.empty(A.n, dtype=np.int64)
+        column[cols] = np.arange(cols.size)
+        node = np.empty((j1 - j0, cols.size), dtype=np.int64)  # node of (j, k) at [j - j0, column[k]]
+        node[j - j0, column[site]] = np.arange(site.size)
+        live = np.flatnonzero(pair_copies > j0)
+        row, pc = np.nonzero(pair_copies[live] > np.arange(j0, j1)[:, None])  # in node order
+        p = live[pc]
+        node_lo = node[row, column[lo[p]]]
+        node_hi = node[row, column[hi[p]]]
         pattern = CsrPattern.build(site.size, node_lo + 1, node_hi + 1)
         graph = pattern.values(_weight(v[node_lo], v[node_hi], off_v[p]))
         return _dijkstra(graph, j >= seed_from[site])
