@@ -244,7 +244,7 @@ def threshold_fields(
     np.cumsum(row_len, out=indptr[1:])
     sites = np.empty(indptr[-1], dtype=np.int32)  # half the memory of int64 for a site index
     dist = np.empty(indptr[-1])
-    fill = _chain_passes(A, t) if A.bandwidth() <= 1 else _block_dijkstra(A, t, copies)
+    fill = _chain_passes(A) if A.bandwidth() <= 1 else _block_dijkstra(A, copies, q)
     j0 = 0
     while j0 < q:  # block [j0, j1): the most rows as long as row j0 in SWEEP_NODES, at least one
         longest = int(row_len[j0])
@@ -264,7 +264,7 @@ def threshold_fields(
     )
 
 
-def _chain_passes(A: SparseSymMatrix, t: np.ndarray):
+def _chain_passes(A: SparseSymMatrix):
     """The distances of a block of rows of a matrix of bandwidth <= 1, by two passes per run."""
     off_i, _, off_v = A.off_arrays()
     a = np.zeros(A.n)  # a[k]: the coupling of sites k and k + 1, 0.0 where there is none
@@ -304,12 +304,12 @@ def _chain_passes(A: SparseSymMatrix, t: np.ndarray):
     return fill
 
 
-def _block_dijkstra(A: SparseSymMatrix, t: np.ndarray, copies: np.ndarray):
+def _block_dijkstra(A: SparseSymMatrix, copies: np.ndarray, q: int):
     """The distances of a block of rows: one Dijkstra on a copy of each row's sites and edges."""
     off_i, off_j, off_v = A.off_arrays()
     lo, hi = off_i - 1, off_j - 1
     pair_copies = np.minimum(copies[lo], copies[hi])
-    seed_from = np.full(A.n, t.size)  # first threshold at which a neighbour is a source
+    seed_from = np.full(A.n, q)  # first threshold at which a neighbour is a source
     np.minimum.at(seed_from, lo, copies[hi])
     np.minimum.at(seed_from, hi, copies[lo])
 

@@ -352,9 +352,10 @@ def check_general_localization(
     # site k is a relative well (a well outside D) at row j when copies[k] <= j,
     # so a pair crosses the relative wells' boundary at the rows in [in_lo, in_hi)
     off_i, off_j, off_v = A.off_arrays()
-    ends = np.sort(np.stack([sweep.copies[off_i - 1], sweep.copies[off_j - 1]]), axis=0)
-    crossing = ends[0] < ends[1]
-    in_lo, in_hi, a_off = ends[0, crossing], ends[1, crossing], np.abs(off_v[crossing])
+    c_i, c_j = sweep.copies[off_i - 1], sweep.copies[off_j - 1]
+    crossing = c_i != c_j
+    in_lo, in_hi = np.minimum(c_i, c_j)[crossing], np.maximum(c_i, c_j)[crossing]
+    a_off = np.abs(off_v[crossing])
     first_well = int(sweep.copies.min())
     c_second = 1.0 - alpha * alpha * wc / 2.0
     reports = []
