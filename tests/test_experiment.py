@@ -27,11 +27,10 @@ from mlandscape import (
     shift_potential,
     solve_landscape,
 )
-import mlandscape.checks as checks
 import mlandscape.experiment as experiment
 import mlandscape.matrices as matrices
 from mlandscape.agmon import ThresholdFields
-from mlandscape.checks import LocalizationReport
+from mlandscape.checks import LocalizationReport, _weighted_terms
 from mlandscape.experiment import PER_EIGENVALUE
 from mlandscape.matrices import _write_json
 from mlandscape.spectral import EigenDecomposition
@@ -365,13 +364,12 @@ def test_verify_localization_equals_the_public_checks_bit_for_bit(w, tmp_path, m
     lowered = EigenDecomposition(ed.values - (ed.values[2] - low), ed.vectors)
     monkeypatch.setattr(matrices, "BLOCK_ENTRIES", 7 * A.n)
     read = []
-    real_terms = checks._weighted_terms
 
     def terms(P, V, R, alpha, lengths):
         read.append(len(lengths))
-        return real_terms(P, V, R, alpha, lengths)
+        return _weighted_terms(P, V, R, alpha, lengths)
 
-    monkeypatch.setattr(checks, "_weighted_terms", terms)
+    monkeypatch.setattr("mlandscape.checks._weighted_terms", terms)
     monkeypatch.setattr(ThresholdFields, "rows", _no_dense_rows)
     skips = 0
     for k, (spectrum, thresholds) in enumerate(
@@ -422,7 +420,7 @@ def test_calibrated_large_partition():
 
 
 def test_verify_runs_one_dijkstra_for_every_threshold(tmp_path, monkeypatch):
-    """Both localization families read one sweep of all n thresholds; a chain's runs no Dijkstra."""
+    """Both families read one sweep of all n thresholds; on a chain that sweep runs no Dijkstra."""
     import scipy.sparse.csgraph as csgraph
 
     real = csgraph.dijkstra
