@@ -62,6 +62,7 @@ from .checks import (
     DecouplingReport,
     EmptyWellSetError,
     LocalizationReport,
+    LocalizationReports,
     ScatterData,
     agmon_scatter,
     check_commutator_identity,

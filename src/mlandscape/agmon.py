@@ -87,13 +87,17 @@ def _weight(v_i: np.ndarray, v_j: np.ndarray, a: np.ndarray) -> np.ndarray:
     """ln(1 + sqrt(sqrt(v_i v_j)/|a|)) elementwise: the one Agmon edge weight formula.
 
     Where that expression leaves the float range (v_i v_j or the quotient
-    overflows) the weight is ln(1 + e^y) with y = (ln v_i + ln v_j)/4 -
-    ln|a|/2, so every finite v >= 0 and non-zero finite a give a finite
-    weight; every other weight keeps the bits of the expression.
+    overflows, or underflows to 0 while v_i and v_j are positive) the weight
+    is ln(1 + e^y) with y = (ln v_i + ln v_j)/4 - ln|a|/2, so every finite
+    v >= 0 and non-zero finite a give a finite weight, positive where v_i and
+    v_j are; every other weight keeps the bits of the expression.
     """
     with np.errstate(over="ignore"):
         w = np.log1p(np.sqrt(np.sqrt(v_i * v_j) / np.abs(a)))
     far = ~np.isfinite(w)
+    lost = w == 0.0
+    if lost.any():
+        far |= lost & (v_i > 0.0) & (v_j > 0.0)
     if far.any():
         y = 0.25 * (np.log(v_i[far]) + np.log(v_j[far])) - 0.5 * np.log(np.abs(a[far]))
         w[far] = np.logaddexp(0.0, y)

@@ -24,14 +24,18 @@ Conventions shared by every check here:
 * Inequalities carry a relative slack of 1e-9 (``REL_SLACK``) to absorb
   floating-point noise; a failure beyond the slack means the claimed
   inequality genuinely fails for the computed quantities.
+* Both localization checks return a ``LocalizationReports``, the batch's
+  nine report fields as columns; a one-pair form returns its only row.
 * A check returns its verdict and never raises on a violated relation; each
   family's rule is the one expression where its report is built:
-  localization ``_report``, identities ``_agree`` (plus the Z-matrix sign
-  bound in ``check_commutator_identity``), corollary ``check_dc_corollary``,
-  decoupling ``_decoupling`` and its spectral step ``_spectral_step_holds``,
-  counting ``check_counting``.  ``experiment._family`` turns the verdicts into
-  one summary entry per family; the landscape residual is compared there
-  against ``landscape._residual_tolerance``.
+  localization ``_reports`` (column operations in the order of the one-pair
+  rule, so each entry has that pair's bits), identities ``_agree`` (plus the
+  Z-matrix sign bound in ``check_commutator_identity``), corollary
+  ``check_dc_corollary``, decoupling ``_decoupling`` and its spectral step
+  ``_spectral_step_holds``, counting ``check_counting``.
+  ``experiment._family`` turns the verdicts into one summary entry per
+  family; the landscape residual is compared there against
+  ``landscape._residual_tolerance``.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .matrices import (
     _blocks,
     _index_mask,
     _indices,
+    _ReportColumns,
     _write_csv,
     classify,
     connectivity,
@@ -68,6 +73,7 @@ from .spectral import (
 __all__ = [
     "EmptyWellSetError",
     "LocalizationReport",
+    "LocalizationReports",
     "DecouplingReport",
     "CountingReport",
     "ScatterData",
@@ -115,6 +121,28 @@ class LocalizationReport:
     rhs: float
     holds: bool
     max_margin: float
+
+
+@dataclass(frozen=True, eq=False)
+class LocalizationReports(_ReportColumns):
+    """Localization reports of a batch of pairs, each field a column in pair order.
+
+    ``eigen_id`` is int64 (or, for a one-pair check, an object column of the
+    caller's label, None included), ``holds`` bool and every other column
+    float64.  ``record[i]`` is pair i's ``LocalizationReport``.
+    """
+
+    row_type = LocalizationReport
+
+    eigen_id: np.ndarray
+    E: np.ndarray
+    threshold: np.ndarray
+    alpha: np.ndarray
+    lhs_first: np.ndarray
+    lhs_second: np.ndarray
+    rhs: np.ndarray
+    holds: np.ndarray
+    max_margin: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,11 +274,22 @@ def _eigen_ids(j, count: int) -> np.ndarray:
     return _indices(j, count, "eigen index", "columns")
 
 
-def _report(eigen_id, E, ebar, alpha, lhs_first, lhs_second, rhs) -> LocalizationReport:
-    lhs = lhs_first + lhs_second
-    holds = lhs <= rhs * (1.0 + REL_SLACK)
-    return LocalizationReport(
-        eigen_id, E, ebar, alpha, lhs_first, lhs_second, rhs, holds, max_margin=rhs - lhs
+def _reports(eigen_id, E, ebar, alpha, lhs_first, lhs_second, rhs) -> LocalizationReports:
+    """The reports of columns of pairs: lhs_first + lhs_second against rhs with relative slack.
+
+    Scalars are broadcast to columns, and no column is the caller's array.
+    Each entry is the float operation of the one-pair rule on that pair's
+    entries, so it has the rule's bits.
+    """
+    E = np.array(E, dtype=float)
+    column = lambda x: np.broadcast_to(np.array(x, dtype=float), E.shape)  # noqa: E731
+    alpha, lhs_first, lhs_second, rhs = map(column, (alpha, lhs_first, lhs_second, rhs))
+    with np.errstate(all="ignore"):  # inf - inf gives NaN, as on floats
+        lhs = lhs_first + lhs_second
+        holds = lhs <= rhs * (1.0 + REL_SLACK)
+        margin = rhs - lhs
+    return LocalizationReports(
+        eigen_id, E, column(ebar), alpha, lhs_first, lhs_second, rhs, holds, margin
     )
 
 
@@ -261,7 +300,7 @@ def check_landscape_localization(
     j: int | Sequence[int],
     *,
     fields: ThresholdFields | None = None,
-) -> LocalizationReport | list[LocalizationReport]:
+) -> LocalizationReport | LocalizationReports:
     """Landscape localization bound for the j-th eigenpair (1-based).
 
     Uses the effective potential vbar = (A u)/u, its wells at threshold
@@ -270,8 +309,9 @@ def check_landscape_localization(
     sweep of A and L.vbar with no excluded set that holds E, supplies the
     distances, so checks sharing it run no Dijkstra of their own.
 
-    ``j`` may also be a sequence of eigen indices: the reports come back as a
-    list in that order, evaluated in blocks of eigenpairs (``BLOCK_ENTRIES``).
+    ``j`` may also be a sequence of eigen indices: the reports come back as
+    ``LocalizationReports`` in that order, evaluated in blocks of eigenpairs
+    (``BLOCK_ENTRIES``); one index gives the report itself.
     """
     if not classify(A, compute_spectrum=False).is_z:
         raise ValueError("matrix is not a Z-matrix")
@@ -281,13 +321,13 @@ def check_landscape_localization(
     rhs = wc * A.max_abs_entry()
     E = ed.values[ids - 1]
     sweep = _sweep(A, L, E, fields)
-    reports = []
+    second = []
     for b in _blocks(ids.size, A.n):
         lengths, sites, v, rho = sweep.slices(sweep.index(E[b]))
         P = ed.vectors[sites, np.repeat(ids[b] - 1, lengths)]
         _, weighted, bounds = _weighted_terms(P, v, rho, alpha, lengths)
-        for k, e, lhs in zip(ids[b].tolist(), E[b].tolist(), _row_sums(weighted, bounds)):
-            reports.append(_report(k, e, e, alpha, 0.0, lhs, rhs))
+        second += _row_sums(weighted, bounds)
+    reports = _reports(ids, E, E, alpha, 0.0, second, rhs)
     return reports if np.ndim(j) else reports[0]
 
 
@@ -302,7 +342,7 @@ def check_general_localization(
     *,
     eigen_id: int | Sequence[int] | None = None,
     fields: ThresholdFields | None = None,
-) -> LocalizationReport | list[LocalizationReport]:
+) -> LocalizationReport | LocalizationReports:
     """Two-line localization bound for a (local) eigenvector phi of eigenvalue E.
 
     Works for any symmetric Z-matrix and landscape ``L`` of it (any positive u
@@ -317,8 +357,8 @@ def check_general_localization(
     Batch form: with ``ebar`` a sequence, phi is an n x k matrix of column
     vectors and ``E`` and ``eigen_id`` are sequences of ebar's length; pair i
     checks column eigen_id[i] (1-based) of phi with E[i] and ebar[i].  The
-    reports come back as a list in pair order, evaluated in blocks of pairs
-    (``BLOCK_ENTRIES``); D and alpha are shared.
+    reports come back as ``LocalizationReports`` in pair order, evaluated in
+    blocks of pairs (``BLOCK_ENTRIES``); D and alpha are shared.
     """
     batch = bool(np.ndim(ebar))
     if batch:
@@ -328,10 +368,11 @@ def check_general_localization(
         if not (np.ndim(E) == np.ndim(eigen_id) == 1 and len(E) == len(eigen_id) == len(ebar)):
             raise ValueError("E, ebar and eigen_id must be sequences of one length")
         cols = _eigen_ids(eigen_id, phi.shape[1]) - 1
-        labels = (cols + 1).tolist()
+        labels = cols + 1
     else:
         phi = _finite_vector(phi, A.n, "phi")[:, None]
-        cols, labels = np.zeros(1, dtype=np.int64), [eigen_id]
+        cols, labels = np.zeros(1, dtype=np.int64), np.empty(1, dtype=object)
+        labels[0] = eigen_id
     E = np.atleast_1d(np.asarray(E, dtype=float))
     ebar = np.atleast_1d(np.asarray(ebar, dtype=float))
     if not classify(A, compute_spectrum=False).is_z:
@@ -358,7 +399,7 @@ def check_general_localization(
     a_off = np.abs(off_v[crossing])
     first_well = int(sweep.copies.min())
     c_second = 1.0 - alpha * alpha * wc / 2.0
-    reports = []
+    s_first, s_second, norm_sq, a_cross = [], [], [], []
     for b in _blocks(cols.size, A.n):
         j = sweep.index(ebar[b])
         if (j < first_well).any():
@@ -366,17 +407,19 @@ def check_general_localization(
         if not np.isfinite(phi[:, cols[b]]).all():
             raise ValueError("phi must be finite")
         at = j[:, None]
-        a_cross = np.where((in_lo <= at) & (at < in_hi), a_off, 0.0).max(axis=1, initial=0.0)
+        crosses = (in_lo <= at) & (at < in_hi)
+        a_cross.append(np.where(crosses, a_off, 0.0).max(axis=1, initial=0.0))
         lengths, sites, v, rho = sweep.slices(j)
         P = phi[sites, np.repeat(cols[b], lengths)]
         terms, weighted, bounds = _weighted_terms(P, v, rho, alpha, lengths)
-        sums = zip(_row_sums(terms, bounds), _row_sums(weighted, bounds))
-        for c, label, e, t, a, (s_first, s_second) in zip(
-            cols[b].tolist(), labels[b], E[b].tolist(), ebar[b].tolist(), a_cross.tolist(), sums
-        ):
-            col = phi[:, c]
-            rhs = (wc / 2.0) * float(col @ col) * a
-            reports.append(_report(label, e, t, alpha, (t - e) * s_first, c_second * s_second, rhs))
+        s_first += _row_sums(terms, bounds)
+        s_second += _row_sums(weighted, bounds)
+        norm_sq += [phi[:, c] @ phi[:, c] for c in cols[b].tolist()]  # each on its own column
+    with np.errstate(all="ignore"):  # overflow gives inf and 0 * inf NaN, as on floats
+        first = (ebar - E) * np.array(s_first, dtype=float)
+        second = c_second * np.array(s_second, dtype=float)
+        rhs = (wc / 2.0) * np.array(norm_sq, dtype=float) * np.concatenate([[]] + a_cross)
+    reports = _reports(labels, E, ebar, alpha, first, second, rhs)
     return reports if batch else reports[0]
 
 

@@ -207,17 +207,19 @@ def _region_spectrum(A: SparseSymMatrix, ed, region, region_id: int, emax: float
     return local_eig(A, region, region_id=region_id, emax=emax)
 
 
-def _family(checks: dict, name: str, holds, labels=None, out=None, reports=None, **extra) -> None:
+def _family(checks: dict, name: str, holds, label=None, out=None, reports=None, **extra) -> None:
     """checks[name] of a check family, and out/{name}.json of its ``reports`` if ``out`` is given.
 
-    ``holds`` is the family's verdict, or with ``labels`` one flag per labelled
-    item: the entry then counts the items and lists the labels of those that fail.
+    ``holds`` is the family's verdict, or with ``label`` a bool column of one
+    flag per item: the entry then counts the items and lists ``label(i)`` of
+    each item i that fails.
     """
-    if labels is None:
+    if label is None:
         entry = {"pass": bool(holds)}
     else:
-        failures = [label for label, ok in zip(labels, holds) if not ok]
-        entry = {"pass": not failures, "count": len(labels), "failures": failures}
+        holds = np.asarray(holds, dtype=bool)
+        failures = [label(i) for i in np.flatnonzero(~holds).tolist()]
+        entry = {"pass": not failures, "count": holds.size, "failures": failures}
     checks[name] = {**entry, **extra}
     if out is not None:
         _write_json(os.path.join(out, f"{name}.json"), reports)
@@ -276,12 +278,11 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
         A, L, ed.vectors, ed.values[ids - 1], ebars, (), alpha, eigen_id=ids, fields=sweep
     )
     _family(
-        checks, "landscape_localization", [r.holds for r in reports],
-        [r.eigen_id for r in reports], out, reports,
+        checks, "landscape_localization", reports.holds, reports.eigen_id.item, out, reports
     )
     _family(
-        checks, "general_localization", [r.holds for r in gen_reports],
-        [(r.eigen_id, r.threshold) for r in gen_reports], out, gen_reports,
+        checks, "general_localization", gen_reports.holds,
+        lambda i: (gen_reports.eigen_id.item(i), gen_reports.threshold.item(i)), out, gen_reports,
         skipped_empty_wells=skipped, alpha=alpha,
     )
 
@@ -302,7 +303,7 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
     for b in _corollary_blocks(A, A.n):
         g = rng.standard_normal((b.stop - b.start, A.n))
         triples += check_dc_corollary(A, L, ed.vectors[:, b], ed.values[b], g)
-    _family(checks, "dc_corollary", [ok for _, _, ok in triples], range(1, A.n + 1))
+    _family(checks, "dc_corollary", [ok for _, _, ok in triples], lambda i: i + 1)
 
     # partition-based checks need one explicit threshold
     part = None
@@ -335,7 +336,8 @@ def run_verification(A: SparseSymMatrix, cfg: ExperimentConfig, out_dir=None) ->
         dec_reports += check_decoupling_global(A, part, ed, locals_, ids, cfg.delta, part_ebar)
         _family(
             checks, "decoupling", [r.holds for r in dec_reports],
-            [(r.direction, r.region_id, r.eigen_id) for r in dec_reports], out, dec_reports,
+            lambda i: (dec_reports[i].direction, dec_reports[i].region_id, dec_reports[i].eigen_id),
+            out, dec_reports,
             spectral_step_pass=all(_spectral_step_holds(r) for r in dec_reports),
         )
 

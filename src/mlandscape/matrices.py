@@ -33,7 +33,11 @@ Every CSV and JSON artifact of the package is written by ``_write_csv`` and
 ``_write_json`` below, so the artifact format is decided in this module alone.
 ``_write_json`` spells every document with ``_json_text``, one recursive
 speller that gives the bytes of ``json.dumps(..., indent=2, sort_keys=True)``;
-a report is one string template per report type and indent.
+a report is one string template per report type and indent.  Both writers
+spell columns with ``_spelled``: each distinct value of a column once (a
+float by its bits), and a column equal byte for byte to another of the same
+document once.  A ``_ReportColumns`` (a batch of reports held as columns) is
+spelled as the list of its rows, each through its row type's template.
 
 ``BLOCK_ENTRIES`` and ``_blocks`` size every array pass over eigenpairs, in
 ``checks`` and ``spectral`` alike.
@@ -45,7 +49,6 @@ only build, read or write matrices never use.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from dataclasses import dataclass, fields, is_dataclass
@@ -131,10 +134,38 @@ def _is_real(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
+class _ReportColumns:
+    """A batch of reports of the dataclass ``row_type``, held as columns.
+
+    A subclass is a dataclass with the fields of ``row_type``, each a 1-D
+    array with one entry per report.  ``len`` counts the reports, ``x[i]`` is
+    report i as a ``row_type`` of Python scalars, and iteration yields them in
+    order; the artifact writers spell it as the list of its rows.
+    """
+
+    row_type: type
+
+    def columns(self) -> dict:
+        """Field name -> column, in the fields' order."""
+        return {f.name: getattr(self, f.name) for f in fields(self.row_type)}
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self.row_type)[0].name))
+
+    def __getitem__(self, i):
+        return self.row_type(*(column.item(i) for column in self.columns().values()))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 def _json_value(x):
     """``x`` made JSON-ready: floats through ``_encode_float``, numpy scalars and
     arrays as Python values, sets as sorted lists, tuples as lists, dataclass
-    instances (the reports) as dicts of their fields."""
+    instances (the reports) as dicts of their fields, report columns as the
+    list of their rows."""
+    if isinstance(x, _ReportColumns):
+        return [_json_value(row) for row in x]
     if isinstance(x, (float, np.floating)):
         return _encode_float(x)
     if isinstance(x, (np.integer,)):
@@ -178,14 +209,63 @@ def _json_template(cls, indent: str) -> tuple:
     return _JSON_TEMPLATES.setdefault((cls, indent), (get, template))
 
 
+# JSON's text for the reprs of numbers and bools where the two differ; a CSV cell is the repr.
+_JSON_WORDS = {"True": "true", "False": "false", "inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+
+
+def _spelled(columns, words: dict, other) -> list:
+    """The text of every entry of each 1-D column.
+
+    A column of bools, integers or floats is spelled by the repr of each
+    distinct value once, a float told apart by its bits (so -0.0 is not 0.0),
+    and a repr listed in ``words`` is replaced by its entry there.  Each entry
+    of any other column is ``other`` of its value.  A column with the dtype
+    and bytes of an earlier one takes that one's text.
+    """
+    done: dict = {}
+    out = []
+    for column in columns:
+        key = (column.dtype.str, column.shape, column.tobytes())
+        if key not in done:
+            if column.dtype.kind not in "biuf":
+                done[key] = [other(v) for v in column.tolist()]
+            else:
+                if column.dtype.kind == "f":
+                    column = column.astype(np.float64, copy=False)
+                bits = column.view(np.int64) if column.dtype.kind == "f" else column
+                _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+                text = list(map(repr, column[first].tolist()))
+                if words:
+                    text = list(map(words.get, text, text))
+                done[key] = np.array(text, dtype=object)[inverse.reshape(-1)].tolist()
+        out.append(done[key])
+    return out
+
+
+def _json_rows(x: _ReportColumns, indent: str) -> str:
+    """The JSON list of the rows of ``x``, each by its type's template; columns spelled once."""
+    inner = indent + "  "
+    template = (_JSON_TEMPLATES.get((x.row_type, inner)) or _json_template(x.row_type, inner))[1]
+    columns = x.columns()
+    names = sorted(columns)
+    text = _spelled(
+        [np.asarray(columns[k]) for k in names], _JSON_WORDS, lambda v: _json_text(v, inner + "  ")
+    )
+    rows = ("," + inner).join(map(template.__mod__, zip(*text)))
+    return "[" + inner + rows + indent + "]" if rows else "[]"
+
+
 def _json_text(x, indent: str = "\n") -> str:
     """The bytes ``json.dumps(_json_value(x), indent=2, sort_keys=True,
     allow_nan=False)`` spells, lines continued with ``indent``; TypeError for
     what that cannot spell (a numpy bool, say) and for keys that are not str.
-    A dataclass (a report) is one ``%``-format of its cached template."""
+    A dataclass (a report) is one ``%``-format of its cached template, and a
+    ``_ReportColumns`` the list of its rows (``_json_rows``)."""
     encode = _JSON_SCALARS.get(type(x))
     if encode is not None:
         return encode(x)
+    if isinstance(x, _ReportColumns):
+        return _json_rows(x, indent)
     inner = indent + "  "
     cached = _JSON_TEMPLATES.get((type(x), indent))
     if cached is None and is_dataclass(x) and not isinstance(x, type):
@@ -222,13 +302,18 @@ def _write_json(path, data) -> None:
 def _write_csv(path, header, *columns) -> None:
     """The one CSV artifact writer: ``header``, then row k from entry k of each column.
 
-    The csv module spells every float as its shortest round-trip repr,
-    non-finite ones as inf, -inf and nan.
+    Cells are joined by "," and lines end in "\\r\\n", the bytes ``csv.writer``
+    writes for plain names and numbers: every float as its shortest
+    round-trip repr, non-finite ones as inf, -inf and nan.  ValueError,
+    before the file is opened, unless the columns are 1-D and of one length.
     """
+    columns = [np.asarray(c) for c in columns]
+    shapes = [c.shape for c in columns]
+    if len(set(shapes)) > 1 or any(len(shape) != 1 for shape in shapes):
+        raise ValueError(f"columns must be 1-D and of one length, got shapes {shapes}")
+    lines = [",".join(header)] + [",".join(row) for row in zip(*_spelled(columns, {}, str))]
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns), strict=True))
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _blocks(m: int, width: int) -> Iterator[slice]:
@@ -244,6 +329,12 @@ def _indices(values, n: int, what: str = "index", within: str = "integers") -> n
     a bool, a string, a NaN, a non-integral or an out-of-range value (integral
     floats and numpy integers pass). ``what`` and ``within`` word the message.
     """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":  # one pass, no objects
+        bad = (values < 1) | (values > n)
+        if bad.any():
+            first = values.flat[int(np.argmax(bad))].item()
+            raise ValueError(f"{what} {first!r} outside the {within} in [1, {n}]")
+        return values.astype(np.int64)
     raw = np.asarray(values, dtype=object)  # keeps True a bool: np.asarray([2, True]) is [2, 1]
     idx = np.array([x if _is_real(x) else math.nan for x in raw.flat], dtype=float)
     bad = (idx < 1) | (idx > n) | (idx != np.trunc(idx))  # NaN fails the last

@@ -220,6 +220,22 @@ def test_edge_weight_stays_finite_past_the_float_range():
     assert w[5] == 0.0
 
 
+def test_edge_weight_survives_an_underflow_of_v_i_v_j():
+    """v_i v_j, or its root over |a|, underflows to 0 while v_i, v_j > 0: no weight is lost."""
+    v_i = np.array([1e-300, 1e-170, 1e-100, 1e-300, 0.0])
+    v_j = np.array([1e-300, 1e-170, 1e-100, 1e-300, 1e-300])
+    a = np.array([-5e-324, -1e-300, -1e300, -1.0, -5e-324])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = agmon._weight(v_i, v_j, a)
+    assert w[0] == pytest.approx(26.832272011586, rel=1e-13, abs=0.0)
+    assert w[1] == pytest.approx(149.668031044613, rel=1e-13, abs=0.0)
+    for got, args in zip(w[:4].tolist(), zip(v_i.tolist(), v_j.tolist(), a.tolist())):
+        assert got > 0.0
+        assert got == pytest.approx(_weight_at_60_digits(*args), rel=1e-13, abs=0.0)
+    assert w[4] == 0.0 and not np.signbit(w[4])  # a zero v gives a zero weight
+
+
 _LOG_UNIFORM = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
 
 
@@ -237,9 +253,9 @@ def test_edge_weight_is_finite_and_keeps_its_bits_in_range(v_i, v_j, sign, a):
         warnings.simplefilter("error")
         w = float(agmon._weight(np.array([v_i]), np.array([v_j]), np.array([sign * a]))[0])
     assert math.isfinite(w)
-    if math.isfinite(plain):
+    if math.isfinite(plain) and (plain > 0.0 or v_i == 0.0 or v_j == 0.0):
         assert w == plain
-    else:
+    else:  # past the float range, or lost to an underflow of positive v_i and v_j
         assert w == pytest.approx(_weight_at_60_digits(v_i, v_j, a), rel=1e-13, abs=0.0)
 
 

@@ -627,8 +627,8 @@ def test_batch_forms_equal_the_scalar_checks_in_pair_order():
             )
             for j, e, t in zip(ids, E.tolist(), ebar.tolist())
         ]
-    assert check_landscape_localization(A, L, ed, []) == []
-    assert check_general_localization(A, L, ed.vectors, [], [], (), alpha, eigen_id=[]) == []
+    assert len(check_landscape_localization(A, L, ed, [])) == 0
+    assert len(check_general_localization(A, L, ed.vectors, [], [], (), alpha, eigen_id=[])) == 0
     with pytest.raises(ValueError, match="n x k matrix"):
         check_general_localization(A, L, ed.vectors[:, 0], E, ebar, (), alpha, eigen_id=ids)
     with pytest.raises(ValueError, match="one length"):
@@ -769,6 +769,19 @@ def test_eigen_indices_must_name_a_column(blocks):
     with pytest.raises(ValueError, match="eigen index True outside the columns"):
         check_landscape_localization(A, L, ed, [2, True])
     assert check_landscape_localization(A, L, ed, [np.int64(2)])[0].eigen_id == 2
+    # an integer array is range-checked in one pass; a bool array is refused as before
+    for ids, first in (
+        (np.array([2, 9]), 9),
+        (np.array([3, -(2**63)]), -(2**63)),
+        (np.array([2, 2**64 - 1], dtype=np.uint64), 2**64 - 1),
+        (np.array([0], dtype=np.uint64), 0),
+        (np.array([True, True]), True),
+    ):
+        message = rf"^eigen index {first} outside the columns in \[1, 8\]$"
+        with pytest.raises(ValueError, match=message):
+            check_landscape_localization(A, L, ed, ids)
+    ids = matrices._indices(np.array([[8, 1]], dtype=np.uint64), 8)
+    assert ids.dtype == np.int64 and ids.tolist() == [[8, 1]]
     assert check_decoupling_local(A, part, locals_[0], ed, 2.0, 0.3, 10.0).eigen_id == 2
 
 

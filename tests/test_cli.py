@@ -1,11 +1,17 @@
 """End-to-end command-line tests; every command runs in-process via main()."""
 
+import contextlib
 import csv
+import io
+import itertools
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mlandscape.checks as checks
 import mlandscape.cli as cli
@@ -56,6 +62,41 @@ def test_no_command_is_usage_error(capsys):
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 1
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once_and_a_usage_error_leaves_it_as_fresh(
+    tmp_path, capsys, monkeypatch
+):
+    """A usage error and then valid calls behave as the same calls on fresh parsers do."""
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    calls = (
+        ["verify", "--n", "x"],  # no matrix, and --n is no integer
+        ["generate", "--n", "20", "--seed", "2", "--out", "gen"],
+        ["landscape", "gen/matrix.mtx", "--ebar", "0.5", "--out", "gen"],
+    )
+    seen = []
+    for fresh in (False, True):
+        (tmp_path / str(fresh)).mkdir()
+        monkeypatch.chdir(tmp_path / str(fresh))
+        cli._parser.cache_clear()
+        del built[:]
+        runs = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            runs.append((main(argv), *capsys.readouterr()))
+        files = sorted((p.name, p.read_bytes()) for p in (tmp_path / str(fresh) / "gen").iterdir())
+        seen.append((runs, files))
+        assert len(built) == (len(calls) if fresh else 1)
+    assert seen[0] == seen[1]
+    assert [rc for rc, _, _ in seen[0][0]] == [1, 0, 0]
 
 
 def test_missing_matrix_file(tmp_path, capsys):
@@ -457,6 +498,53 @@ def test_verify_far_below_the_potential_warns_nothing(tmp_path, capsys, bandwidt
 
 
 # ---- config file plumbing
+
+
+@pytest.fixture(scope="module")
+def sixty(tmp_path_factory):
+    """One n = 60, W = 1 matrix file and a fresh --out path per call."""
+    gen = tmp_path_factory.mktemp("sixty")
+    rc = main(["generate", "--n", "60", "--bandwidth", "1", "--seed", "4", "--out", str(gen)])
+    assert rc == 0
+    runs = itertools.count()
+    return str(gen / "matrix.mtx"), lambda: gen / f"run{next(runs)}"
+
+
+_LOG_UNIFORM = st.builds(
+    lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, 1.0, 1.0, -1.0]), st.floats(-300.0, 300.0)
+)
+
+
+@given(
+    st.fixed_dictionaries(
+        {}, optional={k: _LOG_UNIFORM for k in ("delta", "s", "alpha", "ebar", "floor")}
+    )
+)
+@example({"ebar": 0.5, "delta": 1e300})
+@example({"ebar": -1e308})
+@example({"ebar": 0.5, "s": math.inf, "delta": 1e-20})
+@settings(max_examples=150, deadline=None)
+def test_verify_options_end_in_a_verdict_or_one_error_line(sixty, options):
+    """Any delta, S, alpha, ebar and floor: a written verdict, or one error line and no directory.
+
+    Nothing warns on the way.
+    """
+    path, fresh_out = sixty
+    out = fresh_out()
+    argv = ["verify", path, "--out", str(out)] + [f"--{k}={v!r}" for k, v in options.items()]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout):
+        warnings.simplefilter("error")
+        with contextlib.redirect_stderr(stderr):
+            rc = main(argv)
+    if rc in (0, 2):
+        assert json.loads((out / "summary.json").read_text())["exit_code"] == rc
+        assert stderr.getvalue() == ""
+    else:
+        assert rc in (1, 3)
+        assert len(stderr.getvalue().splitlines()) == 1
+        assert "Traceback" not in stderr.getvalue()
+        assert not out.exists()
 
 
 def test_config_file_with_flag_override(tmp_path):

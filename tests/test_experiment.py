@@ -332,10 +332,19 @@ def _no_dense_rows(self, thresholds):
     "w, thresholds", [(1, PER_EIGENVALUE), (1, (0.5,)), (2, PER_EIGENVALUE)], ids=str
 )
 def test_verify_reads_the_sweep_rows_as_stored(w, thresholds, tmp_path, monkeypatch):
-    """Both localization families sum straight off the sweep's rows: ``rows`` is never called."""
+    """Both localization families sum straight off the sweep's rows: ``rows`` is never called.
+
+    They return columns, and verify writes and counts them as columns: no
+    ``LocalizationReport`` is built.
+    """
     ens = EnsembleConfig(n=200, half_bandwidth=w, seed=5)
     A, _ = generate_band_ensemble(ens)
     monkeypatch.setattr(ThresholdFields, "rows", _no_dense_rows)
+
+    def no_report(self, *args, **kwargs):
+        raise AssertionError("verify built a LocalizationReport")
+
+    monkeypatch.setattr(LocalizationReport, "__init__", no_report)
     cfg = ExperimentConfig(ensemble=ens, thresholds=thresholds, s_requested=2.0, n_plot=0)
     summary = run_verification(A, cfg, tmp_path)
     assert summary["checks"]["landscape_localization"]["count"] == A.n

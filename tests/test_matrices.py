@@ -1,6 +1,8 @@
 """Sparse symmetric storage, classification, ensemble, and Matrix Market IO."""
 
+import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -26,7 +28,13 @@ from mlandscape import (
     write_matrix,
 )
 from mlandscape import matrices
-from mlandscape.checks import CountingReport, DecouplingReport, LocalizationReport, ScatterData
+from mlandscape.checks import (
+    CountingReport,
+    DecouplingReport,
+    LocalizationReport,
+    LocalizationReports,
+    ScatterData,
+)
 from mlandscape.matrices import _stack_columns, _upper_band
 
 
@@ -597,6 +605,71 @@ def test_report_lists_are_written_as_json_would_write_them(tmp_path_factory, rep
     assert path.read_text(encoding="ascii") == _json_reference(reports)
 
 
+# Floats a column of reports may hold, the awkward ones drawn often.
+column_floats = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324, -5e-324,
+         2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+    ),
+    st.floats(),
+)
+
+
+@st.composite
+def localization_columns(draw):
+    """LocalizationReports of 0 to 6 rows; each float column drawn, constant or an earlier one."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    floats = []
+    for _ in range(7):
+        how = draw(st.sampled_from(["drawn", "constant", "equal"]))
+        if how == "equal" and floats:
+            floats.append(draw(st.sampled_from(floats)))
+        elif how == "constant":
+            floats.append(np.full(n, draw(column_floats)))
+        else:
+            floats.append(draw(hnp.arrays(np.float64, n, elements=column_floats)))
+    eigen_id = draw(st.one_of(hnp.arrays(np.int64, n), st.just(np.full(n, None, dtype=object))))
+    E, threshold, alpha, first, second, rhs, margin = floats
+    holds = draw(hnp.arrays(np.bool_, n))
+    return LocalizationReports(eigen_id, E, threshold, alpha, first, second, rhs, holds, margin)
+
+
+@given(localization_columns())
+@settings(max_examples=300, deadline=None)
+def test_report_columns_are_written_as_json_would_write_their_rows(tmp_path_factory, record):
+    """The JSON of a column record is json.dumps of its row dicts, every float spelled once."""
+    columns = {k: column.tolist() for k, column in record.columns().items()}
+    rows = [{k: values[i] for k, values in columns.items()} for i in range(len(record))]
+    path = tmp_path_factory.getbasetemp() / "columns.json"
+    matrices._write_json(path, record)
+    text = path.read_text(encoding="ascii")
+    assert text == _json_reference(rows) == _json_reference(list(record))
+
+
+def _csv_reference(header, columns) -> bytes:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(zip(*(c.tolist() for c in columns)))
+    return buffer.getvalue().encode("ascii")
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_csv_writer_writes_the_bytes_of_csv(tmp_path_factory, data):
+    """Random int64 and float64 columns, some repeated: the bytes csv.writer gives."""
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    column = st.one_of(
+        hnp.arrays(np.int64, n), hnp.arrays(np.float64, n, elements=column_floats)
+    )
+    columns = data.draw(st.lists(column, min_size=1, max_size=4))
+    columns += data.draw(st.lists(st.sampled_from(columns), max_size=2))
+    header = [f"c{k}" for k in range(len(columns))]
+    path = tmp_path_factory.getbasetemp() / "columns.csv"
+    matrices._write_csv(path, header, *columns)
+    assert path.read_bytes() == _csv_reference(header, columns)
+
+
 report_arrays = hnp.arrays(
     st.sampled_from([np.float64, np.float32, np.int64]),
     hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
@@ -621,6 +694,7 @@ json_leaves = st.one_of(
     localization_reports,
     decoupling_reports,
     counting_reports,
+    localization_columns(),
 )
 json_documents = st.recursive(
     json_leaves,
@@ -675,3 +749,11 @@ def test_csv_spells_out_infinity(tmp_path):
     p = tmp_path / "dist.csv"
     matrices._write_csv(p, ["index", "dist"], np.arange(1, 4), np.array([0.0, 0.25, np.inf]))
     assert p.read_text().splitlines() == ["index,dist", "1,0.0", "2,0.25", "3,inf"]
+
+
+def test_csv_columns_of_unequal_length_or_not_1d_write_nothing(tmp_path):
+    p = tmp_path / "bad.csv"
+    for columns in ((np.arange(3), np.zeros(2)), (np.zeros((2, 2)), np.zeros((2, 2)))):
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            matrices._write_csv(p, ["a", "b"], *columns)
+    assert not p.exists()
