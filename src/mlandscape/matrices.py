@@ -209,8 +209,10 @@ def _json_template(cls, indent: str) -> tuple:
     return _JSON_TEMPLATES.setdefault((cls, indent), (get, template))
 
 
-# JSON's text for the reprs of numbers and bools where the two differ; a CSV cell is the repr.
-_JSON_WORDS = {"True": "true", "False": "false", "inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+# JSON's text for the reprs of bools and numbers where the two differ; a CSV cell is the repr.
+_JSON_WORDS = {
+    repr(x): _JSON_SCALARS[type(x)](x) for x in (True, False, math.inf, -math.inf, math.nan)
+}
 
 
 def _spelled(columns, words: dict, other) -> list:
@@ -230,9 +232,10 @@ def _spelled(columns, words: dict, other) -> list:
             if column.dtype.kind not in "biuf":
                 done[key] = [other(v) for v in column.tolist()]
             else:
+                bits = column
                 if column.dtype.kind == "f":
                     column = column.astype(np.float64, copy=False)
-                bits = column.view(np.int64) if column.dtype.kind == "f" else column
+                    bits = column.view(np.int64)
                 _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
                 text = list(map(repr, column[first].tolist()))
                 if words:

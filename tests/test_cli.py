@@ -497,9 +497,6 @@ def test_verify_far_below_the_potential_warns_nothing(tmp_path, capsys, bandwidt
     assert capsys.readouterr().err == ""
 
 
-# ---- config file plumbing
-
-
 @pytest.fixture(scope="module")
 def sixty(tmp_path_factory):
     """One n = 60, W = 1 matrix file and a fresh --out path per call."""
@@ -545,6 +542,9 @@ def test_verify_options_end_in_a_verdict_or_one_error_line(sixty, options):
         assert len(stderr.getvalue().splitlines()) == 1
         assert "Traceback" not in stderr.getvalue()
         assert not out.exists()
+
+
+# ---- config file plumbing
 
 
 def test_config_file_with_flag_override(tmp_path):
