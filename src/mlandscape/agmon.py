@@ -6,11 +6,14 @@ path sums (a pseudo-metric: weights vanish wherever the potential does), with
 +inf for unreachable targets and for distances to an empty set.
 
 A metric is its matrix plus one weight per stored off-diagonal pair, in the
-order of ``off_arrays()``.  Its graph is the matrix's cached ``CsrPattern``
-with those weights, so a metric costs one vector of weights.  Distances come
-from ``scipy.sparse.csgraph.dijkstra`` on that graph (directed, since the
-pattern stores both orientations of every edge, with ``min_only`` over the
-source set); explicit zero weights stay edges.
+order of ``off_arrays()``.  On a chain (bandwidth <= 1) the distance between
+two sites is the sum of the weights along the one path between them, so
+``distance_from_set`` folds each run of non-sources from its ends with
+``np.add.accumulate`` (see ``_chain_field``) and no graph is built.  On wider
+bands distances come from ``scipy.sparse.csgraph.dijkstra`` on the matrix's
+cached ``CsrPattern`` with the weights, built at the first Dijkstra
+(directed, since the pattern stores both orientations of every edge, with
+``min_only`` over the source set); explicit zero weights stay edges.
 
 ``threshold_fields`` gives the distances to the wells of many thresholds at
 once.  An edge at a well weighs exactly 0, so each field is decided on the
@@ -24,7 +27,8 @@ Dijkstra per block of consecutive thresholds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -57,13 +61,26 @@ class AgmonMetric:
     matrix: SparseSymMatrix
     edge_w: np.ndarray
     provenance: ShiftedPotential
-    _graph: "scipy.sparse.csr_array" = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.edge_w.shape != (self.matrix.off_count,):
             raise ValueError(f"{self.edge_w.size} weights for {self.matrix.off_count} pairs")
         _frozen(self.edge_w)
-        object.__setattr__(self, "_graph", self.matrix.pattern.values(self.edge_w))
+
+    @cached_property
+    def _graph(self) -> "scipy.sparse.csr_array":
+        """The weighted graph a Dijkstra reads, built at its first use."""
+        return self.matrix.pattern.values(self.edge_w)
+
+    @cached_property
+    def _steps(self) -> np.ndarray:
+        """On a chain, ``_steps[k]`` is the weight of edge {k+1, k+2}, +inf where it is missing.
+
+        A stored -0.0 reads +0.0, the value of the 0.0 + w a path sum starts with.
+        """
+        steps = np.full(max(self.matrix.n - 1, 0), INF)
+        steps[self.matrix.off_arrays()[0] - 1] = self.edge_w + 0.0
+        return _frozen(steps)
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield (i, j, weight) with i < j, lexicographic."""
@@ -86,18 +103,27 @@ class DistanceField:
 def _weight(v_i: np.ndarray, v_j: np.ndarray, a: np.ndarray) -> np.ndarray:
     """ln(1 + sqrt(sqrt(v_i v_j)/|a|)) elementwise: the one Agmon edge weight formula.
 
-    Where that expression leaves the float range (v_i v_j or the quotient
-    overflows, or underflows to 0 while v_i and v_j are positive) the weight
-    is ln(1 + e^y) with y = (ln v_i + ln v_j)/4 - ln|a|/2, so every finite
-    v >= 0 and non-zero finite a give a finite weight, positive where v_i and
-    v_j are; every other weight keeps the bits of the expression.
+    Where v_i and v_j are positive but v_i v_j or the quotient sqrt(v_i v_j)/|a|
+    falls below the normal range (a subnormal keeps too few bits, and 0 none)
+    the argument is formed as v_i^(1/4) v_j^(1/4) / |a|^(1/2) instead, whose
+    factors are normal.  Where the argument still leaves the float range (an
+    overflow, or that form below the normal range) the weight is ln(1 + e^y)
+    with y = (ln v_i + ln v_j)/4 - ln|a|/2.  So every finite v >= 0 and
+    non-zero finite a give a finite weight, positive where v_i and v_j are;
+    every other weight keeps the bits of the expression.
     """
+    tiny = np.finfo(float).tiny
     with np.errstate(over="ignore"):
-        w = np.log1p(np.sqrt(np.sqrt(v_i * v_j) / np.abs(a)))
+        product = v_i * v_j
+        quotient = np.sqrt(product) / np.abs(a)
+        w = np.log1p(np.sqrt(quotient))
     far = ~np.isfinite(w)
-    lost = w == 0.0
-    if lost.any():
-        far |= lost & (v_i > 0.0) & (v_j > 0.0)
+    small = (product < tiny) | (quotient < tiny)
+    if small.any():
+        small &= (v_i > 0.0) & (v_j > 0.0)
+        x = np.sqrt(np.sqrt(v_i[small])) * np.sqrt(np.sqrt(v_j[small])) / np.sqrt(np.abs(a[small]))
+        w[small] = np.log1p(x)
+        far[small] = x < tiny
     if far.any():
         y = 0.25 * (np.log(v_i[far]) + np.log(v_j[far])) - 0.5 * np.log(np.abs(a[far]))
         w[far] = np.logaddexp(0.0, y)
@@ -127,10 +153,38 @@ def _dijkstra(graph, in_source: np.ndarray) -> np.ndarray:
     return dijkstra(graph, directed=True, indices=sources, min_only=True)
 
 
+def _chain_field(steps: np.ndarray, in_source: np.ndarray) -> np.ndarray:
+    """Distances to the nearest source on a chain with edge weights ``steps``, by two folds per run.
+
+    The non-sources between two sources form a run, and a path into the run
+    enters it from one of its two ends.  The forward fold adds the weights
+    from the source left of the run, left to right, starting at 0.0; the
+    backward fold does the same from the source on its right.  Each distance
+    is the smaller of the two: the weights are non-negative and float
+    addition is monotone, so a detour never gives a smaller sum and these
+    are Dijkstra's left-fold path sums, bit for bit.  A missing edge weighs
+    +inf, so it ends what a fold reaches.  ``np.add.accumulate`` folds in
+    order, so a field costs one loop step per run, not per site.
+    """
+    n = in_source.size
+    dist = np.zeros(n)
+    ends = np.flatnonzero(np.diff(in_source, prepend=True, append=True))
+    for s, e in zip(ends[::2].tolist(), ends[1::2].tolist()):  # the run of sites [s, e)
+        fwd = np.add.accumulate(steps[s - 1 : e - 1]) if s else np.full(e - s, INF)
+        bwd = np.add.accumulate(steps[s:e][::-1])[::-1] if e < n else np.full(e - s, INF)
+        np.minimum(fwd, bwd, out=dist[s:e])
+    return dist
+
+
 def distance_from_set(m: AgmonMetric, sources: Iterable[int]) -> DistanceField:
-    """Multi-source shortest-path distances; an empty source set gives all +inf."""
+    """Multi-source shortest-path distances; an empty source set gives all +inf.
+
+    A chain is folded run by run (``_chain_field``), a wider band runs one Dijkstra.
+    """
     in_source = _index_mask(m.matrix.n, sources)
     src = frozenset((np.flatnonzero(in_source) + 1).tolist())
+    if m.matrix.bandwidth() <= 1:
+        return DistanceField(source=src, dist=_chain_field(m._steps, in_source))
     return DistanceField(source=src, dist=_dijkstra(m._graph, in_source))
 
 

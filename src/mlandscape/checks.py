@@ -95,7 +95,8 @@ REL_SLACK = 1e-9
 # numerically indistinguishable from zero (it is N * eps^2 round-off), and the
 # decoupling bound itself can be exactly 0 when boundaries are empty.
 DEFECT_ABS_SLACK = 1e-20
-# Floor for the spectral step of a decoupling report (``_spectral_step_holds``).
+# Floor for the spectral step of a decoupling report (``_spectral_step_holds``),
+# scaled by delta^2 past delta = 1 like the side it is subtracted from.
 RESIDUAL_ABS_SLACK = 1e-25
 
 
@@ -162,8 +163,9 @@ class DecouplingReport:
 
 
 def _spectral_step_holds(r: DecouplingReport) -> bool:
-    """The residual of a decoupling report dominates delta^2 times its defect."""
-    return r.residual_norm_sq >= r.delta**2 * r.defect_sq - RESIDUAL_ABS_SLACK
+    """The residual of a decoupling report dominates delta^2 times its defect, up to round-off."""
+    scale = r.delta**2
+    return r.residual_norm_sq >= scale * r.defect_sq - RESIDUAL_ABS_SLACK * max(1.0, scale)
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,8 +6,12 @@ minimum separation are merged transitively; every index is then assigned to
 the region of its nearest well.  ``verify_separation`` evaluates the three
 separation axioms and records the achieved margins; failures are reported in
 the result, never raised.  Each step reads one distance field per well,
-stacked as rows: ``build_partition`` runs one Dijkstra per component, and a
-merged well's row is the least of its components' rows.
+stacked as rows: ``build_partition`` runs one ``distance_from_set`` per
+component, and a merged well's row is the least of its components' rows.
+
+On a chain (bandwidth <= 1) no graph routine runs: a component is a run of
+consecutive coupled well sites, and the wells to merge are runs of
+consecutive close components (see ``_merge``).
 """
 
 from __future__ import annotations
@@ -63,13 +67,20 @@ class WellPartition:
 def well_components(A: SparseSymMatrix, wells) -> list[frozenset[int]]:
     """Connected components of the well set in the graph of A.
 
-    Components are ordered by their smallest member.
+    Components are ordered by their smallest member.  On a chain a component
+    is a run of consecutive well sites joined by stored couplings.
     """
-    from scipy.sparse.csgraph import connected_components  # deferred, see matrices
-
     inside = _index_mask(A.n, wells)
     if not inside.any():
         return []
+    if A.bandwidth() <= 1:
+        sites = np.flatnonzero(inside) + 1
+        coupled = np.zeros(A.n + 1, dtype=bool)  # coupled[k]: sites k and k + 1 are coupled
+        coupled[A.off_arrays()[0]] = True
+        joined = (np.diff(sites) == 1) & coupled[sites[:-1]]
+        return [frozenset(run.tolist()) for run in np.split(sites, np.flatnonzero(~joined) + 1)]
+    from scipy.sparse.csgraph import connected_components  # deferred, see matrices
+
     sub = _submatrix(A, inside)
     # labels count up from the lowest site, so label order is smallest-member order
     count, label = connected_components(sub.pattern.values(np.ones(sub.off_count)), directed=False)
@@ -93,15 +104,33 @@ def _least(rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return np.min(np.broadcast_to(rows[:, None, :], shape), axis=2, where=masks[None], initial=INF)
 
 
-def _merge(components, rows: np.ndarray, min_sep: float):
+def _in_chain_order(m: AgmonMetric, components) -> bool:
+    """The metric is a chain's and each component lies wholly left of the next."""
+    if m.matrix.bandwidth() > 1:
+        return False
+    return all(a and b and max(a) < min(b) for a, b in zip(components, components[1:]))
+
+
+def _merge(components, rows: np.ndarray, min_sep: float, chain: bool = False):
     """Merged wells and their rows: float addition is monotone, so the least of the
     components' rows is, bit for bit, the field of a Dijkstra from their union.
-    """
-    from scipy.sparse.csgraph import connected_components  # deferred, as above
 
+    With ``chain`` (``_in_chain_order``) the groups are runs of consecutive
+    components each closer than min_sep to the next.  For components a < b < c
+    the path from a to c crosses b, and with non-negative weights a monotone
+    sum gives rho(a, c) >= max(rho(a, b), rho(b, c)) in floats, so a close
+    pair (a, c) has every pair between it close too.
+    """
     # rho(a, b) is read from a's row for a < b only: reversed sums can differ in the last bit
-    close = np.triu(_least(rows, _masks(rows.shape[1], components)) < min_sep, 1)
-    count, group = connected_components(close, directed=False)
+    if chain:  # a's row grows to its right, so rho(a, b) is its value at b's first site
+        near = np.array([row[min(b) - 1] for row, b in zip(rows, components[1:])])
+        group = np.concatenate([[0], np.cumsum(near >= min_sep)])
+        count = int(group[-1]) + 1 if components else 0
+    else:
+        from scipy.sparse.csgraph import connected_components  # deferred, as above
+
+        close = np.triu(_least(rows, _masks(rows.shape[1], components)) < min_sep, 1)
+        count, group = connected_components(close, directed=False)
     wells = [frozenset().union(*compress(components, group == k)) for k in range(count)]
     order = sorted(range(count), key=lambda k: min(wells[k]))
     merged = [rows[group == k].min(axis=0) for k in order]
@@ -120,7 +149,7 @@ def merge_close_wells(
     min_sep" relation is exactly what is needed.  Results keep the order of
     their smallest member.
     """
-    return _merge(components, _rows(m, components), min_sep)[0]
+    return _merge(components, _rows(m, components), min_sep, _in_chain_order(m, components))[0]
 
 
 def _voronoi(rows: np.ndarray) -> list[frozenset[int]]:
@@ -196,7 +225,8 @@ def build_partition(
     surviving wells could both claim an index within s_requested of each.
     """
     comps = well_components(A, m.provenance.wells)
-    wells, rows = _merge(comps, _rows(m, comps), 2.0 * float(s_requested) + 1e-9)
+    min_sep = 2.0 * float(s_requested) + 1e-9
+    wells, rows = _merge(comps, _rows(m, comps), min_sep, _in_chain_order(m, comps))
     return _audit(A, wells, _voronoi(rows), rows, s_requested)
 
 

@@ -10,7 +10,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlandscape import (
@@ -29,8 +29,10 @@ from mlandscape import (
     solve_landscape,
     threshold_fields,
 )
+from mlandscape.matrices import _index_mask
 
 INF = float("inf")
+TINY = np.finfo(float).tiny
 
 
 def make_metric(n, edges):
@@ -236,6 +238,17 @@ def test_edge_weight_survives_an_underflow_of_v_i_v_j():
     assert w[4] == 0.0 and not np.signbit(w[4])  # a zero v gives a zero weight
 
 
+def test_edge_weight_of_a_subnormal_product_keeps_its_digits():
+    """v_i v_j below the normal range keeps only a few bits: the weight is still accurate."""
+    v_i = np.array([1e-300, 1e-310, 5e-324, 1e-300, 1e-200])
+    v_j = np.array([1e-20, 1e-5, 1.0, 1.0, 1e-110])
+    a = np.array([1.0, -1.0, -1.0, -1e300, -1e-300])
+    w = agmon._weight(v_i, v_j, a)
+    assert w[0] == pytest.approx(1e-80, rel=1e-15, abs=0.0)
+    for got, args in zip(w.tolist(), zip(v_i.tolist(), v_j.tolist(), a.tolist())):
+        assert got == pytest.approx(_weight_at_60_digits(*args), rel=1e-15, abs=0.0)
+
+
 _LOG_UNIFORM = st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
 
 
@@ -253,9 +266,11 @@ def test_edge_weight_is_finite_and_keeps_its_bits_in_range(v_i, v_j, sign, a):
         warnings.simplefilter("error")
         w = float(agmon._weight(np.array([v_i]), np.array([v_j]), np.array([sign * a]))[0])
     assert math.isfinite(w)
-    if math.isfinite(plain) and (plain > 0.0 or v_i == 0.0 or v_j == 0.0):
+    product = v_i * v_j
+    normal = product >= TINY and math.sqrt(product) / a >= TINY
+    if math.isfinite(plain) and (normal or v_i == 0.0 or v_j == 0.0):
         assert w == plain
-    else:  # past the float range, or lost to an underflow of positive v_i and v_j
+    else:  # past the float range, or v_i v_j or its root over |a| below the normal range
         assert w == pytest.approx(_weight_at_60_digits(v_i, v_j, a), rel=1e-13, abs=0.0)
 
 
@@ -273,17 +288,22 @@ def _thresholds(vbar):
     return [float(vbar.min()) - 1.0, *inner, float(vbar.max()) + 1.0]
 
 
+def _dijkstra_field(m, sources):
+    """The field of one Dijkstra on the metric's graph, whatever its bandwidth."""
+    return agmon._dijkstra(m._graph, _index_mask(m.matrix.n, sources))
+
+
 def _sweep_equals_one_dijkstra_per_threshold(A, vbar, thresholds, excluded=frozenset()):
     """The sweep's triple at each t, alone, as a row of ``rows`` and as stored.
 
-    All three are compared with shift_potential and distance_from_set, bit
-    for bit (``tobytes`` tells -0.0 from +0.0).
+    All three are compared with shift_potential and one Dijkstra on
+    build_metric's graph, bit for bit (``tobytes`` tells -0.0 from +0.0).
     """
     fields = threshold_fields(A, vbar, thresholds, excluded)
     rows = fields.rows(thresholds)
     for i, t in enumerate(thresholds):
         sp = shift_potential(vbar, t)
-        ref = distance_from_set(build_metric(A, sp), sp.wells - excluded).dist
+        ref = _dijkstra_field(build_metric(A, sp), sp.wells - excluded)
         for v, in_wells, dist in (fields[t], [r[i] for r in rows]):
             assert v.tobytes() == sp.v.tobytes()
             assert set((np.flatnonzero(in_wells) + 1).tolist()) == sp.wells
@@ -380,6 +400,40 @@ def test_chain_sweep_equals_one_dijkstra_per_threshold(args):
     A, vbar, thresholds, excluded = args
     assert A.bandwidth() <= 1
     _sweep_equals_one_dijkstra_per_threshold(A, vbar, thresholds, excluded)
+
+
+# v at exact zeros (wells), near 1e-300 (v_i v_j underflows) and near 1e300 (it overflows)
+_CHAIN_V = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 10.0) | st.floats(-310.0, 308.0).map(
+    lambda e: 10.0**e
+)
+
+
+@st.composite
+def _chain_fields(draw):
+    """A chain of 1 to 60 sites with couplings missing, v >= 0 and a source set."""
+    n = draw(st.integers(1, 60))
+    exponents = draw(st.lists(st.none() | st.floats(-150.0, 150.0), min_size=n - 1, max_size=n - 1))
+    off = [(k, k + 1, -(10.0**e)) for k, e in enumerate(exponents, 1) if e is not None]
+    A = SparseSymMatrix(n, np.zeros(n), off)
+    v = np.array(draw(st.lists(_CHAIN_V, min_size=n, max_size=n)))
+    sources = draw(
+        st.just(frozenset())
+        | st.just(frozenset(range(1, n + 1)))
+        | st.sets(st.integers(1, n), max_size=n).map(frozenset)
+    )
+    return build_metric(A, ShiftedPotential(0.0, v, frozenset())), sources
+
+
+@given(_chain_fields())
+@example((make_metric(3, [(1, 2, -0.0), (2, 3, 0.5)]), frozenset({1})))  # a -0.0 weight
+@example((make_metric(4, [(1, 2, 1.0), (3, 4, 1.0)]), frozenset({1, 4})))  # a missing coupling
+@settings(max_examples=400, deadline=None)
+def test_chain_field_equals_one_dijkstra(args):
+    m, sources = args
+    assert m.matrix.bandwidth() <= 1
+    field = distance_from_set(m, sources)
+    assert field.source == sources
+    assert field.dist.tobytes() == _dijkstra_field(m, sources).tobytes()
 
 
 @pytest.mark.parametrize("w", [1, 2, 3])

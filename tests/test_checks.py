@@ -410,7 +410,8 @@ def _parent_lemma_raised(left, right):
 
 
 def _parent_spectral_step(residual, defect, delta):
-    return residual >= delta**2 * defect - 1e-25
+    """The parent's inline rule, its 1e-25 floor scaled by delta^2 past delta = 1."""
+    return residual >= delta**2 * defect - 1e-25 * max(1.0, delta**2)
 
 
 def _outcome(f, *args):
@@ -462,6 +463,8 @@ def test_commutator_verdict_is_the_parent_rule(lhs, u, z):
 )
 @example(-1e-25, 0.0, 1.0)  # ties at the slack
 @example(0.0, 1e-25, 1.0)
+@example(-1e-19, 0.0, 1000.0)
+@example(1e-30, 1e-30, 1000.0)  # round-off at delta = 1000: within the scaled floor only
 @example(-0.0, -0.0, -0.0)
 @example(math.nan, 1.0, 1.0)
 @example(math.inf, math.inf, math.inf)

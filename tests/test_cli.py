@@ -6,6 +6,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -483,6 +486,25 @@ def test_a_delta_below_the_float_spacing_keeps_each_eigenvalue_in_its_window(
     assert rc == summary["exit_code"] == 0
 
 
+@pytest.mark.parametrize("faulty", [False, True])
+def test_the_spectral_step_at_a_large_delta_fails_only_a_faulty_spectrum(
+    tmp_path, monkeypatch, capsys, faulty
+):
+    # every window holds the whole spectrum: residual and delta^2 * defect are round-off,
+    # the latter scaled by delta^2 = 1e6; halved vectors leave 3/4 of each local vector out
+    if faulty:
+        halved = lambda ed: EigenDecomposition(values=ed.values, vectors=0.5 * ed.vectors)
+        monkeypatch.setattr(experiment, "_SPECTRUM_HOOK", halved)
+    out = tmp_path / "out"
+    argv = ["report", "--n", "60", "--bandwidth", "1", "--seed", "4", "--ebar", "3000"]
+    rc = main([*argv, "--s", "inf", "--delta", "1000", "--out", str(out)])
+    decoupling = json.loads((out / "summary.json").read_text())["checks"]["decoupling"]
+    assert decoupling["count"] == 120
+    assert decoupling["spectral_step_pass"] is decoupling["pass"] is (not faulty)
+    assert ("overall: FAIL" in capsys.readouterr().out) is faulty
+    assert rc == (2 if faulty else 0)
+
+
 @pytest.mark.parametrize("bandwidth", ["1", "2"])
 def test_verify_far_below_the_potential_warns_nothing(tmp_path, capsys, bandwidth):
     # at --ebar=-1e308, v = vbar + 1e308 and v_i v_j is past float range
@@ -542,6 +564,43 @@ def test_verify_options_end_in_a_verdict_or_one_error_line(sixty, options):
         assert len(stderr.getvalue().splitlines()) == 1
         assert "Traceback" not in stderr.getvalue()
         assert not out.exists()
+
+
+# ---- what a run loads
+
+LOADED_CHILD = """
+import sys
+from mlandscape.cli import main
+code = main(sys.argv[1:])
+print("scipy.sparse.csgraph" in sys.modules)
+sys.exit(code)
+"""
+
+
+def test_only_a_wider_band_loads_the_graph_library(tmp_path):
+    """A chain's distances are folds and its components and merges runs, so no
+    chain command imports scipy.sparse.csgraph; a W = 2 report runs Dijkstra."""
+    gen = tmp_path / "gen"
+    assert main(["generate", "--n", "500", "--bandwidth", "1", "--seed", "5", "--out", str(gen)]) == 0
+    matrix = str(gen / "matrix.mtx")
+    chain = ["--n", "500", "--bandwidth", "1", "--seed", "5", "--ebar", "0.5", "--s", "2.0"]
+    runs = [  # (argv, whether it loads csgraph, a line it prints)
+        (["report", *chain], False, "wells=8, regions=8"),  # 9 components, one merge
+        (["scatter", matrix], False, ""),
+        (["partition", matrix, "--ebar", "0.5", "--s", "2.0"], False, ""),
+        (["report", "--n", "100", "--bandwidth", "2", "--seed", "1", "--ebar", "0.5"], True, ""),
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for k, (argv, loaded, shown) in enumerate(runs):
+        out = ["--out", str(tmp_path / f"run{k}")]
+        child = subprocess.run(
+            [sys.executable, "-c", LOADED_CHILD, *argv, *out],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == 0, child.stdout + child.stderr
+        assert child.stdout.splitlines()[-1] == str(loaded), argv
+        assert shown in child.stdout
 
 
 # ---- config file plumbing

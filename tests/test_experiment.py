@@ -27,12 +27,13 @@ from mlandscape import (
     shift_potential,
     solve_landscape,
 )
+import mlandscape.agmon as agmon
 import mlandscape.experiment as experiment
 import mlandscape.matrices as matrices
 from mlandscape.agmon import ThresholdFields
 from mlandscape.checks import LocalizationReport, _weighted_terms
 from mlandscape.experiment import PER_EIGENVALUE
-from mlandscape.matrices import _write_json
+from mlandscape.matrices import _index_mask, _write_json
 from mlandscape.spectral import EigenDecomposition
 
 
@@ -281,15 +282,15 @@ def _one_check_at_a_time(A, L, ed, thresholds, alpha):
 def _written_out(A, L, ed, thresholds, alpha):
     """Both localization families pair by pair from their definitions.
 
-    One metric and one Dijkstra per pair (``distance_from_set`` on
-    ``build_metric``), and plain masked sums of psi_k^2 e^{2 rate rho_k}.
+    One metric and one Dijkstra per pair (``agmon._dijkstra`` on
+    ``build_metric``'s graph), and plain masked sums of psi_k^2 e^{2 rate rho_k}.
     """
     wc = max(connectivity(A), 2)
     off_i, off_j, off_v = A.off_arrays()
 
     def sums(psi, sp, rate):
         """The sum over psi != 0 off the wells, and the one weighted by v where v != 0."""
-        rho = distance_from_set(build_metric(A, sp), sp.wells).dist
+        rho = agmon._dijkstra(build_metric(A, sp)._graph, _index_mask(A.n, sp.wells))
         off = (psi != 0.0) & ~np.isin(np.arange(1, A.n + 1), list(sp.wells))
         pos = off & (sp.v != 0.0)
         with np.errstate(over="ignore"):

@@ -24,8 +24,8 @@ from mlandscape import (
     EnsembleConfig,
     generate_band_ensemble,
 )
-from mlandscape import partition
-from mlandscape.matrices import _json_value
+from mlandscape import agmon, partition
+from mlandscape.matrices import _index_mask, _json_value, _submatrix
 
 INF = float("inf")
 
@@ -229,7 +229,66 @@ def test_a_merged_row_is_the_field_of_a_dijkstra_from_the_union(n, seed, ebar, s
     wells, rows = partition._merge(comps, partition._rows(m, comps), 2.0 * s + 1e-9)
     assert len(rows) == len(wells) < len(comps)  # 9 -> 8 and 37 -> 34 wells
     for well, row in zip(wells, rows):
-        assert row.tobytes() == distance_from_set(m, well).dist.tobytes()
+        dijkstra = agmon._dijkstra(m._graph, _index_mask(A.n, well))
+        assert row.tobytes() == dijkstra.tobytes()
+
+
+def _graph_components(A, wells):
+    """Well components by scipy's connected_components on the well sites' subgraph."""
+    from scipy.sparse.csgraph import connected_components
+
+    inside = _index_mask(A.n, wells)
+    if not inside.any():
+        return []
+    sub = _submatrix(A, inside)
+    count, label = connected_components(sub.pattern.values(np.ones(sub.off_count)), directed=False)
+    sites = np.flatnonzero(inside) + 1
+    return [frozenset(sites[label == k].tolist()) for k in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chain_runs_equal_connected_components(seed):
+    """On W = 1 draws components are runs and merges are runs of close neighbours:
+    both equal scipy's connected components, and the merged rows keep their bits."""
+    A, _ = generate_band_ensemble(EnsembleConfig(n=300, half_bandwidth=1, seed=seed))
+    L = solve_landscape(A)
+    merged = 0
+    for q in (0.05, 0.2, 0.4):
+        m = build_metric(A, shift_potential(L, float(np.quantile(L.vbar, q))))
+        comps = well_components(A, m.provenance.wells)
+        assert comps == _graph_components(A, m.provenance.wells)
+        assert partition._in_chain_order(m, comps)
+        rows = partition._rows(m, comps)
+        for s in (0.25, 1.0, 2.0, 4.0):
+            runs = partition._merge(comps, rows, 2.0 * s + 1e-9, chain=True)
+            graph = partition._merge(comps, rows, 2.0 * s + 1e-9, chain=False)
+            assert runs[0] == graph[0]
+            assert runs[1].tobytes() == graph[1].tobytes()
+            merged += len(runs[0]) < len(comps)
+    assert merged  # some merges ran
+
+
+def test_chain_components_split_at_a_missing_coupling():
+    A = SparseSymMatrix(6, [0.0] * 6, [(1, 2, -1.0), (2, 3, -1.0), (4, 5, -1.0), (5, 6, -1.0)])
+    wells = {2, 3, 4, 6}
+    assert well_components(A, wells) == [frozenset({2, 3}), frozenset({4}), frozenset({6})]
+    assert well_components(A, wells) == _graph_components(A, wells)
+
+
+@pytest.mark.parametrize(
+    "comps, in_order, merged",
+    [
+        ([{1, 2, 3}, {5, 6, 7}, {10}], True, [{1, 2, 3, 5, 6, 7}, {10}]),  # 2 apart, then 3
+        ([{1, 9}, {3}, {6}], False, [{1, 3, 9}, {6}]),  # interleaved: the general closure
+    ],
+)
+def test_merges_on_a_chain_with_weighted_wells(comps, in_order, merged):
+    """Weights inside a well are not 0 here: rho is read at the next well's first site."""
+    A = chain(10)
+    m = uniform_metric(A)
+    comps = [frozenset(c) for c in comps]
+    assert partition._in_chain_order(m, comps) is in_order
+    assert merge_close_wells(comps, m, 2.5) == [frozenset(c) for c in merged]
 
 
 def test_build_partition_equals_the_public_steps():
