@@ -55,7 +55,8 @@ INF = float("inf")
 class AgmonMetric:
     """Weighted graph of the pseudo-metric; provenance records the potential.
 
-    ``edge_w[k]`` is the weight of pair k of ``matrix.off_arrays()``.
+    ``edge_w[k]`` is the weight of pair k of ``matrix.off_arrays()``; a
+    negative or NaN weight is a ValueError (Dijkstra never returns on one).
     """
 
     matrix: SparseSymMatrix
@@ -65,6 +66,12 @@ class AgmonMetric:
     def __post_init__(self):
         if self.edge_w.shape != (self.matrix.off_count,):
             raise ValueError(f"{self.edge_w.size} weights for {self.matrix.off_count} pairs")
+        if not (self.edge_w >= 0.0).all():
+            k = int(np.flatnonzero(~(self.edge_w >= 0.0))[0])
+            off_i, off_j, _ = self.matrix.off_arrays()
+            raise ValueError(
+                f"weight {float(self.edge_w[k])!r} of pair ({off_i[k]}, {off_j[k]}) is negative or NaN"
+            )
         _frozen(self.edge_w)
 
     @cached_property

@@ -5,9 +5,11 @@ uses the effective potential ``vbar = (A u) / u`` of the recovered u: the
 paper's Z-matrix theorem holds exactly for the ratio potential of whatever
 positive u is used, while ``1 / u`` equals vbar only when the solve is exact.
 
-The solve is a banded Cholesky factorization (``scipy.linalg.solveh_banded``)
-of the band storage ``matrices._upper_band`` builds, the same storage the tail
-repair in ``spectral`` factors with its own driver.
+The solve is a banded Cholesky factorization of the band storage
+``matrices._upper_band`` builds, the same storage the tail repair in
+``spectral`` factors.  ``_solve_spd`` keeps the rules of
+``scipy.linalg.solveh_banded``: LAPACK ``dptsv`` on a chain, ``dpbsv`` on
+wider bands, both from the ``_lapack`` binding.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .matrices import (
     NonPositiveLandscapeError,
     NotPositiveDefiniteError,
@@ -73,12 +75,24 @@ class ShiftedPotential:
 
 
 def _solve_spd(A: SparseSymMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Banded Cholesky solve at the matrix's own bandwidth."""
+    """Banded Cholesky solve at the matrix's own bandwidth, by the rules of ``solveh_banded``.
+
+    ValueError on a non-finite band or right side; ``dptsv`` for a two-row
+    band, ``dpbsv`` otherwise; ``NotPositiveDefiniteError`` when LAPACK finds
+    a leading minor that is not positive.
+    """
     band = _upper_band(A, np.ones((1, A.n), dtype=bool), np.zeros(1))
-    try:
-        return scipy.linalg.solveh_banded(band, rhs, lower=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("not positive definite") from exc
+    if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if band.shape[0] == 2:
+        *_, x, info = _lapack.dptsv(band[1], band[0, 1:], rhs)
+    else:
+        _, x, info = _lapack.dpbsv(band, rhs)
+    if info > 0:
+        raise NotPositiveDefiniteError("not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of the LAPACK solve")
+    return x
 
 
 def _residual_tolerance(A: SparseSymMatrix) -> float:

@@ -21,13 +21,13 @@ nonsingular M-matrix and the eigen equation restricted to T gives
 one banded Cholesky solve per eigenpair.  Only eigenpairs with
 min vbar <= lambda < max vbar have a T that is neither empty nor everything.
 A block of them gets its right sides from one product of A with their
-columns, and its systems go to one ``dpbsv`` call: ``matrices._upper_band``
-stacks the A_TT - lambda along the diagonal of one band at A's bandwidth W
-(which also gives the landscape solve its band, for ``solveh_banded``),
-with W spacer columns between two systems: diagonal 1, no coupling, right
-side +0.0.  With W of them every system's solution has the bits of its own
-``dpbsv``, signed zeros included.  When ``dpbsv`` stops at a column, the
-eigenpair that owns it fails alone: the systems before it are solved again
+columns, and its systems go to one call of LAPACK's ``dpbsv`` (through the
+``_lapack`` binding): ``matrices._upper_band`` stacks the A_TT - lambda
+along the diagonal of one band at A's bandwidth W (which also gives the
+landscape solve its band), with W spacer columns between two systems:
+diagonal 1, no coupling, right side +0.0.  With W of them every system's
+solution has the bits of its own ``dpbsv``, signed zeros included.  When
+``dpbsv`` stops at a column, the eigenpair that owns it fails alone: the systems before it are solved again
 as a stack, with the same bits, and those after it go on in a new one.  The
 inverse of an M-matrix is entrywise non-negative, so constant-sign data
 meets no cancellation and the rebuilt entries keep relative accuracy
@@ -53,8 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .landscape import LandscapeData, _require_landscape_of, solve_landscape
 from .matrices import (
     SparseSymMatrix,
@@ -189,9 +189,9 @@ def _solve_stack(A, barriers, values, sides, psis):
         at = stack[owner] * keep.shape[1] + sites  # flat positions in sides and psis
         rhs = np.zeros(int(cols[-1]) + 1)
         rhs[cols] = -sides.ravel()[at]
-        # banded Cholesky at every bandwidth (solveh_banded hands W = 1 to
-        # ptsv, whose wrapper rejects a one-site T)
-        _, x, info = scipy.linalg.lapack.dpbsv(_upper_band(A, keep, values[stack]), rhs)
+        # banded Cholesky at every bandwidth (the landscape solve hands W = 1
+        # to dptsv; scipy's dptsv wrapper rejects a one-site T)
+        _, x, info = _lapack.dpbsv(_upper_band(A, keep, values[stack]), rhs)
         if info > 0:  # spacers never fail: column info is a system's
             bad = int(owner[np.searchsorted(cols, info - 1)])
             lost += 1

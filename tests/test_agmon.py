@@ -117,6 +117,18 @@ def test_build_metric_length_mismatch():
         AgmonMetric(matrix=A, edge_w=np.zeros(2), provenance=sp)
 
 
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_a_negative_or_nan_weight_is_rejected_naming_its_pair(bad):
+    """Dijkstra on the 2-node metric of weight -1.0 never returns, so the
+    constructor refuses it; -0.0 and +inf stay weights."""
+    with pytest.raises(ValueError, match=r"weight (-1\.0|nan) of pair \(1, 2\) is negative or NaN"):
+        make_metric(2, [(1, 2, bad)])
+    with pytest.raises(ValueError, match=r"of pair \(2, 3\)"):
+        make_metric(3, [(1, 2, 0.5), (2, 3, bad)])
+    for fine in (-0.0, math.inf):
+        assert make_metric(2, [(1, 2, fine)]).edge_w.tobytes() == np.array([fine]).tobytes()
+
+
 def test_weights_monotone_in_potential():
     A = SparseSymMatrix(2, [0.0, 0.0], [(1, 2, -0.7)])
     lo = build_metric(A, ShiftedPotential(0.0, np.array([1.0, 2.0]), frozenset()))

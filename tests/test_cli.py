@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mlandscape._lapack as _lapack
 import mlandscape.checks as checks
 import mlandscape.cli as cli
 import mlandscape.experiment as experiment
@@ -392,7 +393,7 @@ def test_indefinite_matrix_exits_3(tmp_path, capsys):
 
 
 def test_failed_tridiagonal_eigensolve_exits_3(mat, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(matrices.lapack, "dstevd", lambda d, e, compute_v=1: (d, None, 1))
+    monkeypatch.setattr(_lapack, "dstevd", lambda d, e, compute_v=1: (d, None, 1))
     rc = main(["verify", mat[0], "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -572,26 +573,39 @@ LOADED_CHILD = """
 import sys
 from mlandscape.cli import main
 code = main(sys.argv[1:])
-print("scipy.sparse.csgraph" in sys.modules)
+print("scipy.sparse.csgraph" in sys.modules, "scipy.linalg" in sys.modules)
 sys.exit(code)
 """
 
+SCIPY_AT_IMPORT = "import sys, mlandscape; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+
 
 def test_only_a_wider_band_loads_the_graph_library(tmp_path):
-    """A chain's distances are folds and its components and merges runs, so no
-    chain command imports scipy.sparse.csgraph; a W = 2 report runs Dijkstra."""
+    """A chain's distances are folds and its components and merges runs, and its
+    LAPACK comes from numpy's own library, so no chain command imports
+    scipy.sparse.csgraph or scipy.linalg; a W = 2 report runs Dijkstra, and
+    csgraph imports scipy.sparse.linalg and with it scipy.linalg.  The package
+    alone imports no scipy module."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    bare = subprocess.run(
+        [sys.executable, "-c", SCIPY_AT_IMPORT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert bare.returncode == 0, bare.stderr
+    assert bare.stdout == "[]\n"
     gen = tmp_path / "gen"
     assert main(["generate", "--n", "500", "--bandwidth", "1", "--seed", "5", "--out", str(gen)]) == 0
     matrix = str(gen / "matrix.mtx")
     chain = ["--n", "500", "--bandwidth", "1", "--seed", "5", "--ebar", "0.5", "--s", "2.0"]
-    runs = [  # (argv, whether it loads csgraph, a line it prints)
+    runs = [  # (argv, whether it loads csgraph and scipy.linalg, a line it prints)
+        (["generate", "--n", "500", "--bandwidth", "1", "--seed", "5"], False, ""),
+        (["spectrum", matrix], False, ""),
         (["report", *chain], False, "wells=8, regions=8"),  # 9 components, one merge
         (["scatter", matrix], False, ""),
         (["partition", matrix, "--ebar", "0.5", "--s", "2.0"], False, ""),
         (["report", "--n", "100", "--bandwidth", "2", "--seed", "1", "--ebar", "0.5"], True, ""),
     ]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     for k, (argv, loaded, shown) in enumerate(runs):
         out = ["--out", str(tmp_path / f"run{k}")]
         child = subprocess.run(
@@ -599,7 +613,7 @@ def test_only_a_wider_band_loads_the_graph_library(tmp_path):
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert child.returncode == 0, child.stdout + child.stderr
-        assert child.stdout.splitlines()[-1] == str(loaded), argv
+        assert child.stdout.splitlines()[-1] == f"{loaded} {loaded}", argv
         assert shown in child.stdout
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import mlandscape._lapack as _lapack
 import mlandscape.matrices as matrices
 import mlandscape.spectral as spectral
 from mlandscape import (
@@ -273,7 +274,7 @@ def test_a_failed_system_in_the_middle_of_a_stack_fails_alone(monkeypatch):
     assert active.size > 14
     victim = active[2]  # the first block is active[:7]
     column = int(sizes[active[:2]].sum()) + 2 * w + sizes[victim] // 2  # 1-based, spacers too
-    real = scipy.linalg.lapack.dpbsv
+    real = _lapack.dpbsv
     calls = []
 
     def stops_once(band, rhs):
@@ -283,7 +284,7 @@ def test_a_failed_system_in_the_middle_of_a_stack_fails_alone(monkeypatch):
             return band, rhs, column
         return real(band, rhs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpbsv", stops_once)
+    monkeypatch.setattr(_lapack, "dpbsv", stops_once)
     monkeypatch.setattr(matrices, "BLOCK_ENTRIES", 7 * A.n * w)
     got = dense.copy()
     assert spectral._repair_tails(A, L.vbar, values, got) == (repaired - 1, failed + 1)
@@ -318,7 +319,7 @@ def test_failed_tail_solves_are_counted_and_keep_the_dense_vectors(monkeypatch, 
     def broken(band, rhs):
         return band, np.full_like(rhs, fill), info
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpbsv", broken)
+    monkeypatch.setattr(_lapack, "dpbsv", broken)
     ed = eig_sym(A, L)
     assert ed.tails_repaired == 0
     assert ed.tails_failed == attempted
@@ -448,7 +449,7 @@ def test_wider_bands_and_negative_zeros_take_the_dense_path(monkeypatch):
 
 
 def test_a_failed_tridiagonal_solve_raises(monkeypatch):
-    monkeypatch.setattr(matrices.lapack, "dstevd", lambda d, e, compute_v=1: (d, None, 1))
+    monkeypatch.setattr(_lapack, "dstevd", lambda d, e, compute_v=1: (d, None, 1))
     with pytest.raises(np.linalg.LinAlgError):
         eig_sym(tridiag(5), None)
     with pytest.raises(np.linalg.LinAlgError):
