@@ -8,20 +8,19 @@ path sums (a pseudo-metric: weights vanish wherever the potential does), with
 A metric is its matrix plus one weight per stored off-diagonal pair, in the
 order of ``off_arrays()``.  On a chain (bandwidth <= 1) the distance between
 two sites is the sum of the weights along the one path between them, so
-``distance_from_set`` folds each run of non-sources from its ends with
-``np.add.accumulate`` (see ``_chain_field``) and no graph is built.  On wider
-bands distances come from ``scipy.sparse.csgraph.dijkstra`` on the matrix's
-cached ``CsrPattern`` with the weights, built at the first Dijkstra
-(directed, since the pattern stores both orientations of every edge, with
-``min_only`` over the source set); explicit zero weights stay edges.
+``distance_from_set`` and the threshold sweep fold each run of coupled
+non-sources from both ends with one kernel, ``_folds``, and no graph is
+built.  On wider bands distances come from ``scipy.sparse.csgraph.dijkstra``
+on the matrix's cached ``CsrPattern`` with the weights, built at the first
+Dijkstra (directed, since the pattern stores both orientations of every
+edge, with ``min_only`` over the source set); explicit zero weights stay
+edges.
 
 ``threshold_fields`` gives the distances to the wells of many thresholds at
 once.  An edge at a well weighs exactly 0, so each field is decided on the
 barrier sites {vbar > t}; the sweep stores one row per threshold, those
-sites in ascending order with their distances.  On a chain (bandwidth <= 1)
-two sequential passes over each run of coupled barrier sites fill a row,
-exactly as Dijkstra would (see ``ThresholdFields``); wider bands run one
-Dijkstra per block of consecutive thresholds.
+sites in ascending order with their distances.  On a chain ``_folds`` fills
+the rows; wider bands run one Dijkstra per block of consecutive thresholds.
 """
 
 from __future__ import annotations
@@ -78,16 +77,6 @@ class AgmonMetric:
     def _graph(self) -> "scipy.sparse.csr_array":
         """The weighted graph a Dijkstra reads, built at its first use."""
         return self.matrix.pattern.values(self.edge_w)
-
-    @cached_property
-    def _steps(self) -> np.ndarray:
-        """On a chain, ``_steps[k]`` is the weight of edge {k+1, k+2}, +inf where it is missing.
-
-        A stored -0.0 reads +0.0, the value of the 0.0 + w a path sum starts with.
-        """
-        steps = np.full(max(self.matrix.n - 1, 0), INF)
-        steps[self.matrix.off_arrays()[0] - 1] = self.edge_w + 0.0
-        return _frozen(steps)
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield (i, j, weight) with i < j, lexicographic."""
@@ -160,44 +149,94 @@ def _dijkstra(graph, in_source: np.ndarray) -> np.ndarray:
     return dijkstra(graph, directed=True, indices=sources, min_only=True)
 
 
-def _chain_field(steps: np.ndarray, in_source: np.ndarray) -> np.ndarray:
-    """Distances to the nearest source on a chain with edge weights ``steps``, by two folds per run.
+def _chain_runs(A: SparseSymMatrix, site: np.ndarray):
+    """(first, size, link) of the runs of ``site`` on a chain: sites joined by a stored coupling.
 
-    The non-sources between two sources form a run, and a path into the run
-    enters it from one of its two ends.  The forward fold adds the weights
-    from the source left of the run, left to right, starting at 0.0; the
-    backward fold does the same from the source on its right.  Each distance
-    is the smaller of the two: the weights are non-negative and float
-    addition is monotone, so a detour never gives a smaller sum and these
-    are Dijkstra's left-fold path sums, bit for bit.  A missing edge weighs
-    +inf, so it ends what a fold reaches.  ``np.add.accumulate`` folds in
-    order, so a field costs one loop step per run, not per site.
+    ``site`` holds 0-based sites, ascending within each stretch that may
+    form runs; a step that is not +1 ends a run.  Run r is the nodes
+    ``first[r]`` to ``first[r] + size[r] - 1`` of ``site``, and ``link``
+    lists the nodes that continue the run of the node before them.
     """
-    n = in_source.size
-    dist = np.zeros(n)
-    ends = np.flatnonzero(np.diff(in_source, prepend=True, append=True))
-    for s, e in zip(ends[::2].tolist(), ends[1::2].tolist()):  # the run of sites [s, e)
-        fwd = np.add.accumulate(steps[s - 1 : e - 1]) if s else np.full(e - s, INF)
-        bwd = np.add.accumulate(steps[s:e][::-1])[::-1] if e < n else np.full(e - s, INF)
-        np.minimum(fwd, bwd, out=dist[s:e])
-    return dist
+    coupled = np.zeros(A.n, dtype=bool)  # coupled[k]: sites k and k + 1 are coupled
+    coupled[A.off_arrays()[0] - 1] = True
+    linked = np.zeros(site.size, dtype=bool)
+    linked[1:] = (np.diff(site) == 1) & coupled[site[:-1]]
+    first = np.flatnonzero(~linked)
+    return first, np.diff(np.append(first, site.size)), np.flatnonzero(linked)
+
+
+def _folds(first, size, enter_fwd, enter_bwd, link, w) -> np.ndarray:
+    """The smaller of a forward and a backward left fold at each node of runs laid end to end.
+
+    Run r (nodes ``first[r]`` to ``first[r] + size[r] - 1``) folds forward
+    from ``enter_fwd[r]`` at its first node, adding the weight of each edge
+    inside the run left to right, and backward from ``enter_bwd[r]`` at its
+    last node, adding them right to left; ``w[i]`` is the weight of the edge
+    between nodes ``link[i] - 1`` and ``link[i]``.
+
+    On a chain these are Dijkstra's distances bit for bit when a run is a
+    stretch of coupled non-sources and each start is the distance its end
+    takes from beyond the run (+inf where nothing lies there): a path into
+    the run enters it from one of its two ends, the weights are non-negative
+    and float addition is monotone, so a detour never gives a smaller sum
+    and the two folds are the left-fold path sums Dijkstra returns.
+
+    Runs are ranked by decreasing size, so step k of every run longer than
+    k fills one contiguous slice of the (node, direction) table.  While the
+    same runs stay active their steps form one (steps, runs, 2) slab, folded
+    by one ``np.add.accumulate`` after the previous step is added into its
+    first row (a slab of one step is just the add): one loop step per
+    distinct run size, not per step or per run.
+    """
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(-size)] = np.arange(first.size)
+    active = first.size - np.cumsum(np.bincount(size))[:-1]  # active[k]: the runs longer than k
+    at = np.cumsum(active) - active  # step k fills rows at[k] to at[k] + active[k]
+    k = np.arange(link.size + first.size) - np.repeat(first, size)  # step of the forward fold
+    r = np.repeat(rank, size)
+    fwd, bwd = at[k] + r, at[np.repeat(size - 1, size) - k] + r
+    sums = np.empty((k.size, 2))  # column 0 the forward fold, column 1 the backward one
+    sums[rank, 0] = enter_fwd
+    sums[rank, 1] = enter_bwd
+    sums[fwd[link], 0] = w
+    sums[bwd[link - 1], 1] = w
+    ends = (np.flatnonzero(np.diff(active, append=0)) + 1).tolist()  # the slabs: steps [s, e)
+    at, active = at.tolist(), active.tolist()
+    for s, e in zip([0, *ends], ends):
+        slab = sums[at[s] : at[s] + (e - s) * active[s]].reshape(e - s, active[s], 2)
+        if s:
+            np.add(sums[at[s - 1] : at[s - 1] + active[s]], slab[0], out=slab[0])
+        if e - s > 1:
+            np.add.accumulate(slab, axis=0, out=slab)
+    return np.minimum(sums[fwd, 0], sums[bwd, 1])
 
 
 def distance_from_set(m: AgmonMetric, sources: Iterable[int]) -> DistanceField:
     """Multi-source shortest-path distances; an empty source set gives all +inf.
 
-    A chain is folded run by run (``_chain_field``), a wider band runs one Dijkstra.
+    A chain folds each run of coupled non-sources from both ends (``_folds``),
+    each end starting at the weight of its edge to a source beyond it; a
+    wider band runs one Dijkstra.
     """
     in_source = _index_mask(m.matrix.n, sources)
     src = frozenset((np.flatnonzero(in_source) + 1).tolist())
-    if m.matrix.bandwidth() <= 1:
-        return DistanceField(source=src, dist=_chain_field(m._steps, in_source))
-    return DistanceField(source=src, dist=_dijkstra(m._graph, in_source))
+    if m.matrix.bandwidth() > 1:
+        return DistanceField(source=src, dist=_dijkstra(m._graph, in_source))
+    # step[k]: the weight of edge {k, k + 1}, +inf where it is missing (step[n - 1]
+    # closes both ends); a stored -0.0 reads +0.0, the 0.0 + w a path sum starts with
+    step = np.full(in_source.size, INF)
+    step[m.matrix.off_arrays()[0] - 1] = m.edge_w + 0.0
+    site = np.flatnonzero(~in_source)
+    first, size, link = _chain_runs(m.matrix, site)
+    out = step[site[first] - 1], step[site[first + size - 1]]  # the edges out of each run
+    dist = np.zeros(in_source.size)
+    dist[site] = _folds(first, size, *out, link, step[site[link] - 1])
+    return DistanceField(source=src, dist=dist)
 
 
 # Most nodes one block of a threshold sweep holds: consecutive thresholds
 # share a block while that many rows as long as the block's first (its
-# longest) fit, which bounds the block's graph or passes and their
+# longest) fit, which bounds the block's graph or folds and their
 # workspace (a lone threshold has at most n nodes).  Larger blocks are no
 # faster, and at n = 2000, W = 3 a sweep in blocks of 2^18 nodes peaks at
 # about 100 MB of temporaries against 8 MB at this size.
@@ -220,15 +259,8 @@ class ThresholdFields:
     stored; ``fields[t]`` and ``rows`` spread them into dense n-vectors for
     lookups.
 
-    On a chain (bandwidth <= 1) a row's distances come from two passes over
-    each run of consecutive coupled non-sources.  The forward pass starts at
-    +0.0 when the site left of the run is a coupled source (the weight of an
-    edge at a source is +0.0) and at +inf otherwise, and adds the run's edge
-    weights left to right; the backward pass does the same from the right end.
-    The distance is the smaller of the two.  A shortest path to a site of the
-    run enters it from one of its two ends, the weights are non-negative and
-    float addition is monotone, so a detour never gives a smaller sum and the
-    two passes are exactly the left-fold path sums Dijkstra returns.  Wider
+    On a chain (bandwidth <= 1) ``_folds`` fills the rows, each run of
+    coupled non-sources starting at +0.0 next to a coupled source; wider
     bands run one Dijkstra per block of rows, whose distances do not depend
     on the numbering of the nodes.
     """
@@ -292,8 +324,8 @@ def threshold_fields(
     Every edge at a source weighs +0.0, so a field is decided on its
     non-sources alone: a non-source with a coupled source neighbour starts at
     +0.0.  Rows of consecutive thresholds are filled in blocks of at most
-    ``SWEEP_NODES`` nodes, by two passes per row on a chain and by one
-    Dijkstra per block on wider bands (see ``ThresholdFields``).
+    ``SWEEP_NODES`` nodes, by ``_folds`` on a chain and by one Dijkstra per
+    block on wider bands.
     """
     vbar = np.asarray(vbar, dtype=float)
     if vbar.shape != (A.n,):
@@ -330,41 +362,21 @@ def threshold_fields(
 
 
 def _chain_passes(A: SparseSymMatrix):
-    """The distances of a block of rows of a matrix of bandwidth <= 1, by two passes per run."""
+    """The distances of a block of rows of a matrix of bandwidth <= 1, by ``_folds``.
+
+    A fold starts at +0.0 where a coupled source lies beyond its end (the
+    weight of an edge at a source) and at +inf otherwise.
+    """
     off_i, _, off_v = A.off_arrays()
     a = np.zeros(A.n)  # a[k]: the coupling of sites k and k + 1, 0.0 where there is none
-    a[off_i - 1] = off_v
-    coupled = a != 0.0
-    coupled_left = np.concatenate([[False], coupled[:-1]])
+    a[off_i - 1] = off_v  # a[n - 1] = 0.0 closes both ends
 
     def fill(j0, j1, j, site, v):
-        n = site.size
-        linked = np.zeros(n, dtype=bool)  # node p continues the run of node p - 1
-        linked[1:] = (np.diff(site) == 1) & coupled[site[:-1]]  # rows shrink: never across rows
-        link = np.flatnonzero(linked)
-        first = np.flatnonzero(~linked)
-        size = np.diff(np.append(first, n))
-        # step k of a pass adds the k-th edge of every run longer than k: in
-        # runs ranked by decreasing size those are the first active[k], and
-        # their sums after step k are rows at[k] to at[k] + active[k] of `sums`
-        rank = np.empty(first.size, dtype=np.int64)
-        rank[np.argsort(-size)] = np.arange(first.size)
-        active = first.size - np.cumsum(np.bincount(size))[:-1]
-        at = np.cumsum(active) - active
-        k = np.arange(n) - np.repeat(first, size)  # node p is at step k of its forward pass
-        r = np.repeat(rank, size)
-        fwd, bwd = at[k] + r, at[np.repeat(size - 1, size) - k] + r
-        sums = np.empty((n, 2))  # column 0 the forward pass, column 1 the backward one
-        sums[rank, 0] = np.where(coupled_left[site[first]], 0.0, INF)
-        sums[rank, 1] = np.where(coupled[site[first + size - 1]], 0.0, INF)
+        first, size, link = _chain_runs(A, site)  # rows shrink, so no run crosses two rows
+        out = (a[site[first] - 1], a[site[first + size - 1]])  # the couplings out of each run
+        start = [np.where(c != 0.0, 0.0, INF) for c in out]
         w = _weight(v[link - 1], v[link], a[site[link - 1]])
-        sums[fwd[link], 0] = w
-        sums[bwd[link - 1], 1] = w
-        add = np.add
-        for prev, now, count in zip(at.tolist(), at[1:].tolist(), active[1:].tolist()):
-            step = sums[now : now + count]
-            add(sums[prev : prev + count], step, out=step)
-        return np.minimum(sums[fwd, 0], sums[bwd, 1])
+        return _folds(first, size, *start, link, w)
 
     return fill
 

@@ -21,7 +21,7 @@ from itertools import compress
 
 import numpy as np
 
-from .agmon import AgmonMetric, INF, distance_from_set, inner_boundary
+from .agmon import AgmonMetric, INF, _chain_runs, distance_from_set, inner_boundary
 from .matrices import SparseSymMatrix, _index_mask, _submatrix, _write_json
 
 __all__ = [
@@ -74,11 +74,8 @@ def well_components(A: SparseSymMatrix, wells) -> list[frozenset[int]]:
     if not inside.any():
         return []
     if A.bandwidth() <= 1:
-        sites = np.flatnonzero(inside) + 1
-        coupled = np.zeros(A.n + 1, dtype=bool)  # coupled[k]: sites k and k + 1 are coupled
-        coupled[A.off_arrays()[0]] = True
-        joined = (np.diff(sites) == 1) & coupled[sites[:-1]]
-        return [frozenset(run.tolist()) for run in np.split(sites, np.flatnonzero(~joined) + 1)]
+        site = np.flatnonzero(inside)
+        return [frozenset(run.tolist()) for run in np.split(site + 1, _chain_runs(A, site)[0][1:])]
     from scipy.sparse.csgraph import connected_components  # deferred, see matrices
 
     sub = _submatrix(A, inside)

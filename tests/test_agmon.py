@@ -406,7 +406,15 @@ def _chain_sweeps(draw):
     return A, vbar, thresholds, frozenset(excluded)
 
 
+def _coupled_chain(n):
+    """A chain of n sites, every neighbouring pair coupled."""
+    return SparseSymMatrix(n, np.zeros(n), [(k, k + 1, -1.0 - 0.1 * k) for k in range(1, n)])
+
+
+# one run of barrier sites, and barrier sites that are each a run of their own
 @given(_chain_sweeps())
+@example((_coupled_chain(6), np.array([0.0, 1.0, 2.0, 1.5, 3.0, 1.0]), [0.5], frozenset()))
+@example((_coupled_chain(7), np.array([0.0, 1.0] * 3 + [0.0]), [0.5], frozenset()))
 @settings(max_examples=300, deadline=None)
 def test_chain_sweep_equals_one_dijkstra_per_threshold(args):
     A, vbar, thresholds, excluded = args
@@ -439,6 +447,8 @@ def _chain_fields(draw):
 @given(_chain_fields())
 @example((make_metric(3, [(1, 2, -0.0), (2, 3, 0.5)]), frozenset({1})))  # a -0.0 weight
 @example((make_metric(4, [(1, 2, 1.0), (3, 4, 1.0)]), frozenset({1, 4})))  # a missing coupling
+@example((make_metric(5, [(k, k + 1, 0.5 * k) for k in range(1, 5)]), frozenset({1})))  # one run
+@example((make_metric(7, [(k, k + 1, 0.5 * k) for k in range(1, 7)]), frozenset({1, 3, 5, 7})))
 @settings(max_examples=400, deadline=None)
 def test_chain_field_equals_one_dijkstra(args):
     m, sources = args
@@ -446,6 +456,54 @@ def test_chain_field_equals_one_dijkstra(args):
     field = distance_from_set(m, sources)
     assert field.source == sources
     assert field.dist.tobytes() == _dijkstra_field(m, sources).tobytes()
+
+
+def _folds_one_run_at_a_time(first, size, enter_fwd, enter_bwd, link, w):
+    """The oracle of ``agmon._folds``: each run folded from both ends by its own accumulate."""
+    into = np.zeros(first.size + link.size)  # into[p]: the weight of the edge from node p - 1 to p
+    into[link] = w
+    out = np.empty(into.size)
+    for f, s, start_fwd, start_bwd in zip(first, size, enter_fwd, enter_bwd):
+        inner = into[f + 1 : f + s]
+        fwd = np.add.accumulate(np.concatenate([[start_fwd], inner]))
+        bwd = np.add.accumulate(np.concatenate([[start_bwd], inner[::-1]]))[::-1]
+        out[f : f + s] = np.minimum(fwd, bwd)
+    return out
+
+
+_RUN_SIZES = (
+    st.lists(st.integers(1, 12), min_size=1, max_size=12)  # many distinct sizes, in any order
+    | st.tuples(st.integers(1, 12), st.integers(1, 8)).map(lambda t: [t[0]] * t[1])  # one slab
+    | st.integers(1, 40).map(lambda n: [1] * n)  # every run a single node
+    | st.integers(1, 39).flatmap(lambda k: st.sampled_from([[k, 1], [1, k]]))  # a run of n - 1
+)
+# exact zeros, subnormals and weights near 1e300 (a run of 40 of them stays below the float max)
+_FOLD_WEIGHT = (
+    st.sampled_from([0.0, 5e-324, TINY / 2])
+    | st.floats(0.0, TINY)
+    | st.floats(0.0, 10.0)
+    | st.floats(1e299, 1e301)
+)
+_FOLD_START = st.sampled_from([0.0, INF]) | st.floats(0.0, 1e300)
+
+
+@st.composite
+def _run_layouts(draw):
+    """Runs laid end to end, the start of each fold and the weight of each edge inside a run."""
+    size = np.array(draw(_RUN_SIZES), dtype=np.int64)
+    first = np.cumsum(size) - size
+    linked = np.ones(int(size.sum()), dtype=bool)
+    linked[first] = False
+    link = np.flatnonzero(linked)
+    starts = st.lists(_FOLD_START, min_size=size.size, max_size=size.size)
+    w = draw(st.lists(_FOLD_WEIGHT, min_size=link.size, max_size=link.size))
+    return first, size, np.array(draw(starts)), np.array(draw(starts)), link, np.array(w)
+
+
+@given(_run_layouts())
+@settings(max_examples=400, deadline=None)
+def test_folds_equal_one_accumulate_per_run(layout):
+    assert agmon._folds(*layout).tobytes() == _folds_one_run_at_a_time(*layout).tobytes()
 
 
 @pytest.mark.parametrize("w", [1, 2, 3])
