@@ -258,7 +258,8 @@ def _decoupling_coefficient(wc: int, a_max: float, delta: float) -> float:
 
 
 def _checked_alpha(alpha, wc: int) -> float:
-    alpha = float(alpha)
+    """alpha as a float, sqrt(1 / W_c) when it is None; ValueError outside (0, sqrt(2 / W_c)]."""
+    alpha = math.sqrt(1.0 / wc) if alpha is None else float(alpha)
     if not (0.0 < alpha <= math.sqrt(2.0 / wc) * (1.0 + 1e-12)):
         raise ValueError(f"alpha must lie in (0, sqrt(2/W_c)], got {alpha}")
     return alpha
@@ -319,7 +320,7 @@ def check_landscape_localization(
         raise ValueError("matrix is not a Z-matrix")
     ids = np.atleast_1d(_eigen_ids(j, ed.n))
     wc = _wc(A)
-    alpha = 1.0 / math.sqrt(wc)
+    alpha = _checked_alpha(None, wc)
     rhs = wc * A.max_abs_entry()
     E = ed.values[ids - 1]
     sweep = _sweep(A, L, E, fields)
@@ -340,7 +341,7 @@ def check_general_localization(
     E: float | Sequence[float],
     ebar: float | Sequence[float],
     D,
-    alpha: float,
+    alpha: float | None,
     *,
     eigen_id: int | Sequence[int] | None = None,
     fields: ThresholdFields | None = None,
@@ -352,8 +353,9 @@ def check_general_localization(
     distances are measured to wells minus the excluded set D (1-based indices
     in [1, n]), and phi must vanish on D and satisfy the local eigen relation
     on its complement (the caller's duty).
-    Requires finite E <= ebar and 0 < alpha <= sqrt(2 / W_c), and phi finite
-    of length n.  ``fields`` is shared as in ``check_landscape_localization``
+    Requires finite E <= ebar and 0 < alpha <= sqrt(2 / W_c) (None gives
+    sqrt(1 / W_c), the rate of the landscape bound), and phi finite of
+    length n.  ``fields`` is shared as in ``check_landscape_localization``
     (holding ebar) and is only read when D is empty.
 
     Batch form: with ``ebar`` a sequence, phi is an n x k matrix of column

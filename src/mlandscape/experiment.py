@@ -185,8 +185,7 @@ def _preflight(A: SparseSymMatrix, cfg: ExperimentConfig) -> tuple[int, float]:
     if not A.is_z:
         raise ValueError("matrix is not a Z-matrix")
     wc = _wc(A)
-    alpha = cfg.alpha if cfg.alpha is not None else math.sqrt(1.0 / wc)
-    _checked_alpha(alpha, wc)
+    alpha = _checked_alpha(cfg.alpha, wc)
     if cfg.partition_threshold() is not None:
         coeff = _decoupling_coefficient(wc, A.max_abs_entry(), cfg.delta)
         if not (0.0 < coeff < math.inf):

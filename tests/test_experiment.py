@@ -182,6 +182,16 @@ def test_sweep_artifacts_and_summary(tmp_path):
     assert on_disk["exit_code"] == 0
 
 
+def test_both_localization_families_report_one_alpha(tmp_path):
+    """At W_c = 2, 1 / sqrt(2) and sqrt(1 / 2) differ in the last bit: both families use the latter."""
+    cfg = small_cfg()  # W = 1
+    A, _ = generate_band_ensemble(cfg.ensemble)
+    run_verification(A, cfg, tmp_path)
+    for name in ("landscape", "general"):
+        reports = json.loads((tmp_path / f"{name}_localization.json").read_text())
+        assert {r["alpha"] for r in reports} == {math.sqrt(1.0 / 2)}, name
+
+
 def test_sweep_with_partition_threshold(tmp_path):
     ens = EnsembleConfig(n=60, half_bandwidth=1, seed=5)
     A, _ = generate_band_ensemble(ens)
@@ -305,7 +315,7 @@ def _written_out(A, L, ed, thresholds, alpha):
         )
 
     landscape, general, skipped = [], [], 0
-    rate = 1.0 / math.sqrt(wc)
+    rate = math.sqrt(1.0 / wc)
     for j in range(1, ed.n + 1):
         E, psi = float(ed.values[j - 1]), ed.vectors[:, j - 1]
         _, lhs = sums(psi, shift_potential(L, E), rate)
@@ -404,7 +414,7 @@ def test_verify_localization_equals_the_public_checks_bit_for_bit(w, tmp_path, m
     assert skips >= 3  # the lowered spectrum puts E_1..E_3 at or below `low`
 
     # against the reciprocal potential 1/u, which equals vbar for an exact solve
-    rate = 1.0 / math.sqrt(max(connectivity(A), 2))
+    rate = math.sqrt(1.0 / max(connectivity(A), 2))
     for rep in _one_check_at_a_time(A, L, ed, PER_EIGENVALUE, alpha)[0]:
         psi = ed.vectors[:, rep.eigen_id - 1]
         sp = shift_potential(1.0 / L.u, rep.E)
