@@ -521,7 +521,7 @@ def test_sweep_in_blocks_under_a_small_node_budget(w, monkeypatch):
 
     monkeypatch.setattr(csgraph, "dijkstra", counted)
     threshold_fields(A, vbar, ts)
-    assert len(calls) == (0 if w == 1 else 1)  # a chain runs two passes per row instead
+    assert len(calls) == (0 if w == 1 else 1)  # a chain folds its rows instead
     monkeypatch.setattr(agmon, "SWEEP_NODES", A.n)
     threshold_fields(A, vbar, ts)
     blocks = len(calls) - (0 if w == 1 else 1)

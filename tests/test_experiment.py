@@ -456,7 +456,7 @@ def test_verify_runs_one_dijkstra_for_every_threshold(tmp_path, monkeypatch):
     summary = run_verification(A, ExperimentConfig(ensemble=ens, n_plot=0), tmp_path)
     assert summary["exit_code"] == 0
     assert summary["checks"]["general_localization"]["count"] == 60
-    assert len(calls) == 0  # a chain's sweep runs two passes per row, no Dijkstra
+    assert len(calls) == 0  # a chain's sweep folds its rows, no Dijkstra
 
 
 def test_verify_forms_vbar_once_per_landscape(tmp_path, monkeypatch):
