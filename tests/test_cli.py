@@ -617,6 +617,38 @@ def test_only_a_wider_band_loads_the_graph_library(tmp_path):
         assert shown in child.stdout
 
 
+SUBMODULES_ON_USE = """
+import os, sys
+import mlandscape as ml
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("mlandscape."))
+print(loaded())
+A, _ = ml.generate_band_ensemble(ml.EnsembleConfig(n=50, half_bandwidth=1, seed=1))
+ml.write_matrix(os.path.join(sys.argv[1], "matrix.mtx"), A)
+print(loaded())
+ml.run_verification
+print("mlandscape.experiment" in loaded())
+"""
+
+
+def test_the_package_imports_a_submodule_at_the_first_use_of_its_names(tmp_path):
+    """``import mlandscape`` loads no submodule; drawing and writing a matrix
+    loads only ``matrices`` and the LAPACK binding it calls, and the first read
+    of ``run_verification`` loads ``experiment``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    child = subprocess.run(
+        [sys.executable, "-c", SUBMODULES_ON_USE, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == [
+        "[]",
+        "['mlandscape._lapack', 'mlandscape.matrices']",
+        "True",
+    ]
+    assert (tmp_path / "matrix.mtx").is_file()
+
+
 # ---- config file plumbing
 
 

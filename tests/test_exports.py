@@ -23,9 +23,20 @@ def test_all_names_resolve_and_star_import_works(name):
 
 
 def test_package_exports_are_public_names_of_their_modules():
-    """A name the package re-exports is in the ``__all__`` of the module defining it."""
-    for attr, value in vars(mlandscape).items():
-        home = getattr(value, "__module__", None)
-        if attr.startswith("_") or not (home or "").startswith("mlandscape."):
-            continue
+    """Every name in the package's ``__all__`` resolves, and it is in the
+    ``__all__`` of the module defining it; the names are bound on first use,
+    so ``vars(mlandscape)`` alone would show too few of them."""
+    assert len(set(mlandscape.__all__)) == len(mlandscape.__all__)
+    for attr in mlandscape.__all__:
+        home = getattr(mlandscape, attr).__module__
+        assert home.startswith("mlandscape."), f"{attr} is defined in {home}"
         assert attr in importlib.import_module(home).__all__, f"{home}.{attr}"
+    assert set(mlandscape.__all__) <= set(dir(mlandscape))
+    with pytest.raises(AttributeError):
+        mlandscape.no_such_name
+
+
+def test_package_star_import_binds_exactly_its_exports():
+    namespace = {}
+    exec("from mlandscape import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(mlandscape.__all__)
