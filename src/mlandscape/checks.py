@@ -98,6 +98,8 @@ DEFECT_ABS_SLACK = 1e-20
 # Floor for the spectral step of a decoupling report (``_spectral_step_holds``),
 # scaled by delta^2 past delta = 1 like the side it is subtracted from.
 RESIDUAL_ABS_SLACK = 1e-25
+# Points of the counting check's mu grid, from below the lowest eigenvalue up to ebar.
+_COUNTING_GRID_POINTS = 50
 
 
 class EmptyWellSetError(ValueError):
@@ -686,22 +688,18 @@ def check_counting(
     s: float,
     wc: int,
     a_max: float,
-    *,
-    grid_points: int = 50,
 ) -> CountingReport:
     """Two-sided counting-function comparison below a threshold.
 
     nbar is the largest integer with (W_c^2/delta^3) a_max^3 nbar <
     e^{2 S / sqrt(W_c)} (capped at the matrix order; 0 allowed), in log space
-    where the ratio of the two sides leaves float range.  On a grid of mu
-    values up to ebar, min(nbar, N0(mu - delta)) <= N(mu) and
-    min(nbar, N(mu - delta)) <= N0(mu) must both hold.
+    where the ratio of the two sides leaves float range.  On a grid of
+    ``_COUNTING_GRID_POINTS`` mu values up to ebar, min(nbar, N0(mu - delta))
+    <= N(mu) and min(nbar, N(mu - delta)) <= N0(mu) must both hold.
     """
     delta = float(delta)
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     n = ed.n
     coeff = _decoupling_coefficient(wc, a_max, delta)
     if math.isinf(s):
@@ -722,7 +720,7 @@ def check_counting(
     # an empty local spectrum contributes no eigenvalue
     local_lows = (loc.values.min() for loc in locals_ if loc.values.size)
     lo = float(min(ed.values.min(), min(local_lows, default=np.inf)))
-    mu_grid = np.linspace(lo - delta, float(ebar), grid_points)
+    mu_grid = np.linspace(lo - delta, float(ebar), _COUNTING_GRID_POINTS)
     lhs_from_local = np.minimum(nbar, counting_local(locals_, mu_grid - delta))
     rhs_global = counting_global(ed, mu_grid)
     lhs_from_global = np.minimum(nbar, counting_global(ed, mu_grid - delta))

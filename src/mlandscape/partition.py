@@ -9,9 +9,11 @@ the result, never raised.  Each step reads one distance field per well,
 stacked as rows: ``build_partition`` runs one ``distance_from_set`` per
 component, and a merged well's row is the least of its components' rows.
 
-On a chain (bandwidth <= 1) no graph routine runs: a component is a run of
-consecutive coupled well sites, and the wells to merge are runs of
-consecutive close components (see ``_merge``).
+Both connectivity decisions, which well sites form a component and which
+components merge, are one rule at every bandwidth: ``_components`` labels the
+nodes of a graph given by its edges, the stored couplings between well sites
+for the first and the pairs of components closer than the minimum separation
+for the second.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from itertools import compress
 
 import numpy as np
 
-from .agmon import AgmonMetric, INF, _chain_runs, distance_from_set, inner_boundary
-from .matrices import SparseSymMatrix, _index_mask, _submatrix, _write_json
+from .agmon import AgmonMetric, INF, distance_from_set, inner_boundary
+from .matrices import SparseSymMatrix, _index_mask, _pairs_inside, _write_json
 
 __all__ = [
     "WellPartition",
@@ -64,29 +66,39 @@ class WellPartition:
         return self.axiom_disjoint and self.axiom_complement and self.axiom_boundary
 
 
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Label of every node 0..n-1: the smallest node of its component in the graph of edges (i, j).
+
+    Each round hooks the larger of an edge's two root labels onto the smaller,
+    then shortcuts label = label[label] until every label is a root
+    (Shiloach-Vishkin style); labels only fall, and each stays in its component.
+    """
+    label = np.arange(n)
+    while True:
+        a, b = label[i], label[j]
+        if np.array_equal(a, b):
+            return label
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))  # a root hooked to itself stays
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+
+
 def well_components(A: SparseSymMatrix, wells) -> list[frozenset[int]]:
     """Connected components of the well set in the graph of A.
 
-    Components are ordered by their smallest member.  On a chain a component
-    is a run of consecutive well sites joined by stored couplings.
+    Components are ordered by their smallest member.
     """
     inside = _index_mask(A.n, wells)
-    if not inside.any():
-        return []
-    if A.bandwidth() <= 1:
-        site = np.flatnonzero(inside)
-        return [frozenset(run.tolist()) for run in np.split(site + 1, _chain_runs(A, site)[0][1:])]
-    from scipy.sparse.csgraph import connected_components  # deferred, see matrices
-
-    sub = _submatrix(A, inside)
-    # labels count up from the lowest site, so label order is smallest-member order
-    count, label = connected_components(sub.pattern.values(np.ones(sub.off_count)), directed=False)
-    sites = np.flatnonzero(inside) + 1
-    return [frozenset(sites[label == k].tolist()) for k in range(count)]
+    site = np.flatnonzero(inside)
+    root = _components(A.n, *_pairs_inside(A, inside)[:2])[site]  # a component's smallest site
+    return [frozenset((site[root == r] + 1).tolist()) for r in np.unique(root)]
 
 
 def _rows(m: AgmonMetric, sets) -> np.ndarray:
     """Row l is the distance field from sets[l]: one ``distance_from_set`` per set."""
+    if not all(sets):
+        raise ValueError(f"well {next(k for k, s in enumerate(sets) if not s)} is empty")
     return np.reshape([distance_from_set(m, s).dist for s in sets], (len(sets), m.matrix.n))
 
 
@@ -96,42 +108,28 @@ def _masks(n: int, sets) -> np.ndarray:
 
 
 def _least(rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """least[a, b] is the smallest of rows[a] where masks[b] holds; +inf where it holds nowhere."""
-    shape = (len(rows), len(masks), rows.shape[1])
-    return np.min(np.broadcast_to(rows[:, None, :], shape), axis=2, where=masks[None], initial=INF)
+    """least[a, b] is the smallest of rows[a] where masks[b] holds; +inf where it holds nowhere.
+
+    One gather of the masked columns and one segmented minimum: the cost is
+    k times the masked sites, not k x k x n.
+    """
+    b, site = np.nonzero(masks)  # the sites of masks[0], then those of masks[1], ...
+    gathered = np.concatenate([rows[:, site], np.full((len(rows), 1), INF)], axis=1)
+    least = np.minimum.reduceat(gathered, np.searchsorted(b, np.arange(len(masks))), axis=1)
+    return np.where(masks.any(axis=1), least, INF)  # reduceat reads an empty segment as one entry
 
 
-def _in_chain_order(m: AgmonMetric, components) -> bool:
-    """The metric is a chain's and each component lies wholly left of the next."""
-    if m.matrix.bandwidth() > 1:
-        return False
-    return all(a and b and max(a) < min(b) for a, b in zip(components, components[1:]))
-
-
-def _merge(components, rows: np.ndarray, min_sep: float, chain: bool = False):
+def _merge(components, rows: np.ndarray, min_sep: float):
     """Merged wells and their rows: float addition is monotone, so the least of the
     components' rows is, bit for bit, the field of a Dijkstra from their union.
-
-    With ``chain`` (``_in_chain_order``) the groups are runs of consecutive
-    components each closer than min_sep to the next.  For components a < b < c
-    the path from a to c crosses b, and with non-negative weights a monotone
-    sum gives rho(a, c) >= max(rho(a, b), rho(b, c)) in floats, so a close
-    pair (a, c) has every pair between it close too.
     """
     # rho(a, b) is read from a's row for a < b only: reversed sums can differ in the last bit
-    if chain:  # a's row grows to its right, so rho(a, b) is its value at b's first site
-        near = np.array([row[min(b) - 1] for row, b in zip(rows, components[1:])])
-        group = np.concatenate([[0], np.cumsum(near >= min_sep)])
-        count = int(group[-1]) + 1 if components else 0
-    else:
-        from scipy.sparse.csgraph import connected_components  # deferred, as above
-
-        close = np.triu(_least(rows, _masks(rows.shape[1], components)) < min_sep, 1)
-        count, group = connected_components(close, directed=False)
-    wells = [frozenset().union(*compress(components, group == k)) for k in range(count)]
-    order = sorted(range(count), key=lambda k: min(wells[k]))
-    merged = [rows[group == k].min(axis=0) for k in order]
-    return [wells[k] for k in order], np.reshape(merged, (count, rows.shape[1]))
+    close = np.triu(_least(rows, _masks(rows.shape[1], components)) < min_sep, 1)
+    group = _components(len(components), *np.nonzero(close))
+    wells = {r: frozenset().union(*compress(components, group == r)) for r in np.unique(group)}
+    order = sorted(wells, key=lambda r: min(wells[r]))
+    merged = [rows[group == r].min(axis=0) for r in order]
+    return [wells[r] for r in order], np.reshape(merged, (len(order), rows.shape[1]))
 
 
 def merge_close_wells(
@@ -146,7 +144,7 @@ def merge_close_wells(
     min_sep" relation is exactly what is needed.  Results keep the order of
     their smallest member.
     """
-    return _merge(components, _rows(m, components), min_sep, _in_chain_order(m, components))[0]
+    return _merge(components, _rows(m, components), min_sep)[0]
 
 
 def _voronoi(rows: np.ndarray) -> list[frozenset[int]]:
@@ -223,7 +221,7 @@ def build_partition(
     """
     comps = well_components(A, m.provenance.wells)
     min_sep = 2.0 * float(s_requested) + 1e-9
-    wells, rows = _merge(comps, _rows(m, comps), min_sep, _in_chain_order(m, comps))
+    wells, rows = _merge(comps, _rows(m, comps), min_sep)
     return _audit(A, wells, _voronoi(rows), rows, s_requested)
 
 

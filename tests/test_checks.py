@@ -889,19 +889,10 @@ def test_decoupling_coefficient_is_inf_past_float_range():
     assert checks._decoupling_coefficient(2, 1e200, 1.0) == math.inf
 
 
-def test_counting_rejects_an_empty_grid(blocks):
-    A, L, ed, part, locals_ = blocks
-    for points in (0, -3):
-        with pytest.raises(ValueError, match="grid_points"):
-            check_counting(ed, locals_, 0.3, 10.0, INF, 2, 5.0, grid_points=points)
-    cr = check_counting(ed, locals_, 0.3, 10.0, INF, 2, 5.0, grid_points=1)
-    assert cr.mu_grid.size == 1 and cr.all_hold
-
-
 def test_counting_grid_control(blocks):
     A, L, ed, part, locals_ = blocks
-    cr = check_counting(ed, locals_, 0.3, 10.0, INF, 2, 5.0, grid_points=7)
-    assert cr.mu_grid.size == 7
+    cr = check_counting(ed, locals_, 0.3, 10.0, INF, 2, 5.0)
+    assert cr.mu_grid.size == 50 and cr.mu_grid[-1] == 10.0
     with pytest.raises(ValueError, match="delta"):
         check_counting(ed, locals_, 0.0, 10.0, INF, 2, 5.0)
 

@@ -271,6 +271,23 @@ def test_the_verdict_is_every_pass_flag_of_the_summary(tmp_path, monkeypatch, fa
     assert (on_disk["all_proved_hold"], on_disk["exit_code"]) == (not faulty, summary["exit_code"])
 
 
+@pytest.mark.parametrize("shifted", [False, True])
+def test_counting_fails_on_a_shifted_spectrum(tmp_path, monkeypatch, shifted):
+    """Negative control: every eigenvalue 0.2 low miscounts N(mu) against the local spectra."""
+    ens = EnsembleConfig(n=300, half_bandwidth=1, seed=5)
+    cfg = ExperimentConfig(ensemble=ens, thresholds=(0.5,), s_requested=2.0, n_plot=0)
+    if shifted:
+        monkeypatch.setattr(
+            experiment,
+            "_SPECTRUM_HOOK",
+            lambda ed: EigenDecomposition(values=ed.values - 0.2, vectors=ed.vectors),
+        )
+    A, _ = generate_band_ensemble(ens)
+    summary = run_verification(A, cfg, tmp_path)
+    assert summary["checks"]["counting"]["pass"] is not shifted
+    assert summary["exit_code"] == (2 if shifted else 0)
+
+
 def _one_check_at_a_time(A, L, ed, thresholds, alpha):
     """Every localization check on its own, with no distance field shared."""
     landscape = [check_landscape_localization(A, L, ed, j) for j in range(1, ed.n + 1)]

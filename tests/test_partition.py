@@ -2,9 +2,12 @@
 
 import json
 import math
+from itertools import compress
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mlandscape import (
     AgmonMetric,
@@ -246,10 +249,106 @@ def _graph_components(A, wells):
     return [frozenset(sites[label == k].tolist()) for k in range(count)]
 
 
+def _least_by_broadcast(rows, masks):
+    """least[a, b]: the minimum of rows[a] where masks[b] holds, as one k x k x n reduction."""
+    shape = (len(rows), len(masks), rows.shape[1])
+    return np.min(np.broadcast_to(rows[:, None, :], shape), axis=2, where=masks[None], initial=INF)
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 30), st.integers(0, 2**32 - 1))
+@example(0, 3, 4, 0)  # no rows
+@example(2, 0, 4, 0)  # no masks
+@settings(max_examples=300, deadline=None)
+def test_least_equals_one_broadcast_reduction(k, masks, n, seed):
+    rng = np.random.default_rng(seed)
+    rows = np.where(rng.random((k, n)) < 0.2, INF, rng.random((k, n)))
+    mask = rng.random((masks, n)) < rng.random()  # empty and overlapping masks alike
+    assert partition._least(rows, mask).tobytes() == _least_by_broadcast(rows, mask).tobytes()
+
+
+def _graph_merge(components, rows, min_sep):
+    """Merged wells and rows grouped by scipy's connected_components on the closeness matrix."""
+    from scipy.sparse.csgraph import connected_components
+
+    least = _least_by_broadcast(rows, partition._masks(rows.shape[1], components))
+    count, group = connected_components(np.triu(least < min_sep, 1), directed=False)
+    wells = [frozenset().union(*compress(components, group == k)) for k in range(count)]
+    order = sorted(range(count), key=lambda k: min(wells[k]))
+    merged = [rows[group == k].min(axis=0) for k in order]
+    return [wells[k] for k in order], np.reshape(merged, (count, rows.shape[1]))
+
+
+def _smallest_node_labels(n, edges):
+    """scipy's component labels of the graph on 0..n-1, mapped to each component's smallest node."""
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    i, j = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    graph = coo_array((np.ones(i.size), (i, j)), shape=(n, n))
+    _, label = connected_components(graph, directed=False)
+    return np.unique(label, return_index=True)[1][label]  # labels count up from the lowest node
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 80))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=3 * n))  # repeats and self-edges
+
+
+_PERMUTED = np.random.default_rng(0).permutation(60).tolist()
+
+
+@given(_graphs())
+@example((50, [(k + 1, k) for k in reversed(range(49))]))  # a reversed path
+@example((60, list(zip(_PERMUTED, _PERMUTED[1:]))))  # a randomly permuted path
+@example((3, []))  # no edges
+@settings(max_examples=300, deadline=None)
+def test_components_label_each_node_with_the_smallest_of_its_component(graph):
+    n, edges = graph
+    i, j = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    assert partition._components(n, i, j).tolist() == _smallest_node_labels(n, edges).tolist()
+
+
+def _relabelled(A, perm):
+    """A with site i moved to site perm[i - 1] + 1."""
+    off_i, off_j, off_v = A.off_arrays()
+    moved = np.column_stack((perm[off_i - 1] + 1, perm[off_j - 1] + 1, off_v))
+    return SparseSymMatrix(A.n, A.diag[np.argsort(perm)], moved)
+
+
+@pytest.mark.parametrize("w, relabel", [(2, False), (3, False), (1, True)])
+def test_well_components_equal_connected_components_at_any_bandwidth(w, relabel):
+    A, _ = generate_band_ensemble(EnsembleConfig(n=300, half_bandwidth=w, seed=w))
+    L = solve_landscape(A)
+    for q in (0.05, 0.2, 0.4):
+        wells = shift_potential(L, float(np.quantile(L.vbar, q))).wells
+        B = A
+        if relabel:
+            perm = np.random.default_rng(0).permutation(A.n)
+            B, wells = _relabelled(A, perm), {int(perm[s - 1]) + 1 for s in wells}
+            assert B.bandwidth() > 1
+        assert well_components(B, wells) == _graph_components(B, wells)
+
+
+def test_build_partition_runs_no_connected_components_at_bandwidth_2(monkeypatch):
+    import scipy.sparse.csgraph as csgraph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("connected_components called")
+
+    monkeypatch.setattr(csgraph, "connected_components", refuse)
+    A, _ = generate_band_ensemble(EnsembleConfig(n=150, half_bandwidth=2, seed=7))
+    m = build_metric(A, shift_potential(solve_landscape(A), 0.6))
+    part = build_partition(A, m, 1.0)
+    assert len(well_components(A, m.provenance.wells)) == 6 and len(part.wells) == 4  # two merges
+    assert part.axioms_hold
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_chain_runs_equal_connected_components(seed):
-    """On W = 1 draws components are runs and merges are runs of close neighbours:
-    both equal scipy's connected components, and the merged rows keep their bits."""
+    """On W = 1 draws the components and merges equal scipy's connected components,
+    and the merged rows keep their bits."""
     A, _ = generate_band_ensemble(EnsembleConfig(n=300, half_bandwidth=1, seed=seed))
     L = solve_landscape(A)
     merged = 0
@@ -257,14 +356,13 @@ def test_chain_runs_equal_connected_components(seed):
         m = build_metric(A, shift_potential(L, float(np.quantile(L.vbar, q))))
         comps = well_components(A, m.provenance.wells)
         assert comps == _graph_components(A, m.provenance.wells)
-        assert partition._in_chain_order(m, comps)
         rows = partition._rows(m, comps)
         for s in (0.25, 1.0, 2.0, 4.0):
-            runs = partition._merge(comps, rows, 2.0 * s + 1e-9, chain=True)
-            graph = partition._merge(comps, rows, 2.0 * s + 1e-9, chain=False)
-            assert runs[0] == graph[0]
-            assert runs[1].tobytes() == graph[1].tobytes()
-            merged += len(runs[0]) < len(comps)
+            ours = partition._merge(comps, rows, 2.0 * s + 1e-9)
+            graph = _graph_merge(comps, rows, 2.0 * s + 1e-9)
+            assert ours[0] == graph[0]
+            assert ours[1].tobytes() == graph[1].tobytes()
+            merged += len(ours[0]) < len(comps)
     assert merged  # some merges ran
 
 
@@ -276,19 +374,37 @@ def test_chain_components_split_at_a_missing_coupling():
 
 
 @pytest.mark.parametrize(
-    "comps, in_order, merged",
+    "comps, merged",
     [
-        ([{1, 2, 3}, {5, 6, 7}, {10}], True, [{1, 2, 3, 5, 6, 7}, {10}]),  # 2 apart, then 3
-        ([{1, 9}, {3}, {6}], False, [{1, 3, 9}, {6}]),  # interleaved: the general closure
+        ([{1, 2, 3}, {5, 6, 7}, {10}], [{1, 2, 3, 5, 6, 7}, {10}]),  # 2 apart, then 3
+        ([{1, 9}, {3}, {6}], [{1, 3, 9}, {6}]),  # interleaved: the general closure
     ],
 )
-def test_merges_on_a_chain_with_weighted_wells(comps, in_order, merged):
-    """Weights inside a well are not 0 here: rho is read at the next well's first site."""
+def test_merges_on_a_chain_with_weighted_wells(comps, merged):
+    """Weights inside a well are not 0 here: rho is read from the lower well's row."""
     A = chain(10)
     m = uniform_metric(A)
     comps = [frozenset(c) for c in comps]
-    assert partition._in_chain_order(m, comps) is in_order
     assert merge_close_wells(comps, m, 2.5) == [frozenset(c) for c in merged]
+
+
+def test_merge_rejects_an_empty_well_by_its_position():
+    A = chain(4)
+    m = uniform_metric(A)
+    with pytest.raises(ValueError, match="well 1 is empty"):
+        merge_close_wells([frozenset({1}), frozenset()], m, 1.0)
+
+
+def test_voronoi_rejects_an_empty_well():
+    A = chain(4)
+    with pytest.raises(ValueError, match="well 0 is empty"):
+        voronoi_regions(A, [frozenset()], uniform_metric(A))
+
+
+def test_verify_separation_rejects_an_empty_well():
+    A = chain(4)
+    with pytest.raises(ValueError, match="well 0 is empty"):
+        verify_separation(A, [frozenset()], [frozenset({1})], uniform_metric(A), 1.0)
 
 
 def test_build_partition_equals_the_public_steps():
