@@ -40,6 +40,8 @@ CONFIGS = [
     ["report", "--n", "150", "--bandwidth", "2", "--seed", "7", "--ebar", "0.6", "--s", "1.0"],
     ["report", "--n", "400", "--bandwidth", "3", "--seed", "11", "--ebar", "0.6", "--s", "1.0"],
     ["report", "--n", "1200", "--bandwidth", "2", "--seed", "4", "--ebar", "0.5"],
+    ["report", "--n", "300", "--bandwidth", "2", "--seed", "3"],
+    ["report", "--n", "200", "--bandwidth", "3", "--seed", "7"],
 ]
 
 # every BLAS the wheels may bundle, at one thread: the bits of a dense
