@@ -26,7 +26,7 @@ the rows; wider bands run one Dijkstra per block of consecutive thresholds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -257,7 +257,8 @@ class ThresholdFields:
     ``sites[indptr[j]:indptr[j + 1]]``, and the same slice of ``dist`` holds
     their distances; every source is at distance 0.  ``slices`` reads rows as
     stored; ``fields[t]`` and ``rows`` spread them into dense n-vectors for
-    lookups.
+    lookups.  ``memo`` holds what a reader derives from the rows for another
+    reader of the same sweep, and goes with it.
 
     On a chain (bandwidth <= 1) ``_folds`` fills the rows, each run of
     coupled non-sources starting at +0.0 next to a coupled source; wider
@@ -272,6 +273,7 @@ class ThresholdFields:
     indptr: np.ndarray
     sites: np.ndarray
     dist: np.ndarray
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def index(self, thresholds) -> np.ndarray:
         """The row of each of ``thresholds``; KeyError names one the sweep does not hold."""
@@ -291,7 +293,10 @@ class ThresholdFields:
         """
         start = self.indptr[j]
         lengths = self.indptr[j + 1] - start
-        at = np.arange(lengths.sum()) + np.repeat(start - (np.cumsum(lengths) - lengths), lengths)
+        if j.size and (np.diff(j) == 1).all():  # consecutive rows lie end to end in storage
+            at = slice(int(start[0]), int(start[-1] + lengths[-1]))
+        else:
+            at = np.arange(lengths.sum()) + np.repeat(start - (np.cumsum(lengths) - lengths), lengths)
         sites = self.sites[at]
         v, _ = _shift(self.vbar[sites], np.repeat(self.thresholds[j], lengths))
         return lengths, sites, v, self.dist[at]

@@ -14,7 +14,11 @@ Conventions shared by every check here:
   formed once, and the one-pair forms are the batch of one.  A localization
   pair reads its row of a ``threshold_fields`` sweep as stored: phi, v and
   the distance at the row's non-sources in ascending order (every other
-  site is a well, where v = 0 and the term vanishes).  The corollary stacks
+  site is a well, where v = 0 and the term vanishes).  Each pair's
+  v-weighted sum is formed once per sweep (``_localization_sums``): at
+  ebar = E the general check's second line reads the landscape check's
+  sum, or the other way round, and its first line, 0 times the unweighted
+  sum, needs that sum only where it could overflow.  The corollary stacks
   its block's vectors and weights as rows.  A batch gives the bits of its
   pairs checked one at a time because each pair is summed in ``np.sum``'s
   pairwise order over its own C-contiguous row or slice of terms (never
@@ -232,6 +236,62 @@ def _row_sums(terms: np.ndarray, bounds) -> list:
     return [float(add(terms[start:stop])) for start, stop in bounds]
 
 
+def _localization_sums(sweep: ThresholdFields, vectors, cols, rows, alpha: float, first):
+    """(sum of P_k^2 e^{2 alpha rho_k}, the same sum weighted by v_k) of each pair, as columns.
+
+    Pair i is column ``cols[i]`` of ``vectors`` (P) at row ``rows[i]`` of
+    ``sweep``, its terms those of ``_weighted_terms``.  The first sum is
+    formed where the mask ``first`` holds and is +0.0 elsewhere.  The
+    weighted sums of a read-only ``vectors`` are kept in ``sweep.memo`` by
+    pair and alpha, so the other localization family reads a pair's sum
+    instead of forming it again: a pair's sum does not depend on the block
+    it was formed in, so it has the same bits.
+    """
+    keys = cols * sweep.thresholds.size + rows
+    known = np.zeros(keys.size, dtype=bool)
+    s_first, second = np.zeros(keys.size), np.empty(keys.size)
+    memo = None
+    if not vectors.flags.writeable:
+        # the entry holds ``vectors``, so no other array can take its id while the sweep lives
+        empty = [vectors, np.empty(0, dtype=np.int64), np.empty(0)]
+        memo = sweep.memo.setdefault(("sums", id(vectors), alpha), empty)
+        if memo[1].size:
+            at = np.minimum(np.searchsorted(memo[1], keys), memo[1].size - 1)
+            known = memo[1][at] == keys
+            second[known] = memo[2][at[known]]
+    todo = np.flatnonzero(first | ~known)
+    for b in _blocks(todo.size, sweep.vbar.size):
+        pairs = todo[b]
+        lengths, sites, v, rho = sweep.slices(rows[pairs])
+        P = vectors[sites, np.repeat(cols[pairs], lengths)]
+        terms, weighted, bounds = _weighted_terms(P, v, rho, alpha, lengths)
+        wanted = np.flatnonzero(first[pairs])
+        with np.errstate(over="ignore"):  # a sum past float range is inf, as on floats
+            second[pairs] = _row_sums(weighted, bounds)
+            s_first[pairs[wanted]] = _row_sums(terms, [bounds[i] for i in wanted.tolist()])
+    if memo is not None and todo.size:
+        stored, at = np.unique(np.concatenate([memo[1], keys[todo]]), return_index=True)
+        memo[1:] = stored, np.concatenate([memo[2], second[todo]])[at]
+    return s_first, second
+
+
+# Where a row's v-weighted sum over its least v is at most this, the sum of
+# its terms is finite: each term is at most its weighted term over that v,
+# and the rounding of either sum is far below a factor of 2.
+_SUM_CERTAIN = np.finfo(float).max / 4
+
+
+def _least_v(sweep: ThresholdFields, rows) -> np.ndarray:
+    """The least v = vbar - t > 0 on each of ``rows`` of ``sweep``; +inf on a row with none.
+
+    Every term of a row has v > 0, and rounding keeps vbar - t monotone in vbar.
+    """
+    vbar = np.sort(sweep.vbar)
+    t = sweep.thresholds[rows]
+    above = np.searchsorted(vbar, t, side="right")
+    return np.where(above < vbar.size, vbar[np.minimum(above, vbar.size - 1)] - t, np.inf)
+
+
 def _sweep(
     A: SparseSymMatrix, L, thresholds, fields: ThresholdFields | None, excluded=()
 ) -> ThresholdFields:
@@ -312,7 +372,8 @@ def check_landscape_localization(
     E = lambda_j, and the weight exp(2 rho(k, wells) / sqrt(W_c)); the bound
     is W_c * max |a_ij| over all entries.  ``fields``, a ``threshold_fields``
     sweep of A and L.vbar with no excluded set that holds E, supplies the
-    distances, so checks sharing it run no Dijkstra of their own.
+    distances, so checks sharing it run no Dijkstra of their own, and keeps
+    each pair's weighted sum for ``check_general_localization`` at ebar = E.
 
     ``j`` may also be a sequence of eigen indices: the reports come back as
     ``LocalizationReports`` in that order, evaluated in blocks of eigenpairs
@@ -326,12 +387,8 @@ def check_landscape_localization(
     rhs = wc * A.max_abs_entry()
     E = ed.values[ids - 1]
     sweep = _sweep(A, L, E, fields)
-    second = []
-    for b in _blocks(ids.size, A.n):
-        lengths, sites, v, rho = sweep.slices(sweep.index(E[b]))
-        P = ed.vectors[sites, np.repeat(ids[b] - 1, lengths)]
-        _, weighted, bounds = _weighted_terms(P, v, rho, alpha, lengths)
-        second += _row_sums(weighted, bounds)
+    no_first = np.zeros(ids.size, dtype=bool)
+    _, second = _localization_sums(sweep, ed.vectors, ids - 1, sweep.index(E), alpha, no_first)
     reports = _reports(ids, E, E, alpha, 0.0, second, rhs)
     return reports if np.ndim(j) else reports[0]
 
@@ -403,27 +460,34 @@ def check_general_localization(
     crossing = c_i != c_j
     in_lo, in_hi = np.minimum(c_i, c_j)[crossing], np.maximum(c_i, c_j)[crossing]
     a_off = np.abs(off_v[crossing])
-    first_well = int(sweep.copies.min())
-    c_second = 1.0 - alpha * alpha * wc / 2.0
-    s_first, s_second, norm_sq, a_cross = [], [], [], []
+    j = sweep.index(ebar)
+    if (j < sweep.copies.min()).any():
+        raise EmptyWellSetError("empty relative well set")
+    norm_sq, a_cross = [], []
     for b in _blocks(cols.size, A.n):
-        j = sweep.index(ebar[b])
-        if (j < first_well).any():
-            raise EmptyWellSetError("empty relative well set")
         if not np.isfinite(phi[:, cols[b]]).all():
             raise ValueError("phi must be finite")
-        at = j[:, None]
+        at = j[b, None]
         crosses = (in_lo <= at) & (at < in_hi)
         a_cross.append(np.where(crosses, a_off, 0.0).max(axis=1, initial=0.0))
-        lengths, sites, v, rho = sweep.slices(j)
-        P = phi[sites, np.repeat(cols[b], lengths)]
-        terms, weighted, bounds = _weighted_terms(P, v, rho, alpha, lengths)
-        s_first += _row_sums(terms, bounds)
-        s_second += _row_sums(weighted, bounds)
         norm_sq += [phi[:, c] @ phi[:, c] for c in cols[b].tolist()]  # each on its own column
+    # At ebar == E the first line, 0 * (sum of the terms), is +0.0 for a finite
+    # sum and NaN for an infinite one.  That sum is at most the weighted sum
+    # over the least v of the row, so it is formed only where that ratio
+    # could reach float range.
+    at_e = ebar == E
+    s_first, s_second = _localization_sums(sweep, phi, cols, j, alpha, ~at_e)
+    if at_e.any():
+        with np.errstate(over="ignore"):
+            unsure = at_e & ~(s_second / _least_v(sweep, j) <= _SUM_CERTAIN)
+        if unsure.any():
+            s_first[unsure] = _localization_sums(
+                sweep, phi, cols[unsure], j[unsure], alpha, np.ones(int(unsure.sum()), dtype=bool)
+            )[0]
+    c_second = 1.0 - alpha * alpha * wc / 2.0
     with np.errstate(all="ignore"):  # overflow gives inf and 0 * inf NaN, as on floats
-        first = (ebar - E) * np.array(s_first, dtype=float)
-        second = c_second * np.array(s_second, dtype=float)
+        first = (ebar - E) * s_first
+        second = c_second * s_second
         rhs = (wc / 2.0) * np.array(norm_sq, dtype=float) * np.concatenate([[]] + a_cross)
     reports = _reports(labels, E, ebar, alpha, first, second, rhs)
     return reports if batch else reports[0]

@@ -36,17 +36,20 @@ speller that gives the bytes of ``json.dumps(..., indent=2, sort_keys=True)``;
 a report is one string template per report type and indent.  Both writers
 spell columns with ``_spelled``: each distinct value of a column once (a
 float by its bits), and a column equal byte for byte to another of the same
-document once.  A ``_ReportColumns`` (a batch of reports held as columns) is
-spelled as the list of its rows, each through its row type's template.
+document once; the reprs of the last few number columns are kept across
+documents (``_reprs``).  A ``_ReportColumns`` (a batch of reports held as
+columns) is spelled as the list of its rows, each through its row type's
+template.
 
 ``BLOCK_ENTRIES`` and ``_blocks`` size every array pass over eigenpairs, in
 ``checks`` and ``spectral`` alike.
 
 scipy.sparse is imported where a CSR matrix or a graph routine is first
-needed, not at package import: it costs ~40 ms and ~3.5 MB that callers who
-only build, read or write matrices never use.  LAPACK comes from the
-``_lapack`` binding, numpy's own OpenBLAS where it exports the routines, so
-``scipy.linalg`` (~0.15 s and ~28 MB) is imported only where it does not.
+needed, not at package import: it costs ~140 ms and ~22 MB on top of numpy
+(warm bytecode, a shared 2-core VM) that callers who only build, read or
+write matrices never use.  LAPACK comes from the ``_lapack`` binding,
+numpy's own OpenBLAS where it exports the routines, so ``scipy.linalg``
+(~0.15 s and ~28 MB) is imported only where it does not.
 """
 
 from __future__ import annotations
@@ -225,7 +228,8 @@ def _spelled(columns, words: dict, other) -> list:
     distinct value once, a float told apart by its bits (so -0.0 is not 0.0),
     and a repr listed in ``words`` is replaced by its entry there.  Each entry
     of any other column is ``other`` of its value.  A column with the dtype
-    and bytes of an earlier one takes that one's text.
+    and bytes of an earlier one takes that one's text, and a number column
+    spelled lately, in any document, its reprs (``_reprs``).
     """
     done: dict = {}
     out = []
@@ -235,17 +239,35 @@ def _spelled(columns, words: dict, other) -> list:
             if column.dtype.kind not in "biuf":
                 done[key] = [other(v) for v in column.tolist()]
             else:
-                bits = column
-                if column.dtype.kind == "f":
-                    column = column.astype(np.float64, copy=False)
-                    bits = column.view(np.int64)
-                _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-                text = list(map(repr, column[first].tolist()))
+                text, inverse = _reprs(column, key)
                 if words:
                     text = list(map(words.get, text, text))
-                done[key] = np.array(text, dtype=object)[inverse.reshape(-1)].tolist()
+                done[key] = np.array(text, dtype=object)[inverse].tolist()
         out.append(done[key])
     return out
+
+
+# The reprs of the last number columns ``_spelled`` spelled, by dtype, shape
+# and bytes, the most recent last: a verify spells its eigenvalues and its
+# eigen indices in three documents.
+_REPRS: dict = {}
+_REPRS_KEPT = 16
+
+
+def _reprs(column: np.ndarray, key) -> tuple:
+    """(the reprs of a number column's distinct values, each entry's index among them)."""
+    found = _REPRS.pop(key, None)
+    if found is None:
+        bits = column
+        if column.dtype.kind == "f":
+            column = column.astype(np.float64, copy=False)
+            bits = column.view(np.int64)
+        _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+        found = list(map(repr, column[first].tolist())), inverse.reshape(-1)
+        if len(_REPRS) >= _REPRS_KEPT:
+            del _REPRS[next(iter(_REPRS))]
+    _REPRS[key] = found
+    return found
 
 
 def _json_rows(x: _ReportColumns, indent: str) -> str:
@@ -663,7 +685,7 @@ def smallest_eigenvalue(A: SparseSymMatrix) -> float:
     return float(_eigh(A, vectors=False)[0])
 
 
-def _eigh(A: SparseSymMatrix, vectors: bool = True):
+def _eigh(A: SparseSymMatrix, vectors: bool = True, *, contiguous: bool = True):
     """The bits of ``np.linalg.eigh(A.to_dense())``, or of ``eigvalsh`` without ``vectors``.
 
     At bandwidth <= 1 the diagonals go straight to LAPACK's tridiagonal
@@ -675,7 +697,10 @@ def _eigh(A: SparseSymMatrix, vectors: bool = True):
     does a diagonal holding -0.0: the blocked ``dsytrd`` update subtracts
     signed zeros from it and can return +0.0.  The vectors come back
     C-contiguous, as ``eigh`` gives them: products with a Fortran-ordered copy
-    may round differently.  ``np.linalg.LinAlgError`` when LAPACK fails.
+    may round differently.  With ``contiguous`` False they come in the order
+    the solver left them (Fortran order from ``dstevd``), for a caller that
+    works on them column by column and makes the C-contiguous copy itself.
+    ``np.linalg.LinAlgError`` when LAPACK fails.
     """
     if A.n > DENSE_EIGEN_LIMIT:
         raise ValueError(f"dense eigensolve limited to n <= {DENSE_EIGEN_LIMIT}, got n = {A.n}")
@@ -687,7 +712,9 @@ def _eigh(A: SparseSymMatrix, vectors: bool = True):
     values, z, info = _lapack.dstevd(A.diag, sub, compute_v=vectors)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal eigensolve failed (dstevd info = {info})")
-    return (values, np.ascontiguousarray(z)) if vectors else values
+    if not vectors:
+        return values
+    return values, np.ascontiguousarray(z) if contiguous else z
 
 
 def _substreams(seed: int, count: int) -> list[np.random.Generator]:
@@ -789,17 +816,20 @@ def _stack_columns(keep: np.ndarray, bw: int) -> tuple[np.ndarray, ...]:
     return rows, flat - n * rows, np.arange(flat.size) + bw * rows
 
 
-def _upper_band(A: SparseSymMatrix, keep: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def _upper_band(
+    A: SparseSymMatrix, keep: np.ndarray, shifts: np.ndarray, columns=None
+) -> np.ndarray:
     """Blocks A_keep[i],keep[i] - shifts[i] I of a k x n mask, stacked in LAPACK upper band storage.
 
     The blocks sit along the diagonal in the columns of ``_stack_columns`` at
     A's bandwidth bw, with spacer columns (diagonal 1, no coupling) between
     them; entry (r, c), r <= c, of the stack sits at row bw + r - c, column c.
+    ``columns`` is ``_stack_columns(keep, bw)`` where the caller has it.
     Dropping positions never widens the band, so every block fits.  One row
     gives A_keep,keep - shift I alone.
     """
     bw = A.bandwidth()
-    rows, sites, cols = _stack_columns(keep, bw)
+    rows, sites, cols = _stack_columns(keep, bw) if columns is None else columns
     band = np.zeros((bw + 1, int(cols[-1]) + 1), dtype=float)
     band[bw] = 1.0
     band[bw, cols] = A.diag[sites] - shifts[rows]

@@ -46,6 +46,14 @@ entries by exp(2 alpha rho) rely on the repair.
 With ``emax`` it keeps and repairs only the eigenpairs with value <= emax,
 and always the lowest one, as the leading columns of the full spectrum's
 array, so every product with them has the full spectrum's bits.
+
+Both run the repair and the sign fix on the vectors in the order the solver
+leaves them (``_eigh(..., contiguous=False)``): Fortran order from
+``dstevd``, so each block's columns are read and written contiguously (the
+dense solve's come C-ordered).  The repair gathers a block into the same
+C-contiguous rows from either order and the sign fix is exact, so the order
+changes no bit.  The one C-contiguous copy is ``eig_sym``'s result and
+``local_eig``'s embedding.
 """
 
 from __future__ import annotations
@@ -185,13 +193,13 @@ def _solve_stack(A, barriers, values, sides, psis):
         if stack.size == 0:
             continue
         keep = barriers[stack]
-        owner, sites, cols = _stack_columns(keep, bw)
+        columns = owner, sites, cols = _stack_columns(keep, bw)
         at = stack[owner] * keep.shape[1] + sites  # flat positions in sides and psis
         rhs = np.zeros(int(cols[-1]) + 1)
         rhs[cols] = -sides.ravel()[at]
         # banded Cholesky at every bandwidth (the landscape solve hands W = 1
         # to dptsv; scipy's dptsv wrapper rejects a one-site T)
-        _, x, info = _lapack.dpbsv(_upper_band(A, keep, values[stack]), rhs)
+        _, x, info = _lapack.dpbsv(_upper_band(A, keep, values[stack], columns), rhs)
         if info > 0:  # spacers never fail: column info is a system's
             bad = int(owner[np.searchsorted(cols, info - 1)])
             lost += 1
@@ -226,10 +234,12 @@ def eig_sym(A: SparseSymMatrix, L: LandscapeData | None) -> EigenDecomposition:
     """Full eigendecomposition with deterministic signs, tails repaired from ``L`` unless None."""
     if L is not None:
         _require_landscape_of(A, L)
-    values, vectors = _eigh(A)
+    values, vectors = _eigh(A, contiguous=False)
     repaired, failed = _repair_tails(A, L.vbar, values, vectors) if L is not None else (0, 0)
     _fix_signs(vectors)
-    return EigenDecomposition(values, vectors, tails_repaired=repaired, tails_failed=failed)
+    return EigenDecomposition(
+        values, np.ascontiguousarray(vectors), tails_repaired=repaired, tails_failed=failed
+    )
 
 
 def local_eig(
@@ -249,7 +259,7 @@ def local_eig(
         raise ValueError("empty domain")
     A_dom = _submatrix(A, keep)
     L_dom = solve_landscape(A_dom)
-    values, vectors = _eigh(A_dom)
+    values, vectors = _eigh(A_dom, contiguous=False)  # made C-contiguous by the embedding
     k = _kept(values, emax)
     _repair_tails(A_dom, L_dom.vbar, values[:k], vectors[:, :k])
     _fix_signs(vectors[:, :k])

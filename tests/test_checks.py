@@ -671,6 +671,164 @@ def test_localization_batches_stay_small_in_memory():
     assert peak < 4 * 2**20
 
 
+def _column_bytes(reports) -> dict:
+    return {name: np.asarray(col).tobytes() for name, col in reports.columns().items()}
+
+
+def _verify_pairs(A, L, ed, thresholds):
+    """(ids, E, ebar) of verify's general pairs: each eigenpair at its own E, or j-major
+    at each of the explicit ``thresholds`` >= E_j; pairs with no well are left out."""
+    ids = np.arange(1, A.n + 1)
+    if thresholds is None:
+        ebars = ed.values
+    else:
+        ids = np.repeat(ids, len(thresholds))
+        ebars = np.tile(thresholds, A.n)
+        keep = ebars >= ed.values[ids - 1]
+        ids, ebars = ids[keep], ebars[keep]
+    keep = ebars >= L.vbar.min()
+    return ids[keep], ed.values[ids[keep] - 1], ebars[keep]
+
+
+def _shared_and_alone(A, L, ed, thresholds, rate=1.0):
+    """Both families' column bytes on one shared sweep, in either order, and each alone.
+
+    Alone, the landscape family has a sweep of its own and the general one a
+    writable copy of the vectors, whose sums are kept for no one.  The
+    general family's alpha is ``rate`` times the landscape family's.
+    """
+    ids, E, ebars = _verify_pairs(A, L, ed, thresholds)
+    swept = ed.values if thresholds is None else np.concatenate([ed.values, thresholds])
+    alpha = rate * math.sqrt(1.0 / max(connectivity(A), 2))
+    every = np.arange(1, A.n + 1)
+
+    def landscape(sweep):
+        return _column_bytes(check_landscape_localization(A, L, ed, every, fields=sweep))
+
+    def general(vectors, sweep):
+        return _column_bytes(
+            check_general_localization(A, L, vectors, E, ebars, (), alpha, eigen_id=ids, fields=sweep)
+        )
+
+    runs = []
+    for general_first in (False, True):
+        sweep = threshold_fields(A, L.vbar, swept)
+        first, second = (general, landscape) if general_first else (landscape, general)
+        a = first(ed.vectors, sweep) if general_first else first(sweep)
+        b = second(sweep) if general_first else second(ed.vectors, sweep)
+        assert sweep.memo  # the sums were kept for the other family
+        runs.append((b, a) if general_first else (a, b))
+    alone = (
+        landscape(threshold_fields(A, L.vbar, swept)),
+        general(ed.vectors.copy(), threshold_fields(A, L.vbar, swept)),
+    )
+    return runs, alone, E == ebars
+
+
+@given(
+    w=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=8, max_value=60),
+    seed=st.integers(min_value=0, max_value=10**6),
+    explicit=st.booleans(),
+    rate=st.sampled_from([1.0, 0.5]),
+)
+@example(w=2, n=40, seed=3, explicit=True, rate=1.0)
+@settings(max_examples=40, deadline=None)
+def test_shared_localization_sums_have_the_bytes_of_each_family_alone(w, n, seed, explicit, rate):
+    """At ebar == E the general family reads the landscape family's sums from the
+    sweep (or the landscape family the general one's); every report column keeps
+    the bytes each family gives alone.  Explicit thresholds put one threshold at
+    an eigenvalue, so one pair there is shared and the others are not; at
+    another alpha (``rate``) no sum is shared."""
+    A, _ = generate_band_ensemble(EnsembleConfig(n=n, half_bandwidth=w, seed=seed))
+    L = solve_landscape(A)
+    ed = eig_sym(A, L)
+    thresholds = (float(ed.values[n // 2]), float(np.median(L.vbar))) if explicit else None
+    runs, alone, shared = _shared_and_alone(A, L, ed, thresholds, rate)
+    assert shared.any()
+    for run in runs:
+        assert run == alone
+
+
+def test_degenerate_eigenpairs_share_one_sweep_row():
+    """Two uncoupled copies of one chain: equal eigenvalues, so two columns read one row."""
+    rng = np.random.default_rng(4)
+    diag = 2.5 + rng.random(15)
+    half = [(i, i + 1, -1.0) for i in range(1, 15)]
+    A = SparseSymMatrix(30, np.tile(diag, 2), half + [(i + 15, j + 15, v) for i, j, v in half])
+    L = solve_landscape(A)
+    ed = eig_sym(A, L)
+    assert np.count_nonzero(np.diff(ed.values) == 0.0) >= 10
+    runs, alone, shared = _shared_and_alone(A, L, ed, None)
+    assert shared.all()
+    for run in runs:
+        assert run == alone
+
+
+def test_an_overflowing_sum_of_terms_gives_a_nan_first_line_at_ebar_equal_e():
+    """A synthetic phi whose terms sum past float range while their v-weighted sum
+    does not: at ebar == E the first line is 0 * inf = NaN whether or not the sum
+    is shared, and the landscape family's second line stays finite."""
+    A, _ = generate_band_ensemble(EnsembleConfig(n=80, half_bandwidth=1, seed=2))
+    L = solve_landscape(A)
+    ed = eig_sym(A, L)
+    k = 2
+    t = float(ed.values[k])
+    v, _, rho = threshold_fields(A, L.vbar, [t])[t]
+    alpha = math.sqrt(1.0 / max(connectivity(A), 2))
+    # three terms of 0.6 max: their sum overflows, the v-weighted one and |phi|^2 not
+    near = np.flatnonzero((v > 0.0) & (v < 0.5) & (rho > 3.0) & (rho < 30.0))[:3]
+    assert near.size == 3
+    phi = ed.vectors.copy()
+    phi[:, k] = 0.0
+    phi[near, k] = math.sqrt(0.6 * np.finfo(float).max) * np.exp(-alpha * rho[near])
+    synthetic = EigenDecomposition(ed.values, phi)  # read-only, as verify's
+    runs, alone, shared = _shared_and_alone(A, L, synthetic, None)
+    for run in runs:
+        assert run == alone
+    general = check_general_localization(
+        A, L, synthetic.vectors, ed.values, ed.values, (), alpha, eigen_id=np.arange(1, 81)
+    )
+    assert math.isnan(general.lhs_first[k])
+    assert np.isfinite(np.delete(general.lhs_first, k)).all()
+    landscape = check_landscape_localization(A, L, synthetic, k + 1)
+    assert math.isfinite(landscape.lhs_second) and landscape.lhs_second > 1e300
+
+
+def test_kept_sums_go_with_their_sweep(tmp_path, monkeypatch):
+    """The sums kept on a sweep hold its vectors only while the sweep lives, and
+    verify's sweep is gone when verify returns."""
+    import gc
+    import weakref
+
+    import mlandscape.experiment as experiment
+
+    A, _ = generate_band_ensemble(EnsembleConfig(n=60, half_bandwidth=1, seed=9))
+    L = solve_landscape(A)
+    ed = eig_sym(A, L)
+    sweep = threshold_fields(A, L.vbar, ed.values)
+    check_landscape_localization(A, L, ed, np.arange(1, A.n + 1), fields=sweep)
+    assert sweep.memo
+    swept, vectors = weakref.ref(sweep), weakref.ref(ed.vectors)
+    del sweep, ed
+    gc.collect()
+    assert swept() is None and vectors() is None
+
+    sweeps = []
+    real = experiment.threshold_fields
+
+    def kept(*args):
+        sweep = real(*args)
+        sweeps.append(weakref.ref(sweep))
+        return sweep
+
+    monkeypatch.setattr(experiment, "threshold_fields", kept)
+    cfg = ExperimentConfig(ensemble=EnsembleConfig(n=60, half_bandwidth=1, seed=9), n_plot=0)
+    experiment.run_verification(A, cfg, tmp_path)
+    gc.collect()
+    assert len(sweeps) == 1 and sweeps[0]() is None
+
+
 # ---------------------------------------------------------------- decoupling
 
 

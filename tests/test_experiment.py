@@ -417,7 +417,11 @@ def test_verify_localization_equals_the_public_checks_bit_for_bit(w, tmp_path, m
         cfg = ExperimentConfig(ensemble=ens, thresholds=thresholds, n_plot=0)
         del read[:]
         summary = run_verification(A, cfg, out)
-        assert len(read) > math.ceil(A.n / 7) and max(read) == 7  # landscape alone: 18 blocks
+        # the landscape family forms 18 blocks; at ebar == E the general one
+        # reads those sums and forms none, at explicit thresholds its own too
+        blocks = math.ceil(A.n / 7)
+        assert len(read) == blocks if thresholds == PER_EIGENVALUE else len(read) > blocks
+        assert max(read) == 7
         one_at_a_time = _one_check_at_a_time(A, L, spectrum, thresholds, alpha)
         written_out = _written_out(A, L, spectrum, thresholds, alpha)
         for reference in (one_at_a_time, written_out):

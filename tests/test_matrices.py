@@ -751,6 +751,26 @@ def test_csv_spells_out_infinity(tmp_path):
     assert p.read_text().splitlines() == ["index,dist", "1,0.0", "2,0.25", "3,inf"]
 
 
+def test_number_reprs_are_kept_across_documents_under_each_documents_words(monkeypatch):
+    """A column spelled again, in a CSV or a JSON document, reuses its reprs;
+    each document puts its own words on them, and a few columns are kept."""
+    monkeypatch.setattr(matrices, "_REPRS", {})
+    E = np.array([0.5, np.inf, -0.0, 0.0, np.nan, 0.5])
+    csv_text = ["0.5", "inf", "-0.0", "0.0", "nan", "0.5"]
+    json_text = ["0.5", '"inf"', "-0.0", "0.0", '"nan"', "0.5"]
+    for _ in range(2):
+        assert matrices._spelled([E], {}, str) == [csv_text]
+        assert matrices._spelled([E.copy()], matrices._JSON_WORDS, str) == [json_text]
+    assert len(matrices._REPRS) == 1
+    for k in range(2 * matrices._REPRS_KEPT):
+        matrices._spelled([np.array([float(k)])], {}, str)
+    assert len(matrices._REPRS) == matrices._REPRS_KEPT
+    assert matrices._spelled([np.array([float(2 * matrices._REPRS_KEPT - 1)])], {}, str) == [
+        [repr(float(2 * matrices._REPRS_KEPT - 1))]
+    ]
+    assert matrices._spelled([E], matrices._JSON_WORDS, str) == [json_text]
+
+
 def test_csv_columns_of_unequal_length_or_not_1d_write_nothing(tmp_path):
     p = tmp_path / "bad.csv"
     for columns in ((np.arange(3), np.zeros(2)), (np.zeros((2, 2)), np.zeros((2, 2)))):

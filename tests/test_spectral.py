@@ -294,6 +294,19 @@ def test_a_failed_system_in_the_middle_of_a_stack_fails_alone(monkeypatch):
     assert got[:, others].tobytes() == want[:, others].tobytes()
 
 
+@pytest.mark.parametrize("w", [1, 2])
+def test_spectra_come_back_c_contiguous(w):
+    """The repair and the sign fix run in the solver's order; the results are C-ordered
+    (a local spectrum cut at emax: the leading columns of a C-contiguous array)."""
+    A, _ = generate_band_ensemble(EnsembleConfig(n=80, half_bandwidth=w, seed=2))
+    ed = eig_sym(A, solve_landscape(A))
+    assert ed.tails_repaired > 0 and ed.vectors.flags.c_contiguous
+    loc = local_eig(A, range(11, 71))
+    assert loc.vectors.flags.c_contiguous
+    cut = local_eig(A, range(11, 71), emax=float(loc.values[9]))
+    assert cut.vectors.shape == (80, 10) and cut.vectors.strides == (60 * 8, 8)
+
+
 def test_signs_are_fixed_per_column_in_blocks(monkeypatch):
     rng = np.random.default_rng(5)
     vectors = rng.standard_normal((12, 30))
