@@ -296,7 +296,8 @@ class ThresholdFields:
         if j.size and (np.diff(j) == 1).all():  # consecutive rows lie end to end in storage
             at = slice(int(start[0]), int(start[-1] + lengths[-1]))
         else:
-            at = np.arange(lengths.sum()) + np.repeat(start - (np.cumsum(lengths) - lengths), lengths)
+            shift = start - (np.cumsum(lengths) - lengths)  # from each row's output to its storage
+            at = np.arange(lengths.sum()) + np.repeat(shift, lengths)
         sites = self.sites[at]
         v, _ = _shift(self.vbar[sites], np.repeat(self.thresholds[j], lengths))
         return lengths, sites, v, self.dist[at]

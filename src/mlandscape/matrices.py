@@ -251,7 +251,7 @@ def _spelled(columns, words: dict, other) -> list:
 # and bytes, the most recent last: a verify spells its eigenvalues and its
 # eigen indices in three documents.
 _REPRS: dict = {}
-_REPRS_KEPT = 16
+_REPRS_KEPT = 8
 
 
 def _reprs(column: np.ndarray, key) -> tuple:

@@ -706,9 +706,10 @@ def _shared_and_alone(A, L, ed, thresholds, rate=1.0):
         return _column_bytes(check_landscape_localization(A, L, ed, every, fields=sweep))
 
     def general(vectors, sweep):
-        return _column_bytes(
-            check_general_localization(A, L, vectors, E, ebars, (), alpha, eigen_id=ids, fields=sweep)
+        reports = check_general_localization(
+            A, L, vectors, E, ebars, (), alpha, eigen_id=ids, fields=sweep
         )
+        return _column_bytes(reports)
 
     runs = []
     for general_first in (False, True):
@@ -793,6 +794,27 @@ def test_an_overflowing_sum_of_terms_gives_a_nan_first_line_at_ebar_equal_e():
     assert np.isfinite(np.delete(general.lhs_first, k)).all()
     landscape = check_landscape_localization(A, L, synthetic, k + 1)
     assert math.isfinite(landscape.lhs_second) and landscape.lhs_second > 1e300
+
+
+def test_sums_of_a_writable_vector_array_are_not_kept():
+    """A caller may change a writable array between two checks, so its sums are formed anew."""
+    A, _ = generate_band_ensemble(EnsembleConfig(n=60, half_bandwidth=1, seed=9))
+    L = solve_landscape(A)
+    ed = eig_sym(A, L)
+    ids = np.arange(1, A.n + 1)
+    sweep = threshold_fields(A, L.vbar, ed.values)
+    phi = ed.vectors.copy()
+
+    def general(fields):
+        reports = check_general_localization(
+            A, L, phi, ed.values, ed.values, (), None, eigen_id=ids, fields=fields
+        )
+        return _column_bytes(reports)
+
+    before = general(sweep)
+    phi *= 2.0
+    assert general(sweep) == general(threshold_fields(A, L.vbar, ed.values)) != before
+    assert not sweep.memo
 
 
 def test_kept_sums_go_with_their_sweep(tmp_path, monkeypatch):
