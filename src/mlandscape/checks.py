@@ -271,7 +271,7 @@ def _localization_sums(sweep: ThresholdFields, vectors, cols, rows, alpha: float
             s_first[pairs[wanted]] = _row_sums(terms, [bounds[i] for i in wanted.tolist()])
     if memo is not None and todo.size:
         stored, at = np.unique(np.concatenate([memo[1], keys[todo]]), return_index=True)
-        memo[1:] = stored, np.concatenate([memo[2], second[todo]])[at]
+        memo[1], memo[2] = stored, np.concatenate([memo[2], second[todo]])[at]
     return s_first, second
 
 
@@ -460,6 +460,7 @@ def check_general_localization(
     crossing = c_i != c_j
     in_lo, in_hi = np.minimum(c_i, c_j)[crossing], np.maximum(c_i, c_j)[crossing]
     a_off = np.abs(off_v[crossing])
+    c_second = 1.0 - alpha * alpha * wc / 2.0
     j = sweep.index(ebar)
     if (j < sweep.copies.min()).any():
         raise EmptyWellSetError("empty relative well set")
@@ -484,7 +485,6 @@ def check_general_localization(
             s_first[unsure] = _localization_sums(
                 sweep, phi, cols[unsure], j[unsure], alpha, np.ones(int(unsure.sum()), dtype=bool)
             )[0]
-    c_second = 1.0 - alpha * alpha * wc / 2.0
     with np.errstate(all="ignore"):  # overflow gives inf and 0 * inf NaN, as on floats
         first = (ebar - E) * s_first
         second = c_second * s_second
