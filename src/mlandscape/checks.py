@@ -15,10 +15,11 @@ Conventions shared by every check here:
   pair reads its row of a ``threshold_fields`` sweep as stored: phi, v and
   the distance at the row's non-sources in ascending order (every other
   site is a well, where v = 0 and the term vanishes).  Each pair's
-  v-weighted sum is formed once per sweep (``_localization_sums``): at
-  ebar = E the general check's second line reads the landscape check's
-  sum, or the other way round, and its first line, 0 times the unweighted
-  sum, needs that sum only where it could overflow.  The corollary stacks
+  v-weighted sum of a read-only vector array is formed once per sweep
+  (``_localization_sums``): at ebar = E the general check's second line
+  reads the landscape check's sum, or the other way round, and its first
+  line, 0 times the unweighted sum, needs that sum only where it could
+  overflow.  The corollary stacks
   its block's vectors and weights as rows.  A batch gives the bits of its
   pairs checked one at a time because each pair is summed in ``np.sum``'s
   pairwise order over its own C-contiguous row or slice of terms (never
